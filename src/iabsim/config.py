@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
 
@@ -96,6 +97,10 @@ class ScenarioConfig:
         return cfg
 
     def validate(self) -> None:
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if not all(math.isfinite(v) for v in _floats(value)):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
         _check_positive(self, "fc_ghz", "bw_mhz", "scs_khz", "cell_radius_m")
         _check_nonneg(self, "shadow_std_db", "num_ues", "num_iab_per_cell",
                       "iab_ring_angle_offset_deg")
@@ -164,6 +169,15 @@ class ScenarioConfig:
             raise ConfigError(f"trace_seeds must be >= 1, got {self.trace_seeds}")
 
 
+def _floats(value: Any):
+    """Every float in a field value, nested tuples included."""
+    if isinstance(value, tuple):
+        for v in value:
+            yield from _floats(v)
+    elif isinstance(value, float):
+        yield value
+
+
 def _check_positive(cfg: ScenarioConfig, *keys: str) -> None:
     for key in keys:
         if getattr(cfg, key) <= 0:
@@ -210,6 +224,16 @@ def _coerce(key: str, raw: Any) -> Any:
     raise ConfigError(f"{key}: cannot interpret value {raw!r}")
 
 
+class _NonFinite(ast.NodeTransformer):
+    """Reads the bare names nan and inf, alone or in a list, as floats, so
+    that they reach validation and are rejected there by key."""
+
+    def visit_Name(self, node: ast.Name) -> ast.AST:
+        if node.id.lower() in ("nan", "inf", "infinity"):
+            return ast.Constant(float(node.id))
+        return node
+
+
 def _parse_value(key: str, text: str) -> Any:
     text = text.strip()
     if key not in _FIELD_TYPES:
@@ -220,7 +244,7 @@ def _parse_value(key: str, text: str) -> Any:
     if low in ("none", "null"):
         return None
     try:
-        literal = ast.literal_eval(text)
+        literal = ast.literal_eval(_NonFinite().visit(ast.parse(text, mode="eval")))
     except (ValueError, SyntaxError):
         literal = text.strip("\"'")
     return _coerce(key, literal)

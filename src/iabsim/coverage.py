@@ -153,6 +153,13 @@ class ScenarioInstance:
     constants are precomputed once; evaluating a batch of K candidate power
     vectors then reduces to one matrix product. This is what makes the
     optimizer's N*K fitness evaluations cheap.
+
+    Victim rows are the UE access links (rows 0..n_ue-1, in sorted UE id
+    order) followed by one backhaul row per relay (sorted relay id order).
+    ``parent_row[r]`` is the row that UE r's service also depends on: its
+    serving relay's backhaul row when relay-served, and its own access row
+    when donor-served (``x & x == x``). A UE passes when
+    ``link_pass[r] & link_pass[parent_row[r]]``, one gather for the batch.
     """
 
     def __init__(self, config: ScenarioConfig, topology: Topology,
@@ -211,15 +218,10 @@ class ScenarioInstance:
         self.gamma_min = np.array(gamma_min)
         self.noise_mw = np.array(noise_mw)
         self.vacuous = np.array(vacuous, dtype=bool)
-        self.donor_served = np.array(
-            [topo.node(assoc.ue_to_bs[u]).role is NodeRole.DONOR for u in ue_ids],
-            dtype=bool)
-        # Victim-row index of each relay's backhaul link, and its children's rows.
-        self.family_rows: list[tuple[int, np.ndarray]] = []
-        ue_row = {u: r for r, u in enumerate(ue_ids)}
-        for k, iab in enumerate(iab_ids):
-            rows = np.array([ue_row[c] for c in assoc.children_of(iab)], dtype=int)
-            self.family_rows.append((self.n_ue + k, rows))
+        iab_row = {iab: self.n_ue + k for k, iab in enumerate(iab_ids)}
+        self.parent_row = np.array(
+            [iab_row.get(assoc.ue_to_bs[u], r) for r, u in enumerate(ue_ids)],
+            dtype=int)
 
         # Unit-EIRP received power (linear mW at 0 dBm) per (victim, tx) pair,
         # weighted by RB overlap; zero unless tx shares the victim's slot.
@@ -267,10 +269,7 @@ class ScenarioInstance:
             return np.ones(e2d.shape[0])
         gamma = self.batch_link_sinr(e2d, offset_db)
         link_pass = (gamma >= self.gamma_min[None, :]) | self.vacuous[None, :]
-        ue_pass = link_pass[:, :self.n_ue].copy()
-        for row, child_rows in self.family_rows:
-            if child_rows.size:
-                ue_pass[:, child_rows] &= link_pass[:, row][:, None]
+        ue_pass = link_pass[:, :self.n_ue] & link_pass[:, self.parent_row]
         return ue_pass.mean(axis=1)
 
     def coverage_of(self, powers: PowerVector) -> float:

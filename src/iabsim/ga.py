@@ -6,12 +6,23 @@ population with fresh random immigrants. There is no crossover. Fitness is
 service coverage on a frozen scenario instance, so candidates are always
 compared under identical randomness; ties break toward lower total transmit
 power (linear sum), then toward the lowest candidate index.
+
+One generation is a fixed set of array operations, whatever the
+neighborhood size S, the gene count J or the number of relays. The search
+first draws its initial population as one (K, J) block; each generation
+then draws in this order, which pins every GA output for a given seed:
+
+1. the mutation mask of all S mutants, one (S, J) block of uniforms;
+2. their mutation steps, one (S, J) block of uniforms;
+3. one forced gene index for each mutant whose mask came out empty, one
+   vector draw (skipped when no mask is empty or J = 0);
+4. the V = K - S - 1 immigrants, one (V, J) block of uniforms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Union
+from typing import Callable, Mapping, Optional
 
 import numpy as np
 
@@ -81,44 +92,65 @@ def _bounds(ranges: Ranges) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
     return ids, lower, upper
 
 
+def _uniform_rows(lower: np.ndarray, upper: np.ndarray, rows: int,
+                  rng: np.random.Generator) -> np.ndarray:
+    """A (rows, J) block, each gene uniform within its bounds.
+
+    Bit-identical to ``rng.uniform(lower, upper, (rows, J))`` without its
+    array-bound broadcast.
+    """
+    return lower + (upper - lower) * rng.random((rows, lower.size))
+
+
 def init_population(params: GaParams, ranges: Ranges,
                     rng: np.random.Generator) -> list[PowerVector]:
     """K random vectors, each gene uniform within its node's power range."""
     ids, lower, upper = _bounds(ranges)
-    mat = rng.uniform(lower, upper, size=(params.population, len(ids)))
+    mat = _uniform_rows(lower, upper, params.population, rng)
     return [PowerVector.from_array(ids, row) for row in mat]
 
 
-def _mutant_row(queen: np.ndarray, lower: np.ndarray, upper: np.ndarray,
-                params: GaParams, rng: np.random.Generator) -> np.ndarray:
+def _mutants(queen: np.ndarray, lower: np.ndarray, upper: np.ndarray,
+             params: GaParams, rng: np.random.Generator,
+             count: int) -> np.ndarray:
+    """``count`` mutants of the queen as a (count, J) matrix; draws 1-3 of
+    a generation (see the module docstring).
+
+    Each gene moves with probability mutation_prob by a uniform step in
+    [-mutation_step_db, mutation_step_db], clamped to its range; a mutant
+    whose mask came out empty has one uniformly chosen gene forced to move.
+    """
     n = queen.size
-    mask = rng.random(n) < params.mutation_prob
-    steps = rng.uniform(-params.mutation_step_db, params.mutation_step_db, n)
-    if not mask.any():
-        mask[rng.integers(n)] = True  # at least one gene always moves
+    mask = rng.random((count, n)) < params.mutation_prob
+    step = params.mutation_step_db
+    steps = rng.uniform(-step, step, (count, n))
+    empty = np.flatnonzero(~mask.any(axis=1))
+    if empty.size and n:
+        mask[empty, rng.integers(n, size=empty.size)] = True
     return np.clip(queen + np.where(mask, steps, 0.0), lower, upper)
 
 
 def mutate_around_queen(queen: PowerVector, ranges: Ranges, params: GaParams,
                         rng: np.random.Generator) -> PowerVector:
-    """Perturb each gene with probability mutation_prob by a uniform step,
-    clamped to its range; if no gene was selected one is forced."""
+    """One mutant of the queen: the S = 1 case of the generation kernel."""
     ids, lower, upper = _bounds(ranges)
-    row = _mutant_row(queen.as_array(ids), lower, upper, params, rng)
+    row = _mutants(queen.as_array(ids), lower, upper, params, rng, 1)[0]
     return PowerVector.from_array(ids, row)
 
 
 def next_population(queen: np.ndarray, lower: np.ndarray, upper: np.ndarray,
                     params: GaParams, rng: np.random.Generator) -> np.ndarray:
-    """Queen + S mutants + V random immigrants, as a (K, n) matrix."""
-    rows = [queen]
-    for _ in range(params.neighborhood):
-        rows.append(_mutant_row(queen, lower, upper, params, rng))
-    if params.immigrants:
-        rows.append(rng.uniform(lower, upper,
-                                size=(params.immigrants, queen.size)))
-        return np.vstack([np.atleast_2d(r) for r in rows])
-    return np.vstack(rows)
+    """Queen + S mutants + V random immigrants, as a (K, J) matrix.
+
+    Draws, in order: the (S, J) mask block, the (S, J) step block, the
+    forced genes of empty masks, then the (V, J) immigrant block.
+    """
+    s = params.neighborhood
+    pop = np.empty((params.population, queen.size))
+    pop[0] = queen
+    pop[1:1 + s] = _mutants(queen, lower, upper, params, rng, s)
+    pop[1 + s:] = _uniform_rows(lower, upper, params.immigrants, rng)
+    return pop
 
 
 def _select(pop: np.ndarray, fitness: np.ndarray) -> int:
@@ -147,7 +179,7 @@ def optimize(instance: ScenarioInstance, params: GaParams,
             return np.array([fitness(PowerVector.from_array(ids, row))
                              for row in mat])
 
-    pop = rng.uniform(lower, upper, size=(params.population, len(ids)))
+    pop = _uniform_rows(lower, upper, params.population, rng)
     fit = evaluate(pop)
     n_evaluations = params.population
     best = _select(pop, fit)

@@ -1,5 +1,8 @@
 """Config parsing, precedence, and validation tests."""
 
+import dataclasses
+import math
+
 import pytest
 
 from iabsim.config import (ConfigError, ScenarioConfig, config_lines,
@@ -139,3 +142,52 @@ class TestValidation:
     def test_position_outside_cell(self):
         with pytest.raises(ConfigError, match="outside"):
             load_config(None, {"num_ues": 1, "ue_positions": ((500.0, 0.0),)})
+
+
+FLOAT_KEYS = [f.name for f in dataclasses.fields(ScenarioConfig)
+              if isinstance(getattr(ScenarioConfig(), f.name), float)]
+
+
+class TestNonFinite:
+    # Covers fc_ghz, min_rate_bps, cell_radius_m and shadow_std_db, where a
+    # NaN once passed validation, and every other float field.
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_float_field_rejects(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            ScenarioConfig().replace(**{key: value})
+
+    @pytest.mark.parametrize("key, value", [
+        ("rain_k", math.inf), ("donor_spacing_m", math.nan),
+        ("ue_eirp_range_dbm", (23.0, math.inf)),
+        ("sweep_backoff_db", (0.0, math.nan)),
+        ("ue_positions", ((math.nan, 0.0),))])
+    def test_optional_and_tuple_fields_reject(self, key, value):
+        kw = {"num_ues": 1} if key == "ue_positions" else {}
+        with pytest.raises(ConfigError, match=key):
+            ScenarioConfig().replace(**kw, **{key: value})
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "NaN"])
+    def test_file_value_parsed_as_float_and_rejected(self, tmp_path, text):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"fc_ghz = {text}\n")
+        parsed = parse_config_file(str(path))["fc_ghz"]
+        assert isinstance(parsed, float) and not math.isfinite(parsed)
+        with pytest.raises(ConfigError, match="fc_ghz"):
+            load_config(str(path))
+
+    def test_file_list_value_rejected(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text("ue_eirp_range_dbm = [nan, 40]\n")
+        assert math.isnan(parse_config_file(str(path))["ue_eirp_range_dbm"][0])
+        with pytest.raises(ConfigError, match="ue_eirp_range_dbm"):
+            load_config(str(path))
+
+    def test_file_value_exits_1(self, tmp_path, capsys):
+        from iabsim.cli import main
+        path = tmp_path / "bad.cfg"
+        path.write_text("min_rate_bps = nan\n")
+        code = main(["run", "ga-trace", "--config", str(path),
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        assert "min_rate_bps" in capsys.readouterr().err

@@ -156,6 +156,36 @@ class TestFastPathAgreement:
             slow = inst.evaluate(vec).coverage_probability
             assert fast == pytest.approx(slow, abs=1e-12)
 
+    def test_backhaul_failure_beside_donor_served_ues(self):
+        # One relay 10 km out with two children, plus two UEs near the
+        # donor: a failing backhaul must fail only the relay's children.
+        cfg = deterministic_config(
+            num_ues=4, num_iab_per_cell=1, cell_radius_m=20_000.0,
+            ue_positions=((9_970.0, 0.0), (10_030.0, 0.0), (30.0, 0.0),
+                          (0.0, -60.0)),
+            min_rate_bps=1e6)
+        inst = build_instance(cfg, seed=3, trial_index=0)
+        iab_id = inst.topology.iab_nodes[0].id
+        iab_gene = inst.gene_ids.index(iab_id)
+        rng = np.random.default_rng(4)
+        mat = rng.uniform(inst.lower, inst.upper, size=(40, len(inst.gene_ids)))
+        mat[:20, iab_gene] = np.linspace(35.0, 53.0, 20)
+        batch = inst.batch_coverage(mat)
+        statuses = []
+        for row, fast in zip(mat, batch):
+            res = inst.evaluate(PowerVector.from_array(inst.gene_ids, row))
+            assert fast == pytest.approx(res.coverage_probability, abs=1e-12)
+            statuses.append(res.per_ue)
+        servers = inst.assoc.ue_to_bs
+        assert sum(bs != iab_id for bs in servers.values()) == 2
+        failed = [st for st in statuses
+                  if UeStatus.BACKHAUL_FAIL in st.values()]
+        assert failed, "no tested vector made the backhaul fail"
+        for st in failed:
+            for ue, status in st.items():
+                if servers[ue] != iab_id:
+                    assert status is not UeStatus.BACKHAUL_FAIL
+
     def test_batch_rows_independent(self):
         cfg = ScenarioConfig(num_ues=8, num_cells=1, rb_max=8,
                              min_rate_bps=1e6, trials=1)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from iabsim.config import ScenarioConfig
-from iabsim.coverage import PowerVector, build_instance
+from iabsim.coverage import (PowerVector, build_instance,
+                             monte_carlo_coverage)
 from iabsim.ga import (GaParams, init_population, mutate_around_queen,
                        next_population, optimize)
 from iabsim.rng import derive_rng
@@ -90,6 +91,33 @@ class TestMutation:
                                    abs(mutant.of(nid) - queen.of(nid)))
         assert max_abs_step <= params.mutation_step_db + 1e-12
 
+    def test_batched_mutants_forced_single_gene(self):
+        # The forced-gene rule, applied row by row in one batched call.
+        params = GaParams(population=20, neighborhood=10, mutation_prob=1e-12)
+        lower = np.array([23.0, 23.0, 35.0])
+        upper = np.array([43.0, 43.0, 53.0])
+        queen = np.array([33.0, 30.0, 44.0])  # interior: no clamp hides a move
+        rng = derive_rng(15, "mut")
+        for _ in range(50):
+            pop = next_population(queen, lower, upper, params, rng)
+            moved = pop[1:1 + params.neighborhood] != queen
+            assert np.array_equal(moved.sum(axis=1),
+                                  np.ones(params.neighborhood))
+
+    def test_batched_mutants_within_bounds_and_step(self):
+        params = GaParams(population=20, neighborhood=10, mutation_prob=0.5,
+                          mutation_step_db=3.0)
+        lower = np.array([23.0, 23.0, 35.0])
+        upper = np.array([43.0, 43.0, 53.0])
+        queen = np.array([23.0, 43.0, 35.0])  # at the edges
+        rng = derive_rng(16, "mut")
+        for _ in range(500):
+            pop = next_population(queen, lower, upper, params, rng)
+            assert np.all(pop >= lower) and np.all(pop <= upper)
+            mutants = pop[1:1 + params.neighborhood]
+            assert np.all(np.abs(mutants - queen)
+                          <= params.mutation_step_db + 1e-12)
+
     def test_population_composition(self):
         params = GaParams(population=20, neighborhood=10)
         lower = np.array([23.0, 23.0, 35.0])
@@ -113,6 +141,23 @@ class TestOptimize:
         res = optimize(inst, params, derive_rng(7, "ga"))
         assert res.queen_fitness == 1.0
         assert np.array_equal(res.trace, np.ones(10))
+
+    def test_no_genes(self):
+        # No UEs and no relays: J = 0, coverage is vacuously 1.0.
+        inst = deterministic_instance(num_ues=0, num_iab_per_cell=0)
+        assert inst.gene_ids == ()
+        params = GaParams(n_iterations=12, population=6, neighborhood=2)
+        res = optimize(inst, params, derive_rng(17, "ga"))
+        assert res.queen_fitness == 1.0
+        assert np.array_equal(res.trace, np.ones(12))
+        assert res.n_evaluations == 6 * (12 + 1)
+        assert res.queen.eirp_dbm == {}
+
+    def test_no_genes_monte_carlo(self):
+        cfg = ScenarioConfig(num_ues=0, num_iab_per_cell=0, ga_iterations=5,
+                             ga_population=6, ga_neighborhood=2)
+        res = monte_carlo_coverage(cfg, "ga", trials=3, seed=18)
+        assert np.array_equal(res.per_trial, np.ones(3))
 
     def test_evaluation_count(self):
         inst = deterministic_instance(num_ues=2, num_iab_per_cell=0,
