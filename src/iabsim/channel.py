@@ -8,20 +8,32 @@ with urban-macro pathloss, lognormal shadowing, Rayleigh flat fading
 (exponential power gain, expressed as a dB loss), and ITU-R power-law rain
 attenuation scaled by path length. Interference is summed in linear
 milliwatts weighted by resource-block overlap.
+
+A trial's channel is one ``ChannelRealization`` of ``(n_tx, n_rx)`` arrays.
+Rows are the transmitters (UEs and IAB nodes) and columns the receivers
+(donors and IAB nodes), each in ascending node id. The self pair of an IAB
+node (its MT row against its own DU column) is not a link: it holds NaN.
+Shadowing is one ``normal(0, sigma, n)`` draw and fading one
+``exponential(1, n)`` draw, each filling the ``n`` links in row-major
+``(tx, rx)`` order with self pairs skipped. A vector draw yields the same
+numbers as ``n`` scalar draws, so the streams match the link-by-link order.
+The budget terms are combined once into ``unit_rx_dbm``, the received power
+of a 0 dBm transmission, in the order the budget above is written.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
 from .config import ScenarioConfig
-from .topology import NetworkNode, NodeRole, Topology, distance_3d
+from .topology import NetworkNode, Topology
 
 SPEED_OF_LIGHT = 3e8  # m/s
 THERMAL_NOISE_DBM_HZ = -174.0
@@ -109,55 +121,60 @@ def breakpoint_distance(params: ChannelParams) -> float:
     return 4.0 * h * h * fc_hz / params.speed_of_light
 
 
-def pathloss_uma(d3d_m: float, h_bs_m: float, h_ue_m: float,
-                 params: ChannelParams) -> float:
-    """Urban-macro pathloss in dB.
+def pathloss_uma(d3d_m: float | np.ndarray, h_bs_m: float | np.ndarray,
+                 h_ue_m: float | np.ndarray,
+                 params: ChannelParams) -> float | np.ndarray:
+    """Urban-macro pathloss in dB, for scalars or broadcastable arrays.
 
     L = 32.4 + 10*alpha*log10(d3D) + 20*log10(fc_GHz)
         - 10*log10(d_bp^2 + (h_bs - h_ue)^2)
 
-    Distances below 1 m are clamped to the 1 m reference distance.
-    With ``pathloss_literal`` the last term drops its log10 (a
-    dimensionally-broken variant kept for comparison only).
+    Distances below 1 m are clamped to the 1 m reference distance; NaN
+    distances give NaN losses. With ``pathloss_literal`` the last term drops
+    its log10 (a dimensionally-broken variant kept for comparison only).
     """
-    if d3d_m <= 0:
-        raise ValueError(f"d3d_m must be > 0, got {d3d_m}")
-    d = max(d3d_m, 1.0)
+    d = np.asarray(d3d_m, dtype=float)
+    if np.any(d <= 0):
+        raise ValueError(f"d3d_m must be > 0, got {d[d <= 0].flat[0]}")
+    d = np.maximum(d, 1.0)
     d_bp = breakpoint_distance(params)
-    bp_term = d_bp ** 2 + (h_bs_m - h_ue_m) ** 2
-    loss = 32.4 + 10.0 * params.alpha * math.log10(d) \
+    bp_term = d_bp ** 2 + np.square(np.subtract(h_bs_m, h_ue_m))
+    loss = 32.4 + 10.0 * params.alpha * np.log10(d) \
         + 20.0 * math.log10(params.fc_ghz)
     if params.pathloss_literal:
         return loss - 10.0 * bp_term
-    return loss - 10.0 * math.log10(bp_term)
+    return loss - 10.0 * np.log10(bp_term)
 
 
-def rain_attenuation(rain_rate_mm_h: float, path_km: float,
-                     params: ChannelParams) -> float:
-    """Total rain loss in dB: k * R^gamma [dB/km] times path length."""
+def rain_attenuation(rain_rate_mm_h: float, path_km: float | np.ndarray,
+                     params: ChannelParams) -> float | np.ndarray:
+    """Total rain loss in dB: k * R^gamma [dB/km] times path length.
+
+    ``path_km`` may be a scalar or an array.
+    """
     if rain_rate_mm_h < 0:
         raise ValueError(f"rain_rate_mm_h must be >= 0, got {rain_rate_mm_h}")
-    if path_km < 0:
-        raise ValueError(f"path_km must be >= 0, got {path_km}")
-    if rain_rate_mm_h == 0.0:
-        return 0.0
+    path = np.asarray(path_km)
+    if np.any(path < 0):
+        raise ValueError(f"path_km must be >= 0, got {path[path < 0].flat[0]}")
     return params.k_coeff * rain_rate_mm_h ** params.gamma_coeff * path_km
 
 
-def sample_shadowing(rng: np.random.Generator, params: ChannelParams) -> float:
-    """Lognormal shadowing sample: zero-mean normal in dB."""
-    return float(rng.normal(0.0, params.shadow_std_db))
+def sample_shadowing(rng: np.random.Generator, params: ChannelParams,
+                     size: Optional[int] = None) -> float | np.ndarray:
+    """Lognormal shadowing: zero-mean normal in dB, one value or ``size``."""
+    return rng.normal(0.0, params.shadow_std_db, size)
 
 
-def sample_fading(rng: np.random.Generator) -> float:
-    """Rayleigh flat-fading loss in dB.
+def sample_fading(rng: np.random.Generator,
+                  size: Optional[int] = None) -> float | np.ndarray:
+    """Rayleigh flat-fading loss in dB, one value or ``size``.
 
     The power gain g is exponential with unit mean; the budget subtracts
     -10*log10(g), so deep fades are large positive losses and the sample can
     be negative (a fading gain).
     """
-    g = float(rng.exponential(1.0))
-    return -10.0 * math.log10(g)
+    return -10.0 * np.log10(rng.exponential(1.0, size))
 
 
 @dataclass(frozen=True)
@@ -170,11 +187,6 @@ class LinkSample:
     shadowing_db: float
     fading_db: float
     rain_db: float
-
-    @property
-    def long_term_loss_db(self) -> float:
-        """Pathloss + shadowing; the association metric (no fading, no rain)."""
-        return self.pathloss_db + self.shadowing_db
 
 
 def received_power(eirp_dbm: float, link: LinkSample,
@@ -203,19 +215,81 @@ class NoiseModel:
         return 10.0 ** (self.total_dbm / 10.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChannelRealization:
-    """Per-trial sampled losses for every (transmitter, receiver) pair."""
-    links: dict[tuple[int, int], LinkSample]
+    """Per-trial sampled losses, one ``(n_tx, n_rx)`` array per budget term.
+
+    ``tx_ids`` and ``rx_ids`` label the rows and columns in ascending id;
+    self pairs hold NaN. ``unit_rx_dbm`` is derived: the received power in
+    dBm of a 0 dBm transmission over each link.
+    """
+    tx_ids: np.ndarray
+    rx_ids: np.ndarray
+    d3d_m: np.ndarray
+    pathloss_db: np.ndarray
+    shadowing_db: np.ndarray
+    fading_db: np.ndarray
+    rain_db: np.ndarray
     rain_rate_mm_h: float
     params: ChannelParams
+    unit_rx_dbm: np.ndarray = field(init=False, repr=False)
+    n_links: int = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "unit_rx_dbm",
+                           0.0 + self.params.rx_gain_db - self.pathloss_db
+                           - self.shadowing_db - self.rain_db - self.fading_db)
+        object.__setattr__(self, "n_links", int(np.count_nonzero(
+            self.tx_ids[:, None] != self.rx_ids[None, :])))
+
+    @property
+    def long_term_loss_db(self) -> np.ndarray:
+        """Pathloss + shadowing; the association metric (no fading, no rain)."""
+        return self.pathloss_db + self.shadowing_db
+
+    @property
+    def links(self) -> "_Links":
+        """Read-only ``(tx_id, rx_id) -> LinkSample`` view of every link."""
+        return _Links(self)
 
     def link(self, tx_id: int, rx_id: int) -> LinkSample:
-        try:
-            return self.links[(tx_id, rx_id)]
-        except KeyError:
-            raise MissingLinkError(
-                f"no sampled link for tx={tx_id} rx={rx_id}") from None
+        """One link as a `LinkSample`; self pairs and unknown ids raise."""
+        i = int(np.searchsorted(self.tx_ids, tx_id))
+        k = int(np.searchsorted(self.rx_ids, rx_id))
+        if (tx_id == rx_id or i == len(self.tx_ids) or k == len(self.rx_ids)
+                or self.tx_ids[i] != tx_id or self.rx_ids[k] != rx_id):
+            raise MissingLinkError(f"no sampled link for tx={tx_id} rx={rx_id}")
+        return LinkSample(tx_id=tx_id, rx_id=rx_id,
+                          d3d_m=float(self.d3d_m[i, k]),
+                          pathloss_db=float(self.pathloss_db[i, k]),
+                          shadowing_db=float(self.shadowing_db[i, k]),
+                          fading_db=float(self.fading_db[i, k]),
+                          rain_db=float(self.rain_db[i, k]))
+
+
+class _Links(Mapping):
+    """The links of a realization as a mapping; ``len`` costs O(1)."""
+
+    def __init__(self, realization: ChannelRealization):
+        self._real = realization
+
+    def __getitem__(self, key: tuple[int, int]) -> LinkSample:
+        return self._real.link(*key)
+
+    def __len__(self) -> int:
+        return self._real.n_links
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        for tx in self._real.tx_ids.tolist():
+            for rx in self._real.rx_ids.tolist():
+                if tx != rx:
+                    yield tx, rx
+
+
+def _coordinates(nodes: list[NetworkNode]) -> np.ndarray:
+    """(3, n) array of x, y and antenna height."""
+    return np.array([[n.x for n in nodes], [n.y for n in nodes],
+                     [n.height for n in nodes]], dtype=float)
 
 
 def sample_realization(topology: Topology, params: ChannelParams,
@@ -228,23 +302,26 @@ def sample_realization(topology: Topology, params: ChannelParams,
     (donor or IAB node), both cells included, so interference toward any
     victim receiver is always available. ``fading_rng=None`` disables fading.
     """
-    links: dict[tuple[int, int], LinkSample] = {}
     txs = sorted(topology.transmitters, key=lambda n: n.id)
     rxs = sorted(topology.receivers, key=lambda n: n.id)
-    for tx in txs:
-        for rx in rxs:
-            if tx.id == rx.id:
-                continue
-            d3d = distance_3d(tx, rx)
-            pl = pathloss_uma(d3d, rx.height, tx.height, params)
-            shadow = sample_shadowing(shadow_rng, params)
-            fade = sample_fading(fading_rng) if fading_rng is not None else 0.0
-            rain = rain_attenuation(rain_rate_mm_h, d3d / 1e3, params)
-            links[(tx.id, rx.id)] = LinkSample(
-                tx_id=tx.id, rx_id=rx.id, d3d_m=d3d, pathloss_db=pl,
-                shadowing_db=shadow, fading_db=fade, rain_db=rain)
-    return ChannelRealization(links=links, rain_rate_mm_h=rain_rate_mm_h,
-                              params=params)
+    tx_ids = np.array([n.id for n in txs], dtype=int)
+    rx_ids = np.array([n.id for n in rxs], dtype=int)
+    tx_xyz, rx_xyz = _coordinates(txs), _coordinates(rxs)
+    dx, dy, dh = tx_xyz[:, :, None] - rx_xyz[:, None, :]
+    linked = tx_ids[:, None] != rx_ids[None, :]
+    n_links = int(np.count_nonzero(linked))
+    d3d = np.where(linked, np.sqrt(dx ** 2 + dy ** 2 + dh ** 2), np.nan)
+    pathloss = pathloss_uma(d3d, rx_xyz[2][None, :], tx_xyz[2][:, None], params)
+    shadowing = np.full(d3d.shape, np.nan)
+    shadowing[linked] = sample_shadowing(shadow_rng, params, n_links)
+    fading = np.where(linked, 0.0, np.nan)
+    if fading_rng is not None:
+        fading[linked] = sample_fading(fading_rng, n_links)
+    rain = rain_attenuation(rain_rate_mm_h, d3d / 1e3, params)
+    return ChannelRealization(tx_ids=tx_ids, rx_ids=rx_ids, d3d_m=d3d,
+                              pathloss_db=pathloss, shadowing_db=shadowing,
+                              fading_db=fading, rain_db=rain,
+                              rain_rate_mm_h=rain_rate_mm_h, params=params)
 
 
 def interference_at(victim_rx: NetworkNode, victim_rbs: frozenset[int],

@@ -11,6 +11,7 @@ from __future__ import annotations
 import ast
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
 
@@ -101,6 +102,12 @@ class ScenarioConfig:
             value = getattr(self, f.name)
             if not all(math.isfinite(v) for v in _floats(value)):
                 raise ConfigError(f"{f.name} must be finite, got {value!r}")
+            if f.type == "int" and not _is_int(value):
+                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+        if not (isinstance(self.sweep_ues, (tuple, list))
+                and all(_is_int(v) for v in self.sweep_ues)):
+            raise ConfigError(f"sweep_ues entries must be integers, got "
+                              f"{self.sweep_ues!r}")
         _check_positive(self, "fc_ghz", "bw_mhz", "scs_khz", "cell_radius_m")
         _check_nonneg(self, "shadow_std_db", "num_ues", "num_iab_per_cell",
                       "iab_ring_angle_offset_deg")
@@ -126,7 +133,10 @@ class ScenarioConfig:
                 f"{self.iab_ring_radius_fraction}")
         for key in ("ue_eirp_range_dbm", "iab_eirp_range_dbm",
                     "iab_height_range_m", "rain_range_mm_h"):
-            lo, hi = getattr(self, key)
+            value = getattr(self, key)
+            if not isinstance(value, (tuple, list)) or len(value) != 2:
+                raise ConfigError(f"{key} must be two values [lo, hi], got {value!r}")
+            lo, hi = value
             if lo > hi:
                 raise ConfigError(f"{key} is inverted: [{lo}, {hi}]")
         if self.rain_range_mm_h[0] < 0:
@@ -178,6 +188,10 @@ def _floats(value: Any):
         yield value
 
 
+def _is_int(value: Any) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _check_positive(cfg: ScenarioConfig, *keys: str) -> None:
     for key in keys:
         if getattr(cfg, key) <= 0:
@@ -206,8 +220,10 @@ def _coerce(key: str, raw: Any) -> Any:
             except (TypeError, ValueError):
                 raise ConfigError(f"{key}: expected a list of (x, y) pairs, got {raw!r}")
         converted = tuple(float(v) for v in raw)
-        if key in ("sweep_ues",):
-            converted = tuple(int(v) for v in raw)
+        if key == "sweep_ues":
+            if not all(v.is_integer() for v in converted):
+                raise ConfigError(f"{key}: expected integers, got {raw!r}")
+            converted = tuple(int(v) for v in converted)
         return converted
     if isinstance(default, bool) or f.type == "bool":
         if isinstance(raw, bool):
@@ -215,7 +231,7 @@ def _coerce(key: str, raw: Any) -> Any:
         raise ConfigError(f"{key}: expected true/false, got {raw!r}")
     if isinstance(raw, (int, float)):
         if isinstance(default, int) and not isinstance(default, bool):
-            if float(raw) != int(raw):
+            if not float(raw).is_integer():
                 raise ConfigError(f"{key}: expected an integer, got {raw!r}")
             return int(raw)
         return float(raw)

@@ -6,16 +6,21 @@ minimum SINR for the aggregate of its children's target rates. Coverage
 probability is the covered fraction, averaged over Monte-Carlo trials that
 re-draw geometry, shadowing, fading, and rain.
 
-Two evaluation paths exist: a readable per-link path (`evaluate_trial`) and
-a vectorized batch path on a `ScenarioInstance` used by the power optimizer;
-both compute the same link budget.
+Production evaluates through one batched kernel on a `ScenarioInstance`:
+the power optimizer scores (K, J) batches of candidate EIRPs with
+`batch_coverage`, and `run_trial` scores the chosen powers with `score`,
+which reads the per-UE status off the same link-pass arrays. The readable
+per-link path (`evaluate_trial`, `ScenarioInstance.evaluate`) computes the
+same link budget one link at a time and is the reference the fast path is
+tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Mapping, Optional, Union
+from itertools import chain
+from typing import Callable, Mapping, Union
 
 import numpy as np
 
@@ -33,6 +38,11 @@ class UeStatus(Enum):
     COVERED = "covered"
     ACCESS_FAIL = "access_fail"
     BACKHAUL_FAIL = "backhaul_fail"
+
+
+# Status code k of `ScenarioInstance.ue_status` stands for UE_STATUSES[k]:
+# 0 covered, 1 access failure, 2 backhaul failure.
+UE_STATUSES = tuple(UeStatus)
 
 
 @dataclass(frozen=True)
@@ -68,17 +78,15 @@ class CoverageResult:
     per_ue: dict[int, UeStatus]
     coverage_probability: float
 
-
-def eirp_ranges(topology: Topology,
-                config: ScenarioConfig) -> dict[int, tuple[float, float]]:
-    """Per-node feasible EIRP range in dBm, by role."""
-    ranges: dict[int, tuple[float, float]] = {}
-    for node in topology.transmitters:
-        if node.role is NodeRole.UE:
-            ranges[node.id] = config.ue_eirp_range_dbm
+    @staticmethod
+    def of(per_ue: dict[int, UeStatus]) -> "CoverageResult":
+        """The result of per-UE statuses: the covered share, 1.0 with no UEs."""
+        if per_ue:
+            covered = sum(1 for s in per_ue.values() if s is UeStatus.COVERED)
+            probability = covered / len(per_ue)
         else:
-            ranges[node.id] = config.iab_eirp_range_dbm
-    return ranges
+            probability = 1.0  # vacuous: no UEs to fail
+        return CoverageResult(per_ue=per_ue, coverage_probability=probability)
 
 
 def evaluate_trial(topology: Topology, assoc: Association,
@@ -137,13 +145,7 @@ def evaluate_trial(topology: Topology, assoc: Association,
             per_ue[ue.id] = UeStatus.ACCESS_FAIL
         else:
             per_ue[ue.id] = UeStatus.COVERED
-
-    if per_ue:
-        covered = sum(1 for s in per_ue.values() if s is UeStatus.COVERED)
-        probability = covered / len(per_ue)
-    else:
-        probability = 1.0  # vacuous: no UEs to fail
-    return CoverageResult(per_ue=per_ue, coverage_probability=probability)
+    return CoverageResult.of(per_ue)
 
 
 class ScenarioInstance:
@@ -176,74 +178,75 @@ class ScenarioInstance:
         self._build_arrays()
 
     def _build_arrays(self) -> None:
-        topo, alloc, assoc = self.topology, self.alloc, self.assoc
-        params = self.params
-        self.gene_ids: tuple[int, ...] = tuple(
-            sorted(n.id for n in topo.transmitters))
-        gene_index = {nid: k for k, nid in enumerate(self.gene_ids)}
-        ranges = eirp_ranges(topo, self.config)
-        self.lower = np.array([ranges[i][0] for i in self.gene_ids])
-        self.upper = np.array([ranges[i][1] for i in self.gene_ids])
+        topo, alloc, assoc, real = (self.topology, self.alloc, self.assoc,
+                                    self.realization)
+        # Genes are the channel's transmitter rows: UEs and IAB MTs by id.
+        genes = real.tx_ids
+        self.gene_ids: tuple[int, ...] = tuple(genes.tolist())
+        ue_ids = np.array(sorted(u.id for u in topo.ues), dtype=int)
+        iab_ids = np.array(sorted(i.id for i in topo.iab_nodes), dtype=int)
+        is_ue = np.ones(len(genes), dtype=bool)
+        is_ue[np.searchsorted(genes, iab_ids)] = False
+        (ue_lo, ue_hi), (iab_lo, iab_hi) = (self.config.ue_eirp_range_dbm,
+                                            self.config.iab_eirp_range_dbm)
+        self.lower = np.where(is_ue, ue_lo, iab_lo)
+        self.upper = np.where(is_ue, ue_hi, iab_hi)
 
-        ue_ids = sorted(u.id for u in topo.ues)
-        iab_ids = sorted(i.id for i in topo.iab_nodes)
-        self.ue_ids = tuple(ue_ids)
-        links: list[tuple[int, int]] = []          # (tx, rx) per victim link
-        gamma_min: list[float] = []
-        noise_mw: list[float] = []
-        vacuous: list[bool] = []
-        for ue in ue_ids:
-            links.append((ue, assoc.ue_to_bs[ue]))
-            bw = alloc.bandwidth_hz(ue)
-            gamma_min.append(min_sinr(self.req.min_rate_bps, bw))
-            noise_mw.append(NoiseModel(bw, params.noise_figure_db).total_mw)
-            vacuous.append(False)
-        for iab in iab_ids:
-            links.append((iab, assoc.iab_to_donor[iab]))
-            children = assoc.children_of(iab)
-            if children:
-                bw = alloc.bandwidth_hz(iab)
-                gamma_min.append(min_sinr(self.req.min_rate_bps * len(children), bw))
-                noise_mw.append(NoiseModel(bw, params.noise_figure_db).total_mw)
-                vacuous.append(False)
-            else:
-                gamma_min.append(0.0)
-                noise_mw.append(1.0)
-                vacuous.append(True)
-
-        n_v = len(links)
-        n_j = len(self.gene_ids)
+        # Victim links: UE access links, then one backhaul link per relay.
+        self.ue_ids = tuple(ue_ids.tolist())
         self.n_ue = len(ue_ids)
-        self.tx_index = np.array([gene_index[tx] for tx, _ in links], dtype=int)
-        self.gamma_min = np.array(gamma_min)
-        self.noise_mw = np.array(noise_mw)
-        self.vacuous = np.array(vacuous, dtype=bool)
-        iab_row = {iab: self.n_ue + k for k, iab in enumerate(iab_ids)}
+        servers = np.array([assoc.ue_to_bs[u] for u in self.ue_ids], dtype=int)
+        donors = np.array([assoc.iab_to_donor[i] for i in iab_ids.tolist()],
+                          dtype=int)
+        relay_row = {iab: self.n_ue + k for k, iab in enumerate(iab_ids.tolist())}
         self.parent_row = np.array(
-            [iab_row.get(assoc.ue_to_bs[u], r) for r, u in enumerate(ue_ids)],
+            [relay_row.get(bs, r) for r, bs in enumerate(servers.tolist())],
             dtype=int)
+        self.relay_served = self.parent_row != np.arange(self.n_ue)
+        n_children = np.bincount(self.parent_row[self.relay_served] - self.n_ue,
+                                 minlength=len(iab_ids))
+        tx = np.concatenate([ue_ids, iab_ids])
+        rx = np.concatenate([servers, donors])
+        self.tx_index = np.searchsorted(genes, tx)
+        rx_col = np.searchsorted(real.rx_ids, rx)
+
+        # RB occupancy per gene; the overlap of victim v with gene j is the
+        # share of v's RBs that j also holds.
+        rb_sets = [alloc.rbs_of(g) for g in self.gene_ids]
+        counts = [len(rbs) for rbs in rb_sets]
+        occ = np.zeros((len(genes), self.config.rb_max))
+        occ[np.repeat(np.arange(len(genes)), counts),
+            np.fromiter(chain.from_iterable(rb_sets), dtype=int,
+                        count=sum(counts))] = 1.0
+        n_rb = occ[self.tx_index].sum(axis=1)
+        overlap = (occ[self.tx_index] @ occ.T) / np.maximum(n_rb, 1.0)[:, None]
+
+        # Co-slot transmitters other than the victim's own and its receiver.
+        slot_of = {g: k for k, slot in enumerate(self.slot_plan.slots)
+                   for g in slot}
+        slot_id = np.array([slot_of[g] for g in self.gene_ids], dtype=int)
+        interferes = ((slot_id[None, :] == slot_id[self.tx_index][:, None])
+                      & (genes[None, :] != tx[:, None])
+                      & (genes[None, :] != rx[:, None]))
 
         # Unit-EIRP received power (linear mW at 0 dBm) per (victim, tx) pair,
-        # weighted by RB overlap; zero unless tx shares the victim's slot.
-        sig_const = np.empty(n_v)
-        interf = np.zeros((n_v, n_j))
-        for v, (tx_id, rx_id) in enumerate(links):
-            link = self.realization.link(tx_id, rx_id)
-            sig_const[v] = received_power(0.0, link, params)
-            rbs_v = alloc.rbs_of(tx_id)
-            if not rbs_v:
-                continue
-            slot = self.slot_plan.slot_of(tx_id)
-            for j_id in slot:
-                if j_id == tx_id or j_id == rx_id:
-                    continue
-                overlap = len(rbs_v & alloc.rbs_of(j_id)) / len(rbs_v)
-                if overlap == 0.0:
-                    continue
-                c = received_power(0.0, self.realization.link(j_id, rx_id), params)
-                interf[v, gene_index[j_id]] = overlap * 10.0 ** (c / 10.0)
-        self.sig_lin = 10.0 ** (sig_const / 10.0)
-        self.interf_lin = interf
+        # weighted by RB overlap; the self pairs (NaN) are never gathered.
+        unit_mw = 10.0 ** (real.unit_rx_dbm / 10.0)
+        self.sig_lin = unit_mw[self.tx_index, rx_col]
+        self.interf_lin = np.where(interferes, overlap * unit_mw[:, rx_col].T,
+                                   0.0)
+
+        demand = self.req.min_rate_bps * np.concatenate(
+            [np.ones(self.n_ue), n_children])
+        # Victims share few (demand, bandwidth) pairs; the scalar budget of
+        # the reference path runs once per pair, so the thresholds match it
+        # bit for bit.
+        keys = list(zip(demand.tolist(), (n_rb * alloc.rb_width_hz).tolist()))
+        consts = {key: _link_constants(*key, self.params.noise_figure_db)
+                  for key in set(keys)}
+        self.gamma_min = np.array([consts[key][0] for key in keys])
+        self.noise_mw = np.array([consts[key][1] for key in keys])
+        self.vacuous = demand == 0.0
 
     # -- fast path -------------------------------------------------------
 
@@ -261,16 +264,37 @@ class ScenarioInstance:
         interference = a @ self.interf_lin.T
         return signal / (interference + self.noise_mw[None, :])
 
+    def _link_pass(self, eirp_dbm: np.ndarray,
+                   offset_db: float = 0.0) -> np.ndarray:
+        """(K, V) mask of the victim links that clear their minimum SINR."""
+        gamma = self.batch_link_sinr(eirp_dbm, offset_db)
+        return (gamma >= self.gamma_min[None, :]) | self.vacuous[None, :]
+
     def batch_coverage(self, eirp_dbm: np.ndarray,
                        offset_db: float = 0.0) -> np.ndarray:
         """Coverage probability for each row of a (K, J) EIRP batch."""
         e2d = np.atleast_2d(np.asarray(eirp_dbm, dtype=float))
         if self.n_ue == 0:
             return np.ones(e2d.shape[0])
-        gamma = self.batch_link_sinr(e2d, offset_db)
-        link_pass = (gamma >= self.gamma_min[None, :]) | self.vacuous[None, :]
+        link_pass = self._link_pass(e2d, offset_db)
         ue_pass = link_pass[:, :self.n_ue] & link_pass[:, self.parent_row]
         return ue_pass.mean(axis=1)
+
+    def ue_status(self, eirp_dbm: np.ndarray) -> np.ndarray:
+        """Per-UE status codes (see `UE_STATUSES`) for one EIRP vector.
+
+        A relay-served UE whose relay's backhaul fails is a backhaul
+        failure whatever its access link does, as in `evaluate_trial`.
+        """
+        link_pass = self._link_pass(eirp_dbm)[0]
+        backhaul_fail = self.relay_served & ~link_pass[self.parent_row]
+        return np.where(backhaul_fail, 2, np.where(link_pass[:self.n_ue], 0, 1))
+
+    def score(self, powers: PowerVector) -> CoverageResult:
+        """Coverage of one power vector, evaluated by the batched kernel."""
+        codes = self.ue_status(powers.as_array(self.gene_ids))
+        return CoverageResult.of({u: UE_STATUSES[c] for u, c
+                                  in zip(self.ue_ids, codes.tolist())})
 
     def coverage_of(self, powers: PowerVector) -> float:
         return float(self.batch_coverage(powers.as_array(self.gene_ids))[0])
@@ -318,15 +342,23 @@ def build_instance(config: ScenarioConfig, seed: int,
         topology, params, rain_rate,
         shadow_rng=derive_rng(seed, trial_index, "shadowing"),
         fading_rng=fading_rng)
-    long_term = {(ue.id, bs.id): realization.link(ue.id, bs.id).long_term_loss_db
-                 for ue in topology.ues
-                 for bs in topology.base_stations(ue.cell_id)}
-    assoc = associate(topology, long_term)
+    ue_rows = np.isin(realization.tx_ids, [ue.id for ue in topology.ues])
+    assoc = associate(topology, realization.long_term_loss_db[ue_rows])
     alloc = allocate_rbs(assoc, topology, config)
     slot_plan = plan_slots(assoc, topology, config.slot_mode)
     req = ServiceRequirement(config.min_rate_bps)
     return ScenarioInstance(config, topology, assoc, alloc, slot_plan,
                             realization, req)
+
+
+def _link_constants(demand_bps: float, bandwidth_hz: float,
+                    noise_figure_db: float) -> tuple[float, float]:
+    """(minimum linear SINR, noise in mW) of a victim link; a relay with no
+    children carries no demand and its backhaul is vacuous."""
+    if demand_bps == 0.0:
+        return 0.0, 1.0
+    return (min_sinr(demand_bps, bandwidth_hz),
+            NoiseModel(bandwidth_hz, noise_figure_db).total_mw)
 
 
 PowersPolicy = Callable[[ScenarioInstance, np.random.Generator], PowerVector]
@@ -355,7 +387,7 @@ def run_trial(config: ScenarioConfig, powers_policy: PowersPolicy,
     instance = build_instance(config, seed, trial_index)
     policy_rng = derive_rng(seed, trial_index, "policy")
     powers = powers_policy(instance, policy_rng)
-    result = instance.evaluate(powers)
+    result = instance.score(powers)
     return TrialOutcome(trial_index=trial_index,
                         coverage=result.coverage_probability,
                         result=result, powers=powers,

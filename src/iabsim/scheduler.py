@@ -10,10 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping
+
+import numpy as np
 
 from .config import ScenarioConfig
-from .topology import NodeRole, Topology
+from .topology import Topology
 
 
 @dataclass(frozen=True)
@@ -60,20 +61,27 @@ class SlotPlan:
         raise KeyError(f"transmitter {tx_id} is in no slot")
 
 
-def associate(topology: Topology,
-              long_term_loss: Mapping[tuple[int, int], float]) -> Association:
+def associate(topology: Topology, long_term_loss: np.ndarray) -> Association:
     """Assign each UE to its minimum long-term-loss same-cell station.
 
-    ``long_term_loss`` maps (ue_id, bs_id) to dB loss for every candidate
-    pair. Ties break toward the lowest station id. Every IAB node backhauls
-    to its own cell's donor.
+    ``long_term_loss[u, b]`` is the dB loss from the u-th UE to the b-th
+    receiver (donor or IAB node), both in ascending id order. One masked
+    argmin per UE picks among the stations of the UE's own cell; ties break
+    toward the lowest station id. Every IAB node backhauls to its own
+    cell's donor.
     """
-    ue_to_bs: dict[int, int] = {}
-    for ue in topology.ues:
-        candidates = topology.base_stations(ue.cell_id)
-        best = min(candidates,
-                   key=lambda bs: (long_term_loss[(ue.id, bs.id)], bs.id))
-        ue_to_bs[ue.id] = best.id
+    ues = sorted(topology.ues, key=lambda n: n.id)
+    rxs = sorted(topology.receivers, key=lambda n: n.id)
+    ue_cell = np.array([u.cell_id for u in ues], dtype=int)
+    rx_cell = np.array([b.cell_id for b in rxs], dtype=int)
+    same_cell = ue_cell[:, None] == rx_cell[None, :]
+    loss = np.asarray(long_term_loss, dtype=float)
+    if loss.shape != same_cell.shape:
+        raise ValueError(f"long_term_loss has shape {loss.shape}, expected "
+                         f"{same_cell.shape} (UEs, receivers)")
+    best = np.where(same_cell, loss, np.inf).argmin(axis=1)
+    rx_ids = [b.id for b in rxs]
+    ue_to_bs = {u.id: rx_ids[b] for u, b in zip(ues, best.tolist())}
     iab_to_donor = {iab.id: topology.donor_of_cell(iab.cell_id).id
                     for iab in topology.iab_nodes}
     return Association(ue_to_bs=ue_to_bs, iab_to_donor=iab_to_donor)
@@ -101,12 +109,12 @@ def allocate_rbs(assoc: Association, topology: Topology,
             ue_rbs[ue_id] = frozenset((cursor + k) % grid for k in range(per_ue))
             cursor += per_ue
         scheduled[cell_id] = max(config.rb_min, min(cursor, grid))
-    backhaul: dict[int, frozenset[int]] = {}
-    for iab in topology.iab_nodes:
-        union: frozenset[int] = frozenset()
-        for child in assoc.children_of(iab.id):
-            union |= ue_rbs[child]
-        backhaul[iab.id] = union
+    children: dict[int, list[int]] = {iab.id: [] for iab in topology.iab_nodes}
+    for ue_id, bs_id in assoc.ue_to_bs.items():
+        if bs_id in children:
+            children[bs_id].append(ue_id)
+    backhaul = {iab_id: frozenset().union(*(ue_rbs[c] for c in kids))
+                for iab_id, kids in children.items()}
     return RbAllocation(ue_rbs=ue_rbs, backhaul_rbs=backhaul,
                         rb_width_hz=config.rb_width_hz, rbs_per_ue=per_ue,
                         scheduled_rbs_per_cell=scheduled)

@@ -49,32 +49,29 @@ class Topology:
     def by_role(self, role: NodeRole) -> tuple[NetworkNode, ...]:
         return tuple(n for n in self.nodes if n.role is role)
 
-    @property
+    # The role views below are read many times per trial; a topology is
+    # frozen, so each is computed once.
+    @cached_property
     def donors(self) -> tuple[NetworkNode, ...]:
         return self.by_role(NodeRole.DONOR)
 
-    @property
+    @cached_property
     def iab_nodes(self) -> tuple[NetworkNode, ...]:
         return self.by_role(NodeRole.IAB)
 
-    @property
+    @cached_property
     def ues(self) -> tuple[NetworkNode, ...]:
         return self.by_role(NodeRole.UE)
 
     def donor_of_cell(self, cell_id: int) -> NetworkNode:
         return self.node(self.cells[cell_id][0])
 
-    def base_stations(self, cell_id: int) -> tuple[NetworkNode, ...]:
-        """Donor plus IAB nodes of one cell (the UE association candidates)."""
-        return tuple(n for n in self.nodes
-                     if n.cell_id == cell_id and n.role is not NodeRole.UE)
-
-    @property
+    @cached_property
     def transmitters(self) -> tuple[NetworkNode, ...]:
         """Uplink transmitters: all UEs and all IAB nodes (as MTs)."""
         return tuple(n for n in self.nodes if n.role is not NodeRole.DONOR)
 
-    @property
+    @cached_property
     def receivers(self) -> tuple[NetworkNode, ...]:
         """Possible uplink receivers: donors and IAB nodes."""
         return tuple(n for n in self.nodes if n.role is not NodeRole.UE)

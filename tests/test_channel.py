@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from iabsim.channel import (ChannelParams, LinkSample, MissingLinkError,
-                            NoiseModel, achievable_rate, breakpoint_distance,
-                            interference_at, min_sinr, pathloss_uma,
-                            rain_attenuation, rain_coefficients,
+from iabsim.channel import (ChannelParams, ChannelRealization, LinkSample,
+                            MissingLinkError, NoiseModel, achievable_rate,
+                            breakpoint_distance, interference_at, min_sinr,
+                            pathloss_uma, rain_attenuation, rain_coefficients,
                             received_power, sample_fading, sample_realization,
                             sample_shadowing, sinr)
 from iabsim.config import ScenarioConfig
@@ -194,9 +194,21 @@ def _rx_node():
     return NetworkNode(99, NodeRole.DONOR, 0, 0.0, 0.0, 25.0)
 
 
+LINK_FIELDS = ("d3d_m", "pathloss_db", "shadowing_db", "fading_db", "rain_db")
+
+
 def _fake_realization(entries):
-    from iabsim.channel import ChannelRealization
-    return ChannelRealization(links=entries, rain_rate_mm_h=0.0, params=PARAMS)
+    """An array realization holding the given {(tx, rx): LinkSample} links."""
+    tx_ids = sorted({tx for tx, _ in entries})
+    rx_ids = sorted({rx for _, rx in entries})
+    arrays = {name: np.full((len(tx_ids), len(rx_ids)), np.nan)
+              for name in LINK_FIELDS}
+    for (tx, rx), link in entries.items():
+        for name in LINK_FIELDS:
+            arrays[name][tx_ids.index(tx), rx_ids.index(rx)] = getattr(link, name)
+    return ChannelRealization(tx_ids=np.array(tx_ids, dtype=int),
+                              rx_ids=np.array(rx_ids, dtype=int),
+                              rain_rate_mm_h=0.0, params=PARAMS, **arrays)
 
 
 class TestInterference:

@@ -191,3 +191,71 @@ class TestNonFinite:
                      "--out", str(tmp_path / "x.csv")])
         assert code == 1
         assert "min_rate_bps" in capsys.readouterr().err
+
+
+RANGE_KEYS = ["ue_eirp_range_dbm", "iab_eirp_range_dbm", "iab_height_range_m",
+              "rain_range_mm_h"]
+
+
+class TestRangeArity:
+    @pytest.mark.parametrize("value", [(1.0, 2.0, 3.0), (1.0,), 5.0])
+    @pytest.mark.parametrize("key", RANGE_KEYS)
+    def test_code_value_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            ScenarioConfig().replace(**{key: value})
+
+    @pytest.mark.parametrize("key", RANGE_KEYS)
+    def test_file_value_rejected(self, tmp_path, key):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"{key} = [1, 2, 3]\n")
+        with pytest.raises(ConfigError, match=key):
+            load_config(str(path))
+
+    def test_file_value_exits_1(self, tmp_path, capsys):
+        from iabsim.cli import main
+        path = tmp_path / "bad.cfg"
+        path.write_text("ue_eirp_range_dbm = [1, 2, 3]\n")
+        code = main(["run", "ga-trace", "--config", str(path),
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        assert "ue_eirp_range_dbm" in capsys.readouterr().err
+
+
+INT_KEYS = [f.name for f in dataclasses.fields(ScenarioConfig)
+            if f.type == "int"]
+
+
+class TestIntegral:
+    @pytest.mark.parametrize("value", [(3.5,), (5, 2.5), (4.0,)])
+    def test_code_sweep_rejected(self, value):
+        with pytest.raises(ConfigError, match="sweep_ues"):
+            ScenarioConfig().replace(sweep_ues=value)
+
+    @pytest.mark.parametrize("key", INT_KEYS)
+    def test_code_int_field_rejected(self, key):
+        with pytest.raises(ConfigError, match=key):
+            ScenarioConfig().replace(**{key: 2.5})
+
+    def test_file_sweep_rejected(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text("sweep_ues = [3.5]\n")
+        with pytest.raises(ConfigError, match="sweep_ues"):
+            parse_config_file(str(path))
+
+    def test_file_integral_floats_accepted(self, tmp_path):
+        path = tmp_path / "ok.cfg"
+        path.write_text("sweep_ues = [3.0, 5]\nnum_ues = 4.0\n")
+        cfg = load_config(str(path))
+        assert cfg.sweep_ues == (3, 5) and cfg.num_ues == 4
+        assert all(type(v) is int for v in cfg.sweep_ues + (cfg.num_ues,))
+
+    @pytest.mark.parametrize("line", ["sweep_ues = [3.5]", "num_ues = 2.5",
+                                      "sweep_ues = [nan]", "num_ues = inf"])
+    def test_file_value_exits_1(self, tmp_path, capsys, line):
+        from iabsim.cli import main
+        path = tmp_path / "bad.cfg"
+        path.write_text(line + "\n")
+        code = main(["run", "ga-trace", "--config", str(path),
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        assert line.split()[0] in capsys.readouterr().err

@@ -104,12 +104,16 @@ class TestEvaluateTrial:
     def test_missing_realization_entry_raises(self):
         cfg = deterministic_config(num_ues=2)
         inst = build_instance(cfg, seed=1, trial_index=0)
-        broken = dict(inst.realization.links)
+        # Drop the first UE's row: its access link is then never sampled.
+        full = inst.realization
         ue = inst.topology.ues[0]
-        broken.pop((ue.id, inst.assoc.ue_to_bs[ue.id]))
+        keep = full.tx_ids != ue.id
         from iabsim.channel import ChannelRealization
-        real = ChannelRealization(links=broken, rain_rate_mm_h=0.0,
-                                  params=inst.realization.params)
+        real = ChannelRealization(
+            tx_ids=full.tx_ids[keep], rx_ids=full.rx_ids,
+            **{name: getattr(full, name)[keep] for name in
+               ("d3d_m", "pathloss_db", "shadowing_db", "fading_db", "rain_db")},
+            rain_rate_mm_h=0.0, params=full.params)
         with pytest.raises(MissingLinkError):
             evaluate_trial(inst.topology, inst.assoc, inst.alloc,
                            inst.slot_plan, inst.max_power_vector(), real,

@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -115,16 +116,38 @@ GOLDEN = {
 }
 
 
+# A harder config where the GA's draws show in ga-trace and coverage-vs-ues:
+# the rb2 curve at 10 UEs reads 0.65 / 0.25 / 0.25 (optimized, max, random)
+# and the first ga-trace column climbs from 0.4 to 0.5.
+def ga_sensitive_config():
+    return tiny_config(num_ues=10, sweep_ues=(5, 10), min_rate_bps=20e6,
+                       ga_iterations=20)
+
+
+GOLDEN_GA = {
+    "ga-trace": {
+        "out.csv": "c973b1d3e926a06c3aa2a6289dfc39422be01767ac785dc03ba494eaab19d7d5"},
+    "coverage-vs-ues": {
+        "out_rb2.csv": "8ea8e733d3913986b27766701a693032d5991e5c3312fb1b48eafd9fe605e0ba",
+        "out_rb4.csv": "77d2200cac78708155bc35e3fa45522bd957d25df3d6268ba215b007c43243fd"},
+}
+
+
+def csv_digests(tmp_path, name, config):
+    paths = run_experiment(
+        ExperimentSpec(name=name, out=str(tmp_path / "out.csv")), config)
+    return {os.path.basename(p): hashlib.sha256(Path(p).read_bytes()).hexdigest()
+            for p in paths}
+
+
 class TestFingerprints:
     @pytest.mark.parametrize("name", sorted(GOLDEN))
     def test_csv_digest(self, tmp_path, name):
-        paths = run_experiment(
-            ExperimentSpec(name=name, out=str(tmp_path / "out.csv")),
-            tiny_config())
-        digests = {os.path.basename(p):
-                   hashlib.sha256(open(p, "rb").read()).hexdigest()
-                   for p in paths}
-        assert digests == GOLDEN[name]
+        assert csv_digests(tmp_path, name, tiny_config()) == GOLDEN[name]
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_GA))
+    def test_ga_sensitive_digest(self, tmp_path, name):
+        assert csv_digests(tmp_path, name, ga_sensitive_config()) == GOLDEN_GA[name]
 
 
 class TestDeterminism:

@@ -1,8 +1,9 @@
 """Association, RB packing, and slot-plan tests."""
 
+import numpy as np
 import pytest
 
-from iabsim.channel import ChannelParams, sample_realization
+from iabsim.channel import ChannelParams, pathloss_uma, sample_realization
 from iabsim.config import ScenarioConfig
 from iabsim.rng import derive_rng
 from iabsim.scheduler import (Association, SlotMode, allocate_rbs, associate,
@@ -22,19 +23,19 @@ def bare_topology(ue_positions, iab_positions=(), radius=200.0):
     return Topology(nodes=tuple(nodes), cells=((0, radius),))
 
 
-def pathloss_losses(topo, shadow=None):
-    """Long-term losses proportional to pathloss (optionally shifted)."""
+def pathloss_losses(topo):
+    """Long-term losses equal to pathloss, as a (UE, receiver) array."""
     params = ChannelParams()
-    losses = {}
-    for ue in topo.ues:
-        for bs in topo.base_stations(ue.cell_id):
-            from iabsim.channel import pathloss_uma
-            loss = pathloss_uma(distance_3d(ue, bs), bs.height, ue.height,
-                                params)
-            if shadow:
-                loss += shadow.get((ue.id, bs.id), 0.0)
-            losses[(ue.id, bs.id)] = loss
-    return losses
+    ues = sorted(topo.ues, key=lambda n: n.id)
+    rxs = sorted(topo.receivers, key=lambda n: n.id)
+    return np.array([[pathloss_uma(distance_3d(ue, bs), bs.height, ue.height,
+                                   params) for bs in rxs] for ue in ues])
+
+
+def realization_losses(real, topo):
+    """The (UE, receiver) long-term losses of a sampled realization."""
+    ue_rows = np.isin(real.tx_ids, [u.id for u in topo.ues])
+    return real.long_term_loss_db[ue_rows]
 
 
 class TestAssociate:
@@ -54,7 +55,7 @@ class TestAssociate:
         topo = bare_topology([(60.0, 10.0), (150.0, -40.0)],
                              iab_positions=[(100.0, 0.0), (-100.0, 0.0)])
         base = pathloss_losses(topo)
-        shifted = {k: v + 17.5 for k, v in base.items()}
+        shifted = base + 17.5
         assert associate(topo, base) == associate(topo, shifted)
 
     def test_label_permutation_keeps_geometric_server(self):
@@ -74,7 +75,7 @@ class TestAssociate:
         topo = bare_topology([(0.0, 50.0)],
                              iab_positions=[(50.0, 0.0), (-50.0, 0.0)])
         ue = topo.ues[0].id
-        losses = {(ue, 0): 90.0, (ue, 1): 80.0, (ue, 2): 80.0}
+        losses = np.array([[90.0, 80.0, 80.0]])  # stations 0, 1, 2
         assoc = associate(topo, losses)
         assert assoc.ue_to_bs[ue] == 1
 
@@ -83,8 +84,7 @@ class TestAssociate:
         topo = build_topology(cfg, derive_rng(3))
         real = sample_realization(topo, ChannelParams(), 16.0,
                                   derive_rng(3, "s"), None)
-        losses = {(u.id, b.id): real.link(u.id, b.id).long_term_loss_db
-                  for u in topo.ues for b in topo.base_stations(u.cell_id)}
+        losses = realization_losses(real, topo)
         assoc = associate(topo, losses)
         for iab in topo.iab_nodes:
             assert assoc.iab_to_donor[iab.id] == topo.donor_of_cell(iab.cell_id).id
@@ -160,8 +160,7 @@ class TestAllocateRbs:
         topo = build_topology(cfg, derive_rng(4))
         real = sample_realization(topo, ChannelParams(), 16.0,
                                   derive_rng(4, "s"), None)
-        losses = {(u.id, b.id): real.link(u.id, b.id).long_term_loss_db
-                  for u in topo.ues for b in topo.base_stations(u.cell_id)}
+        losses = realization_losses(real, topo)
         alloc = allocate_rbs(associate(topo, losses), topo, cfg)
         for cell in (0, 1):
             ids = sorted(u.id for u in topo.ues if u.cell_id == cell)
