@@ -55,11 +55,13 @@ def _rain_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return data[:, 0], data[:, 1], data[:, 2]
 
 
+@lru_cache(maxsize=16)
 def rain_coefficients(fc_ghz: float) -> tuple[float, float]:
     """Power-law rain coefficients (k, gamma) at the carrier frequency.
 
     k is interpolated log-log in frequency, gamma linearly against log f,
-    matching the convention of the source coefficient table.
+    matching the convention of the source coefficient table. Cached per
+    frequency: every trial rebuilds its `ChannelParams`.
     """
     freqs, ks, gammas = _rain_table()
     if not freqs[0] <= fc_ghz <= freqs[-1]:

@@ -134,8 +134,9 @@ class ScenarioConfig:
         for key in ("ue_eirp_range_dbm", "iab_eirp_range_dbm",
                     "iab_height_range_m", "rain_range_mm_h"):
             value = getattr(self, key)
-            if not isinstance(value, (tuple, list)) or len(value) != 2:
-                raise ConfigError(f"{key} must be two values [lo, hi], got {value!r}")
+            if not (isinstance(value, (tuple, list)) and len(value) == 2
+                    and all(_is_real(v) for v in value)):
+                raise ConfigError(f"{key} must be two numbers [lo, hi], got {value!r}")
             lo, hi = value
             if lo > hi:
                 raise ConfigError(f"{key} is inverted: [{lo}, {hi}]")
@@ -192,6 +193,10 @@ def _is_int(value: Any) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _is_real(value: Any) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _check_positive(cfg: ScenarioConfig, *keys: str) -> None:
     for key in keys:
         if getattr(cfg, key) <= 0:
@@ -219,7 +224,10 @@ def _coerce(key: str, raw: Any) -> Any:
                 return tuple((float(x), float(y)) for x, y in raw)
             except (TypeError, ValueError):
                 raise ConfigError(f"{key}: expected a list of (x, y) pairs, got {raw!r}")
-        converted = tuple(float(v) for v in raw)
+        try:
+            converted = tuple(float(v) for v in raw)
+        except (TypeError, ValueError):
+            raise ConfigError(f"{key}: expected numbers, got {raw!r}") from None
         if key == "sweep_ues":
             if not all(v.is_integer() for v in converted):
                 raise ConfigError(f"{key}: expected integers, got {raw!r}")

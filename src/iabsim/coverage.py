@@ -247,6 +247,7 @@ class ScenarioInstance:
         self.gamma_min = np.array([consts[key][0] for key in keys])
         self.noise_mw = np.array([consts[key][1] for key in keys])
         self.vacuous = demand == 0.0
+        self._any_vacuous = bool(self.vacuous.any())
 
     # -- fast path -------------------------------------------------------
 
@@ -258,27 +259,35 @@ class ScenarioInstance:
         (used for operating-point sweeps); it may push powers outside the
         role ranges since it models a network-wide margin, not a policy.
         """
-        e = np.atleast_2d(np.asarray(eirp_dbm, dtype=float)) + offset_db
-        a = 10.0 ** (e / 10.0)
-        signal = a[:, self.tx_index] * self.sig_lin[None, :]
+        e = np.atleast_2d(np.asarray(eirp_dbm, dtype=float))
+        if offset_db:
+            e = e + offset_db
+        a = np.divide(e, 10.0)
+        np.power(10.0, a, out=a)  # linear EIRP, mW
+        gamma = a.take(self.tx_index, axis=1)
+        gamma *= self.sig_lin
         interference = a @ self.interf_lin.T
-        return signal / (interference + self.noise_mw[None, :])
+        interference += self.noise_mw
+        gamma /= interference
+        return gamma
 
     def _link_pass(self, eirp_dbm: np.ndarray,
                    offset_db: float = 0.0) -> np.ndarray:
         """(K, V) mask of the victim links that clear their minimum SINR."""
-        gamma = self.batch_link_sinr(eirp_dbm, offset_db)
-        return (gamma >= self.gamma_min[None, :]) | self.vacuous[None, :]
+        link_pass = self.batch_link_sinr(eirp_dbm, offset_db) >= self.gamma_min
+        if self._any_vacuous:
+            link_pass |= self.vacuous
+        return link_pass
 
     def batch_coverage(self, eirp_dbm: np.ndarray,
                        offset_db: float = 0.0) -> np.ndarray:
         """Coverage probability for each row of a (K, J) EIRP batch."""
-        e2d = np.atleast_2d(np.asarray(eirp_dbm, dtype=float))
         if self.n_ue == 0:
-            return np.ones(e2d.shape[0])
-        link_pass = self._link_pass(e2d, offset_db)
-        ue_pass = link_pass[:, :self.n_ue] & link_pass[:, self.parent_row]
-        return ue_pass.mean(axis=1)
+            return np.ones(np.atleast_2d(eirp_dbm).shape[0])
+        link_pass = self._link_pass(eirp_dbm, offset_db)
+        ue_pass = link_pass[:, :self.n_ue]
+        ue_pass &= link_pass.take(self.parent_row, axis=1)
+        return ue_pass.sum(axis=1) / self.n_ue
 
     def ue_status(self, eirp_dbm: np.ndarray) -> np.ndarray:
         """Per-UE status codes (see `UE_STATUSES`) for one EIRP vector.

@@ -5,29 +5,41 @@ it with a small neighborhood of mutants, and refills the rest of the
 population with fresh random immigrants. There is no crossover. Fitness is
 service coverage on a frozen scenario instance, so candidates are always
 compared under identical randomness; ties break toward lower total transmit
-power (linear sum), then toward the lowest candidate index.
+power (linear sum), then toward the lowest candidate index (the queen, then
+its mutants, then the immigrants).
 
-One generation is a fixed set of array operations, whatever the
-neighborhood size S, the gene count J or the number of relays. The search
-first draws its initial population as one (K, J) block; each generation
-then draws in this order, which pins every GA output for a given seed:
+The draw contract, which pins every GA output for a given seed: the search
+first draws its initial population as one (K, J) block of uniforms. Then
+each generation owns one row of R = 2*S*J + S + V*J uniforms, with
+V = K - S - 1 immigrants, read in this order:
 
-1. the mutation mask of all S mutants, one (S, J) block of uniforms;
-2. their mutation steps, one (S, J) block of uniforms;
-3. one forced gene index for each mutant whose mask came out empty, one
-   vector draw (skipped when no mask is empty or J = 0);
-4. the V = K - S - 1 immigrants, one (V, J) block of uniforms.
+1. the mutation mask of the S mutants, (S, J): a gene moves when
+   u < mutation_prob;
+2. their mutation steps, (S, J): -step + 2*step*u, bit-identical to
+   ``rng.uniform(-step, step)``;
+3. one forced-gene uniform per mutant, (S,): gene floor(u*J) moves, used
+   only when that mutant's mask came out empty;
+4. the immigrants, (V, J): lower + (upper - lower)*u.
+
+The rows are drawn generation-major, in blocks of whole generations, so the
+block size does not change the stream. Only the queen depends on earlier
+generations: each block's mutation deltas are built and its immigrants are
+scored in one batched call and ranked once, and each generation then scores
+just the queen and its S mutants.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional
 
 import numpy as np
 
 from .config import ScenarioConfig
 from .coverage import PowerVector, ScenarioInstance
+
+# Uniforms drawn per block of generations, in doubles. It bounds a block's
+# memory; the stream is the same whatever its value.
+_BLOCK_DOUBLES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -66,11 +78,6 @@ class GaParams:
                    mutation_step_db=config.ga_mutation_step_db,
                    mutation_prob=config.ga_mutation_prob)
 
-    @classmethod
-    def compact(cls) -> "GaParams":
-        """Smaller preset (K=10, S=5) for quick runs."""
-        return cls(population=10, neighborhood=5)
-
 
 @dataclass(frozen=True)
 class GaResult:
@@ -80,120 +87,118 @@ class GaResult:
     n_evaluations: int
 
 
-Ranges = Mapping[int, tuple[float, float]]
+def _total_mw(eirp_dbm: np.ndarray) -> np.ndarray:
+    """Total linear transmit power of each row."""
+    return (10.0 ** (eirp_dbm / 10.0)).sum(axis=-1)
 
 
-def _bounds(ranges: Ranges) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
-    ids = tuple(sorted(ranges))
-    lower = np.array([ranges[i][0] for i in ids], dtype=float)
-    upper = np.array([ranges[i][1] for i in ids], dtype=float)
-    if np.any(lower > upper):
-        raise ValueError("inverted power range")
-    return ids, lower, upper
-
-
-def _uniform_rows(lower: np.ndarray, upper: np.ndarray, rows: int,
-                  rng: np.random.Generator) -> np.ndarray:
-    """A (rows, J) block, each gene uniform within its bounds.
-
-    Bit-identical to ``rng.uniform(lower, upper, (rows, J))`` without its
-    array-bound broadcast.
-    """
-    return lower + (upper - lower) * rng.random((rows, lower.size))
-
-
-def init_population(params: GaParams, ranges: Ranges,
-                    rng: np.random.Generator) -> list[PowerVector]:
-    """K random vectors, each gene uniform within its node's power range."""
-    ids, lower, upper = _bounds(ranges)
-    mat = _uniform_rows(lower, upper, params.population, rng)
-    return [PowerVector.from_array(ids, row) for row in mat]
-
-
-def _mutants(queen: np.ndarray, lower: np.ndarray, upper: np.ndarray,
-             params: GaParams, rng: np.random.Generator,
-             count: int) -> np.ndarray:
-    """``count`` mutants of the queen as a (count, J) matrix; draws 1-3 of
-    a generation (see the module docstring).
-
-    Each gene moves with probability mutation_prob by a uniform step in
-    [-mutation_step_db, mutation_step_db], clamped to its range; a mutant
-    whose mask came out empty has one uniformly chosen gene forced to move.
-    """
-    n = queen.size
-    mask = rng.random((count, n)) < params.mutation_prob
+def _mutation_deltas(u: np.ndarray, params: GaParams,
+                     n_genes: int) -> np.ndarray:
+    """The (G, S, J) mutation steps of G generations, zero where a gene
+    stays; ``u`` holds draws 1-3 of each generation (module docstring)."""
+    g, s, j = u.shape[0], params.neighborhood, n_genes
+    mask = u[:, :s * j].reshape(g, s, j) < params.mutation_prob
     step = params.mutation_step_db
-    steps = rng.uniform(-step, step, (count, n))
-    empty = np.flatnonzero(~mask.any(axis=1))
-    if empty.size and n:
-        mask[empty, rng.integers(n, size=empty.size)] = True
-    return np.clip(queen + np.where(mask, steps, 0.0), lower, upper)
+    steps = -step + 2.0 * step * u[:, s * j:2 * s * j].reshape(g, s, j)
+    if j:
+        gen, mutant = np.nonzero(~mask.any(axis=2))
+        forced = np.floor(u[gen, 2 * s * j + mutant] * j).astype(int)
+        mask[gen, mutant, forced] = True
+    return np.where(mask, steps, 0.0)
 
 
-def mutate_around_queen(queen: PowerVector, ranges: Ranges, params: GaParams,
-                        rng: np.random.Generator) -> PowerVector:
-    """One mutant of the queen: the S = 1 case of the generation kernel."""
-    ids, lower, upper = _bounds(ranges)
-    row = _mutants(queen.as_array(ids), lower, upper, params, rng, 1)[0]
-    return PowerVector.from_array(ids, row)
+def next_population(queen: np.ndarray, deltas: np.ndarray, lower: np.ndarray,
+                    upper: np.ndarray) -> np.ndarray:
+    """The queen and its S mutants as a (1 + S, J) matrix.
 
-
-def next_population(queen: np.ndarray, lower: np.ndarray, upper: np.ndarray,
-                    params: GaParams, rng: np.random.Generator) -> np.ndarray:
-    """Queen + S mutants + V random immigrants, as a (K, J) matrix.
-
-    Draws, in order: the (S, J) mask block, the (S, J) step block, the
-    forced genes of empty masks, then the (V, J) immigrant block.
+    Row 0 is the queen; row 1 + i is ``queen + deltas[i]`` clamped to the
+    gene bounds.
     """
-    s = params.neighborhood
-    pop = np.empty((params.population, queen.size))
-    pop[0] = queen
-    pop[1:1 + s] = _mutants(queen, lower, upper, params, rng, s)
-    pop[1 + s:] = _uniform_rows(lower, upper, params.immigrants, rng)
-    return pop
+    head = np.empty((deltas.shape[0] + 1, queen.size))
+    head[0] = queen
+    mutants = np.add(queen, deltas, out=head[1:])
+    np.maximum(mutants, lower, out=mutants)
+    np.minimum(mutants, upper, out=mutants)
+    return head
 
 
-def _select(pop: np.ndarray, fitness: np.ndarray) -> int:
-    """Best index: max fitness, then min total linear power, then min index."""
-    total_mw = (10.0 ** (pop / 10.0)).sum(axis=1)
-    order = np.lexsort((np.arange(pop.shape[0]), total_mw, -fitness))
-    return int(order[0])
+def _select(pop: np.ndarray, fitness: np.ndarray) -> tuple[int, float]:
+    """Best index and its total linear power: max fitness, then min total
+    linear power, then min index.
+
+    The power sum is taken only over the rows tied at max fitness.
+    """
+    values = fitness.tolist()
+    top = max(values)
+    tied = [i for i, f in enumerate(values) if f == top]
+    totals = _total_mw(pop.take(tied, axis=0)).tolist()
+    k = totals.index(min(totals))
+    return tied[k], totals[k]
+
+
+def _rank(pop: np.ndarray, fitness: np.ndarray
+          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`_select` for each generation of a (G, V, J) block of populations.
+
+    Returns each generation's best index, its fitness and its total linear
+    power, as (G,) arrays.
+    """
+    top = fitness.max(axis=1)
+    tied = fitness == top[:, None]
+    total = np.full(fitness.shape, np.inf)
+    total[tied] = _total_mw(pop[tied])
+    best = total.argmin(axis=1)
+    return best, top, total[np.arange(best.size), best]
 
 
 def optimize(instance: ScenarioInstance, params: GaParams,
-             rng: np.random.Generator,
-             fitness: Optional[Callable[[PowerVector], float]] = None) -> GaResult:
+             rng: np.random.Generator) -> GaResult:
     """Run the elitist search and return the final queen with its trace.
 
-    The initial population is evaluated once to seed the queen, then each of
-    the n_iterations generations evaluates its full population of K
-    candidates: exactly K + N*K fitness evaluations. With ``fitness=None``
-    the instance's batched coverage evaluator is used.
+    The initial population is scored in its own call to the instance's
+    batched coverage evaluator; then each block of generations scores its
+    immigrants in one call, and each generation its queen and mutants in
+    one call: exactly K + N*K fitness evaluations in all.
     """
-    ids = instance.gene_ids
     lower, upper = instance.lower, instance.upper
-    if fitness is None:
-        evaluate = instance.batch_coverage
-    else:
-        def evaluate(mat: np.ndarray) -> np.ndarray:
-            return np.array([fitness(PowerVector.from_array(ids, row))
-                             for row in mat])
+    span = upper - lower
+    evaluate = instance.batch_coverage
+    n_genes, s, v = lower.size, params.neighborhood, params.immigrants
 
-    pop = _uniform_rows(lower, upper, params.population, rng)
+    pop = lower + span * rng.random((params.population, n_genes))
     fit = evaluate(pop)
-    n_evaluations = params.population
-    best = _select(pop, fit)
-    queen, queen_fitness = pop[best].copy(), float(fit[best])
+    n_evaluations = fit.size
+    best, _ = _select(pop, fit)
+    queen, queen_fitness = pop[best], float(fit[best])
 
     trace = np.empty(params.n_iterations)
-    for it in range(params.n_iterations):
-        pop = next_population(queen, lower, upper, params, rng)
-        fit = evaluate(pop)
-        n_evaluations += params.population
-        best = _select(pop, fit)
-        queen, queen_fitness = pop[best].copy(), float(fit[best])
-        trace[it] = queen_fitness
+    mutation_draws = 2 * s * n_genes + s
+    row = mutation_draws + v * n_genes
+    per_block = max(1, _BLOCK_DOUBLES // max(row, 1))
+    for start in range(0, params.n_iterations, per_block):
+        g = min(per_block, params.n_iterations - start)
+        u = rng.random((g, row))
+        deltas = _mutation_deltas(u, params, n_genes)
+        if v:
+            immigrants = lower + span * u[:, mutation_draws:].reshape(
+                g, v, n_genes)
+            imm_fit = evaluate(immigrants.reshape(g * v, n_genes))
+            n_evaluations += imm_fit.size
+            imm_best, imm_top, imm_mw = (
+                a.tolist() for a in _rank(immigrants, imm_fit.reshape(g, v)))
+        for t in range(g):
+            head = next_population(queen, deltas[t], lower, upper)
+            fit = evaluate(head)
+            n_evaluations += fit.size
+            best, queen_mw = _select(head, fit)
+            queen, queen_fitness = head[best], float(fit[best])
+            # Immigrants rank after the head: one wins only strictly.
+            if v and (imm_top[t] > queen_fitness
+                      or (imm_top[t] == queen_fitness
+                          and imm_mw[t] < queen_mw)):
+                queen, queen_fitness = immigrants[t, imm_best[t]], imm_top[t]
+            trace[start + t] = queen_fitness
 
-    return GaResult(queen=PowerVector.from_array(ids, queen),
+    return GaResult(queen=PowerVector.from_array(instance.gene_ids, queen),
                     queen_fitness=queen_fitness, trace=trace,
                     n_evaluations=n_evaluations)

@@ -221,6 +221,34 @@ class TestRangeArity:
         assert "ue_eirp_range_dbm" in capsys.readouterr().err
 
 
+class TestNonNumericRange:
+    @pytest.mark.parametrize("value", [("a", 40.0), (23.0, None), (True, 40.0)])
+    @pytest.mark.parametrize("key", RANGE_KEYS)
+    def test_code_value_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            ScenarioConfig().replace(**{key: value})
+
+    @pytest.mark.parametrize("key", RANGE_KEYS)
+    def test_file_value_rejected(self, tmp_path, key):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f'{key} = ["a", 40]\n')
+        with pytest.raises(ConfigError, match=key):
+            load_config(str(path))
+
+    def test_cli_override_rejected(self):
+        with pytest.raises(ConfigError, match="ue_eirp_range_dbm"):
+            load_config(cli_overrides={"ue_eirp_range_dbm": ["a", 40]})
+
+    def test_file_value_exits_1(self, tmp_path, capsys):
+        from iabsim.cli import main
+        path = tmp_path / "bad.cfg"
+        path.write_text('ue_eirp_range_dbm = ["a", 40]\n')
+        code = main(["run", "ga-trace", "--config", str(path),
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        assert "ue_eirp_range_dbm" in capsys.readouterr().err
+
+
 INT_KEYS = [f.name for f in dataclasses.fields(ScenarioConfig)
             if f.type == "int"]
 

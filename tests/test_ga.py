@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from iabsim.config import ScenarioConfig
-from iabsim.coverage import (PowerVector, build_instance,
+from iabsim.coverage import (ScenarioInstance, build_instance,
                              monte_carlo_coverage)
-from iabsim.ga import (GaParams, init_population, mutate_around_queen,
-                       next_population, optimize)
+from iabsim.ga import GaParams, _mutation_deltas, next_population, optimize
 from iabsim.rng import derive_rng
 
-RANGES = {0: (23.0, 43.0), 1: (23.0, 43.0), 2: (35.0, 53.0)}
+# Gene bounds of two UEs and one relay.
+LOWER = np.array([23.0, 23.0, 35.0])
+UPPER = np.array([43.0, 43.0, 53.0])
 
 
 def deterministic_instance(**kw):
@@ -26,7 +27,7 @@ def deterministic_instance(**kw):
 class TestGaParams:
     def test_immigrants_count(self):
         assert GaParams(population=20, neighborhood=10).immigrants == 9
-        assert GaParams.compact().immigrants == 4
+        assert GaParams(population=10, neighborhood=5).immigrants == 4
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -39,67 +40,88 @@ class TestGaParams:
             GaParams(mutation_step_db=0.0)
 
 
+def recorded_batches(inst):
+    """Wrap the instance's batched fitness; returns the list of the (K, J)
+    batches it is called with."""
+    batches = []
+
+    def recording(mat):
+        batches.append(np.array(mat))
+        return ScenarioInstance.batch_coverage(inst, mat)
+
+    inst.batch_coverage = recording
+    return batches
+
+
+def initial_population(inst, params, rng):
+    batches = recorded_batches(inst)
+    optimize(inst, params, rng)
+    return batches[0]
+
+
+def mutation_deltas(params, n_genes, generations, rng):
+    """(G, S, J) mutation deltas built from G generations of draws 1-3."""
+    s = params.neighborhood
+    u = rng.random((generations, 2 * s * n_genes + s))
+    return _mutation_deltas(u, params, n_genes)
+
+
+def mutants(queen, params, rng, generations=50):
+    """Every mutant of ``generations`` generations around the queen."""
+    for d in mutation_deltas(params, queen.size, generations, rng):
+        yield from next_population(queen, d, LOWER, UPPER)[1:]
+
+
 class TestInitPopulation:
     def test_shape_and_bounds(self):
-        params = GaParams(population=20)
-        pop = init_population(params, RANGES, derive_rng(1, "init"))
-        assert len(pop) == 20
-        for vec in pop:
-            assert set(vec.eirp_dbm) == set(RANGES)
-            for nid, (lo, hi) in RANGES.items():
-                assert lo <= vec.of(nid) <= hi
+        inst = deterministic_instance(num_ues=3, num_iab_per_cell=1)
+        params = GaParams(population=20, n_iterations=1)
+        pop = initial_population(inst, params, derive_rng(1, "init"))
+        assert pop.shape == (20, len(inst.gene_ids))
+        assert np.all(pop >= inst.lower) and np.all(pop <= inst.upper)
 
     def test_bounds_over_many_draws(self):
-        params = GaParams(population=100)
+        inst = deterministic_instance(num_ues=2, num_iab_per_cell=1)
+        params = GaParams(population=100, neighborhood=1, n_iterations=1)
         rng = derive_rng(2, "init")
         for _ in range(100):
-            for vec in init_population(params, RANGES, rng):
-                for nid, (lo, hi) in RANGES.items():
-                    assert lo <= vec.of(nid) <= hi
+            pop = initial_population(inst, params, rng)
+            assert np.all(pop >= inst.lower) and np.all(pop <= inst.upper)
 
     def test_fixed_seed_identical(self):
-        params = GaParams()
-        a = init_population(params, RANGES, derive_rng(3, "x"))
-        b = init_population(params, RANGES, derive_rng(3, "x"))
-        assert [v.eirp_dbm for v in a] == [v.eirp_dbm for v in b]
+        inst = deterministic_instance(num_ues=2, num_iab_per_cell=1)
+        params = GaParams(n_iterations=1)
+        a = initial_population(inst, params, derive_rng(3, "x"))
+        b = initial_population(inst, params, derive_rng(3, "x"))
+        assert np.array_equal(a, b)
 
 
 class TestMutation:
     def test_forced_single_gene(self):
         # Vanishing mutation probability plus the forced-gene rule: exactly
         # one gene differs.
-        params = GaParams(mutation_prob=1e-12)
-        queen = PowerVector({0: 33.0, 1: 33.0, 2: 44.0})
-        rng = derive_rng(4, "mut")
-        for _ in range(50):
-            mutant = mutate_around_queen(queen, RANGES, params, rng)
-            diffs = [nid for nid in RANGES
-                     if mutant.of(nid) != queen.of(nid)]
-            assert len(diffs) == 1
+        params = GaParams(population=2, neighborhood=1, mutation_prob=1e-12)
+        queen = np.array([33.0, 33.0, 44.0])
+        for mutant in mutants(queen, params, derive_rng(4, "mut")):
+            assert np.count_nonzero(mutant != queen) == 1
 
     def test_always_within_bounds_and_step(self):
-        params = GaParams(mutation_prob=0.5, mutation_step_db=3.0)
-        queen = PowerVector({0: 23.0, 1: 43.0, 2: 35.0})  # at the edges
-        rng = derive_rng(5, "mut")
-        max_abs_step = 0.0
-        for _ in range(100_000 // 20):
-            mutant = mutate_around_queen(queen, RANGES, params, rng)
-            for nid, (lo, hi) in RANGES.items():
-                assert lo <= mutant.of(nid) <= hi
-                # clamping can only shrink a step, never grow it
-                max_abs_step = max(max_abs_step,
-                                   abs(mutant.of(nid) - queen.of(nid)))
-        assert max_abs_step <= params.mutation_step_db + 1e-12
+        params = GaParams(population=2, neighborhood=1, mutation_prob=0.5,
+                          mutation_step_db=3.0)
+        queen = np.array([23.0, 43.0, 35.0])  # at the edges
+        rows = np.array(list(mutants(queen, params, derive_rng(5, "mut"),
+                                     generations=100_000 // 20)))
+        assert np.all(rows >= LOWER) and np.all(rows <= UPPER)
+        # clamping can only shrink a step, never grow it
+        assert np.abs(rows - queen).max() <= params.mutation_step_db + 1e-12
 
     def test_batched_mutants_forced_single_gene(self):
         # The forced-gene rule, applied row by row in one batched call.
         params = GaParams(population=20, neighborhood=10, mutation_prob=1e-12)
-        lower = np.array([23.0, 23.0, 35.0])
-        upper = np.array([43.0, 43.0, 53.0])
         queen = np.array([33.0, 30.0, 44.0])  # interior: no clamp hides a move
-        rng = derive_rng(15, "mut")
-        for _ in range(50):
-            pop = next_population(queen, lower, upper, params, rng)
+        deltas = mutation_deltas(params, queen.size, 50, derive_rng(15, "mut"))
+        for d in deltas:
+            pop = next_population(queen, d, LOWER, UPPER)
             moved = pop[1:1 + params.neighborhood] != queen
             assert np.array_equal(moved.sum(axis=1),
                                   np.ones(params.neighborhood))
@@ -107,28 +129,25 @@ class TestMutation:
     def test_batched_mutants_within_bounds_and_step(self):
         params = GaParams(population=20, neighborhood=10, mutation_prob=0.5,
                           mutation_step_db=3.0)
-        lower = np.array([23.0, 23.0, 35.0])
-        upper = np.array([43.0, 43.0, 53.0])
         queen = np.array([23.0, 43.0, 35.0])  # at the edges
-        rng = derive_rng(16, "mut")
-        for _ in range(500):
-            pop = next_population(queen, lower, upper, params, rng)
-            assert np.all(pop >= lower) and np.all(pop <= upper)
-            mutants = pop[1:1 + params.neighborhood]
-            assert np.all(np.abs(mutants - queen)
+        deltas = mutation_deltas(params, queen.size, 500, derive_rng(16, "mut"))
+        for d in deltas:
+            pop = next_population(queen, d, LOWER, UPPER)
+            assert np.all(pop >= LOWER) and np.all(pop <= UPPER)
+            rows = pop[1:1 + params.neighborhood]
+            assert np.all(np.abs(rows - queen)
                           <= params.mutation_step_db + 1e-12)
 
     def test_population_composition(self):
         params = GaParams(population=20, neighborhood=10)
-        lower = np.array([23.0, 23.0, 35.0])
-        upper = np.array([43.0, 43.0, 53.0])
         queen = np.array([30.0, 40.0, 50.0])
-        pop = next_population(queen, lower, upper, params, derive_rng(6, "n"))
-        assert pop.shape == (20, 3)
+        d = mutation_deltas(params, queen.size, 1, derive_rng(6, "n"))[0]
+        pop = next_population(queen, d, LOWER, UPPER)
+        assert pop.shape == (1 + params.neighborhood, 3)
         assert np.array_equal(pop[0], queen)  # elite carried unchanged
-        assert np.all(pop >= lower) and np.all(pop <= upper)
-        # rows 1..S are near the queen; immigrants may be anywhere
-        for row in pop[1:1 + params.neighborhood]:
+        assert np.all(pop >= LOWER) and np.all(pop <= UPPER)
+        # rows 1..S are near the queen
+        for row in pop[1:]:
             assert np.max(np.abs(row - queen)) <= params.mutation_step_db
 
 
@@ -162,16 +181,12 @@ class TestOptimize:
     def test_evaluation_count(self):
         inst = deterministic_instance(num_ues=2, num_iab_per_cell=0,
                                       ue_positions=((30.0, 0.0), (50.0, 0.0)))
-        calls = {"n": 0}
-
-        def fitness(vec):
-            calls["n"] += 1
-            return inst.coverage_of(vec)
-
+        batches = recorded_batches(inst)
         params = GaParams(n_iterations=7, population=6, neighborhood=2)
-        res = optimize(inst, params, derive_rng(8, "ga"), fitness=fitness)
-        assert calls["n"] == 6 + 7 * 6
-        assert res.n_evaluations == calls["n"]
+        res = optimize(inst, params, derive_rng(8, "ga"))
+        n_rows = sum(len(b) for b in batches)
+        assert n_rows == 6 + 7 * 6
+        assert res.n_evaluations == n_rows
 
     def test_trace_monotone_on_stressed_instance(self):
         cfg = dict(num_ues=24, num_cells=2, rb_max=16, min_rate_bps=1e6)
@@ -214,7 +229,7 @@ class TestOptimize:
         from iabsim.ga import _select
         pop = np.array([[30.0, 40.0], [30.0, 40.0], [30.0, 40.0]])
         fitness = np.array([0.5, 0.5, 0.5])
-        assert _select(pop, fitness) == 0
+        assert _select(pop, fitness)[0] == 0
 
     def test_deterministic(self):
         inst = deterministic_instance(num_ues=3, num_iab_per_cell=1,
@@ -231,19 +246,12 @@ class TestOptimize:
         inst = deterministic_instance(num_ues=2, num_iab_per_cell=1,
                                       ue_positions=((40.0, 0.0), (90.0, 0.0)),
                                       min_rate_bps=1e6)
-        seen = []
-
-        def fitness(vec):
-            seen.append(vec)
-            return inst.coverage_of(vec)
-
+        batches = recorded_batches(inst)
         params = GaParams(n_iterations=15, population=8, neighborhood=3)
-        optimize(inst, params, derive_rng(13, "ga"), fitness=fitness)
-        ranges = {nid: (inst.lower[k], inst.upper[k])
-                  for k, nid in enumerate(inst.gene_ids)}
-        for vec in seen:
-            for nid, (lo, hi) in ranges.items():
-                assert lo - 1e-9 <= vec.of(nid) <= hi + 1e-9
+        optimize(inst, params, derive_rng(13, "ga"))
+        seen = np.concatenate(batches)
+        assert np.all(seen >= inst.lower - 1e-9)
+        assert np.all(seen <= inst.upper + 1e-9)
 
     def test_matches_exhaustive_grid_search(self):
         # Two genes (one UE, one relay 10 km out): the relay power decides

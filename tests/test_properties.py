@@ -1,11 +1,15 @@
-"""Property tests: the array channel and the batched status kernel against
-their scalar and per-link references, over random small scenarios."""
+"""Property tests: the array channel, the batched status kernel and the
+block-drawn GA against their scalar, per-link and per-generation references,
+over random small scenarios."""
 
 import math
+from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+
+import iabsim.ga as ga
 
 from iabsim.channel import (ChannelParams, pathloss_uma, sample_fading,
                             sample_realization, sample_shadowing)
@@ -13,6 +17,7 @@ from iabsim.config import ScenarioConfig
 from iabsim.coverage import PowerVector, build_instance
 from iabsim.rng import derive_rng
 from iabsim.topology import build_topology, distance_3d
+from oracle import reference_optimize
 
 # Small and deterministic, so Tier-1 stays within a few seconds.
 FAST = settings(max_examples=30, deadline=None, derandomize=True)
@@ -79,3 +84,52 @@ def test_batched_status_matches_reference(seed, trial, num_ues, num_cells,
         assert fast.per_ue == reference.per_ue
         assert fast.coverage_probability == reference.coverage_probability
         assert inst.batch_coverage(values)[0] == reference.coverage_probability
+
+
+def _same_result(a, b):
+    assert a.queen.eirp_dbm == b.queen.eirp_dbm
+    assert a.queen_fitness == b.queen_fitness
+    assert np.array_equal(a.trace, b.trace)
+    assert a.n_evaluations == b.n_evaluations
+
+
+@FAST
+@given(seed=seeds, num_ues=st.integers(0, 6), num_cells=st.sampled_from((1, 2)),
+       num_iab=st.integers(0, 2), rb_max=st.sampled_from((2, 16)),
+       min_rate=st.sampled_from((64e3, 5e6, 20e6, 80e6)),
+       population=st.integers(2, 7), neighborhood_share=st.floats(0.0, 1.0),
+       iterations=st.integers(1, 12),
+       mutation_prob=st.sampled_from((1e-12, 0.15, 1.0)),
+       step=st.sampled_from((0.5, 3.0, 15.0)))
+@example(seed=1, num_ues=0, num_cells=1, num_iab=0, rb_max=16, min_rate=64e3,
+         population=5, neighborhood_share=0.5, iterations=4,
+         mutation_prob=0.15, step=3.0)  # J = 0
+@example(seed=2, num_ues=4, num_cells=1, num_iab=1, rb_max=2, min_rate=20e6,
+         population=6, neighborhood_share=0.0, iterations=8,
+         mutation_prob=0.15, step=3.0)  # S = 0
+@example(seed=3, num_ues=4, num_cells=2, num_iab=1, rb_max=2, min_rate=5e6,
+         population=6, neighborhood_share=1.0, iterations=8,
+         mutation_prob=0.15, step=3.0)  # V = 0
+@example(seed=4, num_ues=3, num_cells=1, num_iab=1, rb_max=16, min_rate=64e3,
+         population=2, neighborhood_share=0.5, iterations=10,
+         mutation_prob=1e-12, step=3.0)  # K = 2
+def test_optimize_matches_reference(seed, num_ues, num_cells, num_iab, rb_max,
+                                    min_rate, population, neighborhood_share,
+                                    iterations, mutation_prob, step):
+    cfg = ScenarioConfig(num_ues=num_ues, num_cells=num_cells,
+                         num_iab_per_cell=num_iab, rb_max=rb_max,
+                         min_rate_bps=min_rate, trials=1)
+    inst = build_instance(cfg, seed, 0)
+    params = ga.GaParams(
+        n_iterations=iterations, population=population,
+        neighborhood=round(neighborhood_share * (population - 1)),
+        mutation_step_db=step, mutation_prob=mutation_prob)
+    fast = ga.optimize(inst, params, derive_rng(seed, "policy"))
+    _same_result(fast, reference_optimize(inst, params,
+                                          derive_rng(seed, "policy")))
+    # The block size bounds memory only: one generation per block, or all
+    # of them in one, draws and selects the same.
+    for block in (1, 10**9):
+        with mock.patch.object(ga, "_BLOCK_DOUBLES", block):
+            _same_result(fast, ga.optimize(inst, params,
+                                           derive_rng(seed, "policy")))
