@@ -2,9 +2,8 @@
 elitist genetic-algorithm transmit-power control."""
 
 from .config import ConfigError, ScenarioConfig, load_config
-from .coverage import (CoverageResult, PowerVector, ScenarioInstance,
-                       ServiceRequirement, UeStatus, build_instance,
-                       evaluate_trial, monte_carlo_coverage)
+from .coverage import (CoverageResult, ScenarioInstance, ServiceRequirement,
+                       UeStatus, build_instance, monte_carlo_coverage)
 from .ga import GaParams, GaResult, optimize
 from .scheduler import SlotMode
 from .topology import NetworkNode, NodeRole, Topology, build_topology
@@ -13,8 +12,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConfigError", "ScenarioConfig", "load_config",
-    "CoverageResult", "PowerVector", "ScenarioInstance", "ServiceRequirement",
-    "UeStatus", "build_instance", "evaluate_trial", "monte_carlo_coverage",
+    "CoverageResult", "ScenarioInstance", "ServiceRequirement",
+    "UeStatus", "build_instance", "monte_carlo_coverage",
     "GaParams", "GaResult", "optimize",
     "SlotMode",
     "NetworkNode", "NodeRole", "Topology", "build_topology",

@@ -1,4 +1,4 @@
-"""Link-budget stack: pathloss, shadowing, fading, rain, SINR, rate.
+"""Link-budget stack: pathloss, shadowing, fading, rain, noise, SINR floor.
 
 All decibel quantities follow the uplink budget
 
@@ -6,29 +6,29 @@ All decibel quantities follow the uplink budget
 
 with urban-macro pathloss, lognormal shadowing, Rayleigh flat fading
 (exponential power gain, expressed as a dB loss), and ITU-R power-law rain
-attenuation scaled by path length. Interference is summed in linear
-milliwatts weighted by resource-block overlap.
+attenuation scaled by path length.
 
 A trial's channel is one ``ChannelRealization`` of ``(n_tx, n_rx)`` arrays.
 Rows are the transmitters (UEs and IAB nodes) and columns the receivers
 (donors and IAB nodes), each in ascending node id. The self pair of an IAB
 node (its MT row against its own DU column) is not a link: it holds NaN.
-Shadowing is one ``normal(0, sigma, n)`` draw and fading one
-``exponential(1, n)`` draw, each filling the ``n`` links in row-major
-``(tx, rx)`` order with self pairs skipped. A vector draw yields the same
-numbers as ``n`` scalar draws, so the streams match the link-by-link order.
-The budget terms are combined once into ``unit_rx_dbm``, the received power
-of a 0 dBm transmission, in the order the budget above is written.
+``links`` lists the other pairs as ``(tx_id, rx_id)`` rows in row-major
+order. Shadowing is one ``normal(0, sigma, n)`` draw and fading one
+``exponential(1, n)`` draw, each filling the ``n`` links in that order. A
+vector draw yields the same numbers as ``n`` scalar draws, so the streams
+match the link-by-link order. The budget terms are combined once into
+``unit_rx_dbm``, the received power of a 0 dBm transmission, in the order
+the budget above is written. SINR and coverage are computed from these
+arrays by ``iabsim.coverage.ScenarioInstance``.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
-from typing import Iterable, Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -39,10 +39,6 @@ SPEED_OF_LIGHT = 3e8  # m/s
 THERMAL_NOISE_DBM_HZ = -174.0
 
 _RAIN_TABLE_RESOURCE = "itu_rain_coefficients.txt"
-
-
-class MissingLinkError(KeyError):
-    """A channel realization was asked for a link it never sampled."""
 
 
 @lru_cache(maxsize=1)
@@ -180,25 +176,6 @@ def sample_fading(rng: np.random.Generator,
 
 
 @dataclass(frozen=True)
-class LinkSample:
-    """One sampled link: geometry-derived and random losses, all in dB."""
-    tx_id: int
-    rx_id: int
-    d3d_m: float
-    pathloss_db: float
-    shadowing_db: float
-    fading_db: float
-    rain_db: float
-
-
-def received_power(eirp_dbm: float, link: LinkSample,
-                   params: ChannelParams) -> float:
-    """Received power in dBm for a given transmit EIRP over a sampled link."""
-    return (eirp_dbm + params.rx_gain_db - link.pathloss_db
-            - link.shadowing_db - link.rain_db - link.fading_db)
-
-
-@dataclass(frozen=True)
 class NoiseModel:
     bandwidth_hz: float
     noise_figure_db: float
@@ -222,8 +199,10 @@ class ChannelRealization:
     """Per-trial sampled losses, one ``(n_tx, n_rx)`` array per budget term.
 
     ``tx_ids`` and ``rx_ids`` label the rows and columns in ascending id;
-    self pairs hold NaN. ``unit_rx_dbm`` is derived: the received power in
-    dBm of a 0 dBm transmission over each link.
+    self pairs hold NaN. Two fields are derived: ``unit_rx_dbm``, the
+    received power in dBm of a 0 dBm transmission over each link, and
+    ``links``, the ``(n_links, 2)`` array of ``(tx_id, rx_id)`` pairs in the
+    row-major order the random terms are drawn in.
     """
     tx_ids: np.ndarray
     rx_ids: np.ndarray
@@ -235,57 +214,20 @@ class ChannelRealization:
     rain_rate_mm_h: float
     params: ChannelParams
     unit_rx_dbm: np.ndarray = field(init=False, repr=False)
-    n_links: int = field(init=False, repr=False)
+    links: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "unit_rx_dbm",
                            0.0 + self.params.rx_gain_db - self.pathloss_db
                            - self.shadowing_db - self.rain_db - self.fading_db)
-        object.__setattr__(self, "n_links", int(np.count_nonzero(
-            self.tx_ids[:, None] != self.rx_ids[None, :])))
+        rows, cols = np.nonzero(self.tx_ids[:, None] != self.rx_ids[None, :])
+        object.__setattr__(self, "links", np.column_stack(
+            (self.tx_ids[rows], self.rx_ids[cols])))
 
     @property
     def long_term_loss_db(self) -> np.ndarray:
         """Pathloss + shadowing; the association metric (no fading, no rain)."""
         return self.pathloss_db + self.shadowing_db
-
-    @property
-    def links(self) -> "_Links":
-        """Read-only ``(tx_id, rx_id) -> LinkSample`` view of every link."""
-        return _Links(self)
-
-    def link(self, tx_id: int, rx_id: int) -> LinkSample:
-        """One link as a `LinkSample`; self pairs and unknown ids raise."""
-        i = int(np.searchsorted(self.tx_ids, tx_id))
-        k = int(np.searchsorted(self.rx_ids, rx_id))
-        if (tx_id == rx_id or i == len(self.tx_ids) or k == len(self.rx_ids)
-                or self.tx_ids[i] != tx_id or self.rx_ids[k] != rx_id):
-            raise MissingLinkError(f"no sampled link for tx={tx_id} rx={rx_id}")
-        return LinkSample(tx_id=tx_id, rx_id=rx_id,
-                          d3d_m=float(self.d3d_m[i, k]),
-                          pathloss_db=float(self.pathloss_db[i, k]),
-                          shadowing_db=float(self.shadowing_db[i, k]),
-                          fading_db=float(self.fading_db[i, k]),
-                          rain_db=float(self.rain_db[i, k]))
-
-
-class _Links(Mapping):
-    """The links of a realization as a mapping; ``len`` costs O(1)."""
-
-    def __init__(self, realization: ChannelRealization):
-        self._real = realization
-
-    def __getitem__(self, key: tuple[int, int]) -> LinkSample:
-        return self._real.link(*key)
-
-    def __len__(self) -> int:
-        return self._real.n_links
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        for tx in self._real.tx_ids.tolist():
-            for rx in self._real.rx_ids.tolist():
-                if tx != rx:
-                    yield tx, rx
 
 
 def _coordinates(nodes: list[NetworkNode]) -> np.ndarray:
@@ -324,43 +266,6 @@ def sample_realization(topology: Topology, params: ChannelParams,
                               pathloss_db=pathloss, shadowing_db=shadowing,
                               fading_db=fading, rain_db=rain,
                               rain_rate_mm_h=rain_rate_mm_h, params=params)
-
-
-def interference_at(victim_rx: NetworkNode, victim_rbs: frozenset[int],
-                    co_slot_transmitters: Iterable[tuple[NetworkNode, float, frozenset[int]]],
-                    realization: ChannelRealization) -> float:
-    """Aggregate interference at a receiver, in linear milliwatts.
-
-    Each co-slot transmitter contributes its received power scaled by the
-    fraction of the victim's resource blocks it overlaps. The victim's own
-    transmitter must not be in the list; the receiver itself is skipped.
-    """
-    if not victim_rbs:
-        return 0.0
-    total_mw = 0.0
-    n_victim = len(victim_rbs)
-    for node, eirp_dbm, rbs in co_slot_transmitters:
-        if node.id == victim_rx.id:
-            continue
-        overlap = len(victim_rbs & rbs) / n_victim
-        if overlap == 0.0:
-            continue
-        link = realization.link(node.id, victim_rx.id)
-        p_r = received_power(eirp_dbm, link, realization.params)
-        total_mw += overlap * 10.0 ** (p_r / 10.0)
-    return total_mw
-
-
-def sinr(p_r_dbm: float, interference_mw: float, noise: NoiseModel) -> float:
-    """Linear SINR: signal over interference plus thermal noise."""
-    return 10.0 ** (p_r_dbm / 10.0) / (interference_mw + noise.total_mw)
-
-
-def achievable_rate(gamma: float, bw_hz: float) -> float:
-    """Shannon rate in bits/s for a linear SINR over a bandwidth."""
-    if gamma < 0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
-    return bw_hz * math.log2(1.0 + gamma)
 
 
 def min_sinr(rate_bps: float, bw_hz: float) -> float:

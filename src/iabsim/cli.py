@@ -2,7 +2,7 @@
 
     iabsim run <experiment> [--config FILE] [--seed N] [--trials N]
                [--ues N] [--rbs-per-ue N] [--slot-mode MODE] [--cells N]
-               [--policy NAME] [--workers N] --out PATH
+               [--policy NAME] --out PATH
     iabsim summarize <csv>
 
 Exit codes: 0 success, 1 validation error, 2 runtime error.
@@ -36,8 +36,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--cells", type=int, choices=(1, 2), dest="num_cells")
     run_p.add_argument("--policy", choices=("max", "random", "ga"),
                        dest="power_policy")
-    run_p.add_argument("--workers", type=int, default=1,
-                       help="concurrent trial evaluation (default 1)")
     run_p.add_argument("--out", required=True, help="output CSV path")
 
     sum_p = sub.add_parser("summarize", help="headline statistics for a CSV")
@@ -62,7 +60,7 @@ def main(argv: list[str] | None = None) -> int:
                           else (2, 4))
             spec = ExperimentSpec(name=args.experiment, out=args.out,
                                   rbs_values=rbs_values)
-            written = run_experiment(spec, config, workers=args.workers)
+            written = run_experiment(spec, config)
             for path in written:
                 print(f"wrote {path}")
         else:

@@ -108,6 +108,18 @@ class ScenarioConfig:
                 and all(_is_int(v) for v in self.sweep_ues)):
             raise ConfigError(f"sweep_ues entries must be integers, got "
                               f"{self.sweep_ues!r}")
+        for key in ("sweep_backoff_db", "powercdf_rates_bps"):
+            value = getattr(self, key)
+            if not (isinstance(value, (tuple, list))
+                    and all(_is_real(v) for v in value)):
+                raise ConfigError(f"{key} entries must be numbers, got {value!r}")
+        if self.ue_positions is not None and not (
+                isinstance(self.ue_positions, (tuple, list))
+                and all(isinstance(p, (tuple, list)) and len(p) == 2
+                        and all(_is_real(c) for c in p)
+                        for p in self.ue_positions)):
+            raise ConfigError(f"ue_positions must be (x, y) number pairs, got "
+                              f"{self.ue_positions!r}")
         _check_positive(self, "fc_ghz", "bw_mhz", "scs_khz", "cell_radius_m")
         _check_nonneg(self, "shadow_std_db", "num_ues", "num_iab_per_cell",
                       "iab_ring_angle_offset_deg")

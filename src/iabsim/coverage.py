@@ -6,13 +6,13 @@ minimum SINR for the aggregate of its children's target rates. Coverage
 probability is the covered fraction, averaged over Monte-Carlo trials that
 re-draw geometry, shadowing, fading, and rain.
 
-Production evaluates through one batched kernel on a `ScenarioInstance`:
-the power optimizer scores (K, J) batches of candidate EIRPs with
-`batch_coverage`, and `run_trial` scores the chosen powers with `score`,
-which reads the per-UE status off the same link-pass arrays. The readable
-per-link path (`evaluate_trial`, `ScenarioInstance.evaluate`) computes the
-same link budget one link at a time and is the reference the fast path is
-tested against.
+Every evaluation goes through one batched kernel on a `ScenarioInstance`.
+Powers are float arrays of EIRPs in dBm, one entry per gene in `gene_ids`
+order. The power optimizer scores (K, J) batches of candidates with
+`batch_coverage`, and `run_trial` scores the chosen powers with `evaluate`,
+which reads the per-UE status off the same link-pass arrays. The tests hold
+this kernel against a per-link reference (`tests/oracle.py`) that computes
+the same link budget one link at a time.
 """
 
 from __future__ import annotations
@@ -20,18 +20,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
-from typing import Callable, Mapping, Union
+from typing import Callable, Union
 
 import numpy as np
 
 from .channel import (ChannelParams, ChannelRealization, NoiseModel,
-                      interference_at, min_sinr, received_power,
-                      sample_realization, sinr)
+                      min_sinr, sample_realization)
 from .config import ScenarioConfig
 from .rng import derive_rng
 from .scheduler import (Association, RbAllocation, SlotPlan, allocate_rbs,
                         associate, plan_slots)
-from .topology import NodeRole, Topology, build_topology
+from .topology import Topology, build_topology
 
 
 class UeStatus(Enum):
@@ -55,25 +54,6 @@ class ServiceRequirement:
 
 
 @dataclass(frozen=True)
-class PowerVector:
-    """One candidate power assignment: EIRP in dBm per UE and per IAB node."""
-    eirp_dbm: Mapping[int, float]
-
-    def of(self, node_id: int) -> float:
-        return self.eirp_dbm[node_id]
-
-    def as_array(self, ids: tuple[int, ...]) -> np.ndarray:
-        return np.array([self.eirp_dbm[i] for i in ids], dtype=float)
-
-    @staticmethod
-    def from_array(ids: tuple[int, ...], values: np.ndarray) -> "PowerVector":
-        return PowerVector({i: float(v) for i, v in zip(ids, values)})
-
-    def total_power_mw(self) -> float:
-        return float(sum(10.0 ** (v / 10.0) for v in self.eirp_dbm.values()))
-
-
-@dataclass(frozen=True)
 class CoverageResult:
     per_ue: dict[int, UeStatus]
     coverage_probability: float
@@ -87,65 +67,6 @@ class CoverageResult:
         else:
             probability = 1.0  # vacuous: no UEs to fail
         return CoverageResult(per_ue=per_ue, coverage_probability=probability)
-
-
-def evaluate_trial(topology: Topology, assoc: Association,
-                   alloc: RbAllocation, slot_plan: SlotPlan,
-                   powers: PowerVector, realization: ChannelRealization,
-                   req: ServiceRequirement) -> CoverageResult:
-    """Per-UE coverage evaluation over one channel realization.
-
-    Access links are checked first; for relay-served UEs the serving relay's
-    backhaul must also sustain the aggregate of its children's target rates.
-    A failed backhaul marks every child of that relay BACKHAUL_FAIL. Missing
-    realization entries raise; nothing is silently defaulted.
-    """
-    params = realization.params
-    nf = params.noise_figure_db
-
-    access_pass: dict[int, bool] = {}
-    for ue in topology.ues:
-        bs_id = assoc.ue_to_bs[ue.id]
-        rbs = alloc.rbs_of(ue.id)
-        bw = alloc.bandwidth_hz(ue.id)
-        link = realization.link(ue.id, bs_id)
-        p_r = received_power(powers.of(ue.id), link, params)
-        slot = slot_plan.slot_of(ue.id)
-        co = [(topology.node(j), powers.of(j), alloc.rbs_of(j))
-              for j in sorted(slot) if j != ue.id]
-        i_mw = interference_at(topology.node(bs_id), rbs, co, realization)
-        gamma = sinr(p_r, i_mw, NoiseModel(bw, nf))
-        access_pass[ue.id] = gamma >= min_sinr(req.min_rate_bps, bw)
-
-    backhaul_pass: dict[int, bool] = {}
-    for iab in topology.iab_nodes:
-        children = assoc.children_of(iab.id)
-        if not children:
-            backhaul_pass[iab.id] = True
-            continue
-        donor_id = assoc.iab_to_donor[iab.id]
-        union = alloc.rbs_of(iab.id)
-        bw = alloc.bandwidth_hz(iab.id)
-        link = realization.link(iab.id, donor_id)
-        p_r = received_power(powers.of(iab.id), link, params)
-        slot = slot_plan.slot_of(iab.id)
-        co = [(topology.node(j), powers.of(j), alloc.rbs_of(j))
-              for j in sorted(slot) if j != iab.id]
-        i_mw = interference_at(topology.node(donor_id), union, co, realization)
-        gamma = sinr(p_r, i_mw, NoiseModel(bw, nf))
-        aggregate = req.min_rate_bps * len(children)
-        backhaul_pass[iab.id] = gamma >= min_sinr(aggregate, bw)
-
-    per_ue: dict[int, UeStatus] = {}
-    for ue in topology.ues:
-        bs = topology.node(assoc.ue_to_bs[ue.id])
-        if bs.role is NodeRole.IAB and not backhaul_pass[bs.id]:
-            per_ue[ue.id] = UeStatus.BACKHAUL_FAIL
-        elif not access_pass[ue.id]:
-            per_ue[ue.id] = UeStatus.ACCESS_FAIL
-        else:
-            per_ue[ue.id] = UeStatus.COVERED
-    return CoverageResult.of(per_ue)
 
 
 class ScenarioInstance:
@@ -249,8 +170,6 @@ class ScenarioInstance:
         self.vacuous = demand == 0.0
         self._any_vacuous = bool(self.vacuous.any())
 
-    # -- fast path -------------------------------------------------------
-
     def batch_link_sinr(self, eirp_dbm: np.ndarray,
                         offset_db: float = 0.0) -> np.ndarray:
         """Linear SINR of every victim link for a (K, J) batch of EIRPs.
@@ -293,42 +212,23 @@ class ScenarioInstance:
         """Per-UE status codes (see `UE_STATUSES`) for one EIRP vector.
 
         A relay-served UE whose relay's backhaul fails is a backhaul
-        failure whatever its access link does, as in `evaluate_trial`.
+        failure whatever its access link does.
         """
         link_pass = self._link_pass(eirp_dbm)[0]
         backhaul_fail = self.relay_served & ~link_pass[self.parent_row]
         return np.where(backhaul_fail, 2, np.where(link_pass[:self.n_ue], 0, 1))
 
-    def score(self, powers: PowerVector) -> CoverageResult:
-        """Coverage of one power vector, evaluated by the batched kernel."""
-        codes = self.ue_status(powers.as_array(self.gene_ids))
+    def evaluate(self, eirp_dbm: np.ndarray) -> CoverageResult:
+        """Per-UE coverage of one EIRP vector, in `gene_ids` order."""
+        codes = self.ue_status(eirp_dbm)
         return CoverageResult.of({u: UE_STATUSES[c] for u, c
                                   in zip(self.ue_ids, codes.tolist())})
-
-    def coverage_of(self, powers: PowerVector) -> float:
-        return float(self.batch_coverage(powers.as_array(self.gene_ids))[0])
 
     def access_sinr_db(self, eirp_dbm: np.ndarray,
                        offset_db: float = 0.0) -> np.ndarray:
         """Per-UE access-link SINR in dB for one EIRP vector."""
         gamma = self.batch_link_sinr(eirp_dbm, offset_db)[0, :self.n_ue]
         return 10.0 * np.log10(gamma)
-
-    # -- readable path ---------------------------------------------------
-
-    def evaluate(self, powers: PowerVector) -> CoverageResult:
-        return evaluate_trial(self.topology, self.assoc, self.alloc,
-                              self.slot_plan, powers, self.realization,
-                              self.req)
-
-    # -- convenience policies -------------------------------------------
-
-    def max_power_vector(self) -> PowerVector:
-        return PowerVector.from_array(self.gene_ids, self.upper)
-
-    def random_power_vector(self, rng: np.random.Generator) -> PowerVector:
-        values = rng.uniform(self.lower, self.upper)
-        return PowerVector.from_array(self.gene_ids, values)
 
 
 def build_instance(config: ScenarioConfig, seed: int,
@@ -370,7 +270,8 @@ def _link_constants(demand_bps: float, bandwidth_hz: float,
             NoiseModel(bandwidth_hz, noise_figure_db).total_mw)
 
 
-PowersPolicy = Callable[[ScenarioInstance, np.random.Generator], PowerVector]
+# A policy returns EIRPs in dBm in the instance's `gene_ids` order.
+PowersPolicy = Callable[[ScenarioInstance, np.random.Generator], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -378,7 +279,8 @@ class TrialOutcome:
     trial_index: int
     coverage: float
     result: CoverageResult
-    powers: PowerVector
+    gene_ids: tuple[int, ...]
+    powers: np.ndarray  # EIRP in dBm per gene, in gene_ids order
     topology: Topology
     assoc: Association
 
@@ -392,26 +294,26 @@ class MonteCarloResult:
 
 def run_trial(config: ScenarioConfig, powers_policy: PowersPolicy,
               seed: int, trial_index: int) -> TrialOutcome:
-    """One self-contained Monte-Carlo trial (safe to run concurrently)."""
+    """One self-contained Monte-Carlo trial."""
     instance = build_instance(config, seed, trial_index)
     policy_rng = derive_rng(seed, trial_index, "policy")
     powers = powers_policy(instance, policy_rng)
-    result = instance.score(powers)
+    result = instance.evaluate(powers)
     return TrialOutcome(trial_index=trial_index,
                         coverage=result.coverage_probability,
-                        result=result, powers=powers,
+                        result=result, gene_ids=instance.gene_ids,
+                        powers=powers,
                         topology=instance.topology, assoc=instance.assoc)
 
 
 def monte_carlo_coverage(config: ScenarioConfig,
                          powers_policy: Union[str, PowersPolicy],
-                         trials: int, seed: int,
-                         workers: int = 1) -> MonteCarloResult:
+                         trials: int, seed: int) -> MonteCarloResult:
     """Mean service coverage over independent trials.
 
     Each trial redraws the UE pattern and the channel, re-associates,
     re-allocates, applies the power policy, and evaluates coverage. The
-    policy is a callable (instance, rng) -> PowerVector or one of
+    policy is a callable (instance, rng) -> EIRP array or one of
     "max" | "random" | "ga".
     """
     if trials < 1:
@@ -419,15 +321,8 @@ def monte_carlo_coverage(config: ScenarioConfig,
     if isinstance(powers_policy, str):
         from .policies import make_policy
         powers_policy = make_policy(powers_policy, config)
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(
-                lambda t: run_trial(config, powers_policy, seed, t),
-                range(trials)))
-    else:
-        outcomes = [run_trial(config, powers_policy, seed, t)
-                    for t in range(trials)]
+    outcomes = [run_trial(config, powers_policy, seed, t)
+                for t in range(trials)]
     per_trial = np.array([o.coverage for o in outcomes])
     return MonteCarloResult(mean_coverage=float(per_trial.mean()),
                             per_trial=per_trial, outcomes=tuple(outcomes))

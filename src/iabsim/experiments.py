@@ -21,9 +21,8 @@ byte-for-byte. Partial files are removed on failure.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -72,18 +71,11 @@ def _write_csv(path: str, config: ScenarioConfig, experiment: str,
     os.replace(tmp, path)
 
 
-def _map_ordered(fn: Callable, items: Sequence, workers: int) -> list:
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
 # ---------------------------------------------------------------------------
 # Individual experiments
 # ---------------------------------------------------------------------------
 
-def run_ga_trace(config: ScenarioConfig, out: str, workers: int = 1) -> list[str]:
+def run_ga_trace(config: ScenarioConfig, out: str) -> list[str]:
     """Optimizer convergence: one best-coverage column per seed."""
     params = GaParams.from_config(config)
     seeds = [config.seed + k for k in range(config.trace_seeds)]
@@ -93,7 +85,7 @@ def run_ga_trace(config: ScenarioConfig, out: str, workers: int = 1) -> list[str
         rng = derive_rng(seed, 0, "policy")
         return optimize(instance, params, rng).trace
 
-    traces = _map_ordered(one, seeds, workers)
+    traces = [one(seed) for seed in seeds]
     columns = ["iteration"] + [f"best_coverage_s{s}" for s in seeds]
     rows = [[it + 1] + [t[it] for t in traces]
             for it in range(params.n_iterations)]
@@ -101,17 +93,14 @@ def run_ga_trace(config: ScenarioConfig, out: str, workers: int = 1) -> list[str
     return [out]
 
 
-def _mean_coverage(config: ScenarioConfig, policy_name: str,
-                   workers: int) -> float:
+def _mean_coverage(config: ScenarioConfig, policy_name: str) -> float:
     policy = make_policy(policy_name, config)
-    res = monte_carlo_coverage(config, policy, config.trials, config.seed,
-                               workers=workers)
+    res = monte_carlo_coverage(config, policy, config.trials, config.seed)
     return res.mean_coverage
 
 
 def run_coverage_vs_ues(config: ScenarioConfig, out: str,
-                        rbs_values: tuple[int, ...] = (2, 4),
-                        workers: int = 1) -> list[str]:
+                        rbs_values: tuple[int, ...] = (2, 4)) -> list[str]:
     """Coverage vs UE count for the optimized and baseline power policies."""
     written = []
     for rbs in rbs_values:
@@ -120,9 +109,9 @@ def run_coverage_vs_ues(config: ScenarioConfig, out: str,
         for num_ues in config.sweep_ues:
             cfg = cfg_rb.replace(num_ues=num_ues)
             rows.append([num_ues,
-                         _mean_coverage(cfg, "ga", workers),
-                         _mean_coverage(cfg, "max", workers),
-                         _mean_coverage(cfg, "random", workers)])
+                         _mean_coverage(cfg, "ga"),
+                         _mean_coverage(cfg, "max"),
+                         _mean_coverage(cfg, "random")])
         path = _suffixed(out, f"_rb{rbs}") if len(rbs_values) > 1 else out
         _write_csv(path, cfg_rb, "coverage-vs-ues",
                    ["num_ues", "coverage_optimized", "coverage_max_power",
@@ -131,8 +120,7 @@ def run_coverage_vs_ues(config: ScenarioConfig, out: str,
     return written
 
 
-def run_coverage_vs_sinr(config: ScenarioConfig, out: str,
-                         workers: int = 1) -> list[str]:
+def run_coverage_vs_sinr(config: ScenarioConfig, out: str) -> list[str]:
     """Coverage vs median access SINR, separated vs simultaneous slots.
 
     Powers are selected per trial under separated operation (via the
@@ -148,15 +136,14 @@ def run_coverage_vs_sinr(config: ScenarioConfig, out: str,
     def one(trial: int):
         inst_sep = build_instance(cfg_sep, config.seed, trial)
         inst_sim = build_instance(cfg_sim, config.seed, trial)
-        powers = policy(inst_sep, derive_rng(config.seed, trial, "policy"))
-        arr = powers.as_array(inst_sep.gene_ids)
+        arr = policy(inst_sep, derive_rng(config.seed, trial, "policy"))
         cov_sep = np.array([inst_sep.batch_coverage(arr, -b)[0] for b in backoffs])
         cov_sim = np.array([inst_sim.batch_coverage(arr, -b)[0] for b in backoffs])
         sinr_sep = np.array([inst_sep.access_sinr_db(arr, -b) for b in backoffs])
         sinr_sim = np.array([inst_sim.access_sinr_db(arr, -b) for b in backoffs])
         return cov_sep, cov_sim, sinr_sep, sinr_sim
 
-    results = _map_ordered(one, range(config.trials), workers)
+    results = [one(trial) for trial in range(config.trials)]
     cov_sep = np.mean([r[0] for r in results], axis=0)
     cov_sim = np.mean([r[1] for r in results], axis=0)
     sinr_sep = np.median(np.concatenate([r[2] for r in results], axis=1), axis=1)
@@ -169,40 +156,37 @@ def run_coverage_vs_sinr(config: ScenarioConfig, out: str,
     return [out]
 
 
-def run_intercell(config: ScenarioConfig, out: str,
-                  workers: int = 1) -> list[str]:
+def run_intercell(config: ScenarioConfig, out: str) -> list[str]:
     """One-cell vs two-cell coverage across the UE sweep."""
     rows = []
     for num_ues in config.sweep_ues:
         cov = []
         for cells in (1, 2):
             cfg = config.replace(num_ues=num_ues, num_cells=cells)
-            cov.append(_mean_coverage(cfg, config.power_policy, workers))
+            cov.append(_mean_coverage(cfg, config.power_policy))
         rows.append([num_ues, cov[0], cov[1]])
     _write_csv(out, config, "intercell",
                ["num_ues", "coverage_1cell", "coverage_2cell"], rows)
     return [out]
 
 
-def run_power_cdf(config: ScenarioConfig, out: str,
-                  workers: int = 1) -> list[str]:
+def run_power_cdf(config: ScenarioConfig, out: str) -> list[str]:
     """Optimized per-node EIRPs across trials for several minimum rates."""
     rows = []
     for rate in config.powercdf_rates_bps:
         cfg = config.replace(min_rate_bps=rate)
-        res = monte_carlo_coverage(cfg, "ga", cfg.trials, cfg.seed,
-                                   workers=workers)
+        res = monte_carlo_coverage(cfg, "ga", cfg.trials, cfg.seed)
         for outcome in res.outcomes:
             topo, assoc = outcome.topology, outcome.assoc
-            for node_id in sorted(outcome.powers.eirp_dbm):
+            for node_id, eirp in zip(outcome.gene_ids,
+                                     outcome.powers.tolist()):
                 node = topo.node(node_id)
                 if node.role is NodeRole.UE:
                     server = topo.node(assoc.ue_to_bs[node_id]).role.value
                 else:
                     server = NodeRole.DONOR.value
                 rows.append([rate, outcome.trial_index, node_id,
-                             node.role.value, server,
-                             outcome.powers.of(node_id)])
+                             node.role.value, server, eirp])
     _write_csv(out, config, "power-cdf",
                ["min_rate_bps", "trial", "node_id", "role", "server_role",
                 "eirp_dbm"], rows)
@@ -223,8 +207,7 @@ _RUNNERS = {
 }
 
 
-def run_experiment(spec: ExperimentSpec, config: ScenarioConfig,
-                   workers: int = 1) -> list[str]:
+def run_experiment(spec: ExperimentSpec, config: ScenarioConfig) -> list[str]:
     """Run one experiment, returning the written CSV paths.
 
     On any failure every output (including partials) is removed before the
@@ -234,10 +217,9 @@ def run_experiment(spec: ExperimentSpec, config: ScenarioConfig,
     try:
         if spec.name == "coverage-vs-ues":
             written = run_coverage_vs_ues(config, spec.out,
-                                          rbs_values=spec.rbs_values,
-                                          workers=workers)
+                                          rbs_values=spec.rbs_values)
         else:
-            written = _RUNNERS[spec.name](config, spec.out, workers=workers)
+            written = _RUNNERS[spec.name](config, spec.out)
         return written
     except BaseException:
         candidates = set(written)

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ScenarioConfig
-from .coverage import PowerVector, ScenarioInstance
+from .coverage import ScenarioInstance
 
 # Uniforms drawn per block of generations, in doubles. It bounds a block's
 # memory; the stream is the same whatever its value.
@@ -81,7 +81,7 @@ class GaParams:
 
 @dataclass(frozen=True)
 class GaResult:
-    queen: PowerVector
+    queen: np.ndarray  # EIRP in dBm per gene, in the instance's gene_ids order
     queen_fitness: float
     trace: np.ndarray  # best fitness after each iteration, length n_iterations
     n_evaluations: int
@@ -199,6 +199,7 @@ def optimize(instance: ScenarioInstance, params: GaParams,
                 queen, queen_fitness = immigrants[t, imm_best[t]], imm_top[t]
             trace[start + t] = queen_fitness
 
-    return GaResult(queen=PowerVector.from_array(instance.gene_ids, queen),
+    # A copy, so the result does not keep the last block of draws alive.
+    return GaResult(queen=queen.copy(),
                     queen_fitness=queen_fitness, trace=trace,
                     n_evaluations=n_evaluations)

@@ -1,7 +1,8 @@
 """Power-assignment policies fed to the Monte-Carlo evaluator.
 
 "max" and "random" are the non-optimized baselines; "ga" runs the elitist
-search against the trial's frozen realization.
+search against the trial's frozen realization. Each returns EIRPs in dBm
+in the instance's `gene_ids` order.
 """
 
 from __future__ import annotations
@@ -9,23 +10,23 @@ from __future__ import annotations
 import numpy as np
 
 from .config import ScenarioConfig
-from .coverage import PowerVector, PowersPolicy, ScenarioInstance
+from .coverage import PowersPolicy, ScenarioInstance
 from .ga import GaParams, optimize
 
 
 def max_power_policy(instance: ScenarioInstance,
-                     rng: np.random.Generator) -> PowerVector:
-    return instance.max_power_vector()
+                     rng: np.random.Generator) -> np.ndarray:
+    return instance.upper.copy()
 
 
 def random_power_policy(instance: ScenarioInstance,
-                        rng: np.random.Generator) -> PowerVector:
-    return instance.random_power_vector(rng)
+                        rng: np.random.Generator) -> np.ndarray:
+    return rng.uniform(instance.lower, instance.upper)
 
 
 def ga_policy(params: GaParams) -> PowersPolicy:
     def policy(instance: ScenarioInstance,
-               rng: np.random.Generator) -> PowerVector:
+               rng: np.random.Generator) -> np.ndarray:
         return optimize(instance, params, rng).queen
     return policy
 

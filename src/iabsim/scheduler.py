@@ -22,9 +22,6 @@ class Association:
     ue_to_bs: dict[int, int]
     iab_to_donor: dict[int, int]
 
-    def children_of(self, bs_id: int) -> tuple[int, ...]:
-        return tuple(sorted(u for u, b in self.ue_to_bs.items() if b == bs_id))
-
 
 @dataclass(frozen=True)
 class RbAllocation:

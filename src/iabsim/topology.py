@@ -174,8 +174,3 @@ def distance_3d(a: NetworkNode, b: NetworkNode) -> float:
     """Euclidean distance between antenna tops, in meters."""
     return math.sqrt((a.x - b.x) ** 2 + (a.y - b.y) ** 2
                      + (a.height - b.height) ** 2)
-
-
-def distance_2d(a: NetworkNode, b: NetworkNode) -> float:
-    """Horizontal distance, in meters."""
-    return math.hypot(a.x - b.x, a.y - b.y)

@@ -1,11 +1,168 @@
-"""Readable references for the tests to hold the fast paths against."""
+"""Readable references for the tests to hold the fast paths against.
+
+The per-link evaluator below computes the link budget of one trial one
+link at a time, with powers as a ``{node_id: EIRP in dBm}`` mapping; the
+batched kernel of `iabsim.coverage.ScenarioInstance` must agree with it.
+"""
 
 import math
+from dataclasses import dataclass
+from typing import Iterable, Mapping
 
 import numpy as np
 
-from iabsim.coverage import PowerVector, ScenarioInstance
+from iabsim.channel import (ChannelParams, ChannelRealization, NoiseModel,
+                            min_sinr)
+from iabsim.coverage import (CoverageResult, ScenarioInstance,
+                             ServiceRequirement, UeStatus)
 from iabsim.ga import GaParams, GaResult
+from iabsim.scheduler import Association, RbAllocation, SlotPlan
+from iabsim.topology import NetworkNode, NodeRole, Topology
+
+
+class MissingLinkError(KeyError):
+    """A channel realization was asked for a link it never sampled."""
+
+
+@dataclass(frozen=True)
+class LinkSample:
+    """One sampled link: geometry-derived and random losses, all in dB."""
+    tx_id: int
+    rx_id: int
+    d3d_m: float
+    pathloss_db: float
+    shadowing_db: float
+    fading_db: float
+    rain_db: float
+
+
+def link(realization: ChannelRealization, tx_id: int, rx_id: int) -> LinkSample:
+    """One link of a realization; self pairs and unknown ids raise."""
+    i = int(np.searchsorted(realization.tx_ids, tx_id))
+    k = int(np.searchsorted(realization.rx_ids, rx_id))
+    if (tx_id == rx_id or i == len(realization.tx_ids)
+            or k == len(realization.rx_ids)
+            or realization.tx_ids[i] != tx_id or realization.rx_ids[k] != rx_id):
+        raise MissingLinkError(f"no sampled link for tx={tx_id} rx={rx_id}")
+    return LinkSample(tx_id=tx_id, rx_id=rx_id,
+                      d3d_m=float(realization.d3d_m[i, k]),
+                      pathloss_db=float(realization.pathloss_db[i, k]),
+                      shadowing_db=float(realization.shadowing_db[i, k]),
+                      fading_db=float(realization.fading_db[i, k]),
+                      rain_db=float(realization.rain_db[i, k]))
+
+
+def received_power(eirp_dbm: float, link: LinkSample,
+                   params: ChannelParams) -> float:
+    """Received power in dBm for a given transmit EIRP over a sampled link."""
+    return (eirp_dbm + params.rx_gain_db - link.pathloss_db
+            - link.shadowing_db - link.rain_db - link.fading_db)
+
+
+def interference_at(victim_rx: NetworkNode, victim_rbs: frozenset[int],
+                    co_slot_transmitters: Iterable[tuple[NetworkNode, float, frozenset[int]]],
+                    realization: ChannelRealization) -> float:
+    """Aggregate interference at a receiver, in linear milliwatts.
+
+    Each co-slot transmitter contributes its received power scaled by the
+    fraction of the victim's resource blocks it overlaps. The victim's own
+    transmitter must not be in the list; the receiver itself is skipped.
+    """
+    if not victim_rbs:
+        return 0.0
+    total_mw = 0.0
+    n_victim = len(victim_rbs)
+    for node, eirp_dbm, rbs in co_slot_transmitters:
+        if node.id == victim_rx.id:
+            continue
+        overlap = len(victim_rbs & rbs) / n_victim
+        if overlap == 0.0:
+            continue
+        p_r = received_power(eirp_dbm, link(realization, node.id, victim_rx.id),
+                             realization.params)
+        total_mw += overlap * 10.0 ** (p_r / 10.0)
+    return total_mw
+
+
+def sinr(p_r_dbm: float, interference_mw: float, noise: NoiseModel) -> float:
+    """Linear SINR: signal over interference plus thermal noise."""
+    return 10.0 ** (p_r_dbm / 10.0) / (interference_mw + noise.total_mw)
+
+
+def achievable_rate(gamma: float, bw_hz: float) -> float:
+    """Shannon rate in bits/s for a linear SINR over a bandwidth."""
+    if gamma < 0:
+        raise ValueError(f"gamma must be >= 0, got {gamma}")
+    return bw_hz * math.log2(1.0 + gamma)
+
+
+def evaluate_trial(topology: Topology, assoc: Association,
+                   alloc: RbAllocation, slot_plan: SlotPlan,
+                   powers: Mapping[int, float], realization: ChannelRealization,
+                   req: ServiceRequirement) -> CoverageResult:
+    """Per-UE coverage evaluation over one channel realization.
+
+    Access links are checked first; for relay-served UEs the serving relay's
+    backhaul must also sustain the aggregate of its children's target rates.
+    A failed backhaul marks every child of that relay BACKHAUL_FAIL. Missing
+    realization entries raise; nothing is silently defaulted.
+    """
+    params = realization.params
+    nf = params.noise_figure_db
+
+    access_pass: dict[int, bool] = {}
+    for ue in topology.ues:
+        bs_id = assoc.ue_to_bs[ue.id]
+        rbs = alloc.rbs_of(ue.id)
+        bw = alloc.bandwidth_hz(ue.id)
+        p_r = received_power(powers[ue.id], link(realization, ue.id, bs_id),
+                             params)
+        slot = slot_plan.slot_of(ue.id)
+        co = [(topology.node(j), powers[j], alloc.rbs_of(j))
+              for j in sorted(slot) if j != ue.id]
+        i_mw = interference_at(topology.node(bs_id), rbs, co, realization)
+        gamma = sinr(p_r, i_mw, NoiseModel(bw, nf))
+        access_pass[ue.id] = gamma >= min_sinr(req.min_rate_bps, bw)
+
+    backhaul_pass: dict[int, bool] = {}
+    for iab in topology.iab_nodes:
+        children = [u for u, bs in assoc.ue_to_bs.items() if bs == iab.id]
+        if not children:
+            backhaul_pass[iab.id] = True
+            continue
+        donor_id = assoc.iab_to_donor[iab.id]
+        union = alloc.rbs_of(iab.id)
+        bw = alloc.bandwidth_hz(iab.id)
+        p_r = received_power(powers[iab.id], link(realization, iab.id, donor_id),
+                             params)
+        slot = slot_plan.slot_of(iab.id)
+        co = [(topology.node(j), powers[j], alloc.rbs_of(j))
+              for j in sorted(slot) if j != iab.id]
+        i_mw = interference_at(topology.node(donor_id), union, co, realization)
+        gamma = sinr(p_r, i_mw, NoiseModel(bw, nf))
+        aggregate = req.min_rate_bps * len(children)
+        backhaul_pass[iab.id] = gamma >= min_sinr(aggregate, bw)
+
+    per_ue: dict[int, UeStatus] = {}
+    for ue in topology.ues:
+        bs = topology.node(assoc.ue_to_bs[ue.id])
+        if bs.role is NodeRole.IAB and not backhaul_pass[bs.id]:
+            per_ue[ue.id] = UeStatus.BACKHAUL_FAIL
+        elif not access_pass[ue.id]:
+            per_ue[ue.id] = UeStatus.ACCESS_FAIL
+        else:
+            per_ue[ue.id] = UeStatus.COVERED
+    return CoverageResult.of(per_ue)
+
+
+def reference_evaluate(instance: ScenarioInstance,
+                       eirp_dbm: np.ndarray) -> CoverageResult:
+    """`ScenarioInstance.evaluate` by the per-link path: `evaluate_trial` on
+    the instance's trial, with the EIRPs keyed by `gene_ids`."""
+    powers = dict(zip(instance.gene_ids, np.asarray(eirp_dbm).tolist()))
+    return evaluate_trial(instance.topology, instance.assoc, instance.alloc,
+                          instance.slot_plan, powers, instance.realization,
+                          instance.req)
 
 
 def _select_full(pop: np.ndarray, fitness: np.ndarray) -> int:
@@ -56,6 +213,6 @@ def reference_optimize(instance: ScenarioInstance, params: GaParams,
         queen, queen_fitness = pop[best].copy(), float(fitness[best])
         trace.append(queen_fitness)
 
-    return GaResult(queen=PowerVector.from_array(instance.gene_ids, queen),
+    return GaResult(queen=queen,
                     queen_fitness=queen_fitness, trace=np.array(trace),
                     n_evaluations=n_evaluations)

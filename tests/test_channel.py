@@ -5,15 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from iabsim.channel import (ChannelParams, ChannelRealization, LinkSample,
-                            MissingLinkError, NoiseModel, achievable_rate,
-                            breakpoint_distance, interference_at, min_sinr,
-                            pathloss_uma, rain_attenuation, rain_coefficients,
-                            received_power, sample_fading, sample_realization,
-                            sample_shadowing, sinr)
+from iabsim.channel import (ChannelParams, ChannelRealization, NoiseModel,
+                            breakpoint_distance, min_sinr, pathloss_uma,
+                            rain_attenuation, rain_coefficients, sample_fading,
+                            sample_realization, sample_shadowing)
 from iabsim.config import ScenarioConfig
 from iabsim.rng import derive_rng
 from iabsim.topology import NetworkNode, NodeRole, build_topology
+from oracle import (LinkSample, MissingLinkError, achievable_rate,
+                    interference_at, link, received_power, sinr)
 
 PARAMS = ChannelParams()
 
@@ -320,10 +320,10 @@ class TestRealization:
             for rx in topo.receivers:
                 if tx.id == rx.id:
                     continue
-                link = real.link(tx.id, rx.id)
-                assert math.isfinite(link.pathloss_db)
-                assert link.rain_db >= 0.0
-                assert link.pathloss_db > 0.0
+                sample = link(real, tx.id, rx.id)
+                assert math.isfinite(sample.pathloss_db)
+                assert sample.rain_db >= 0.0
+                assert sample.pathloss_db > 0.0
 
     def test_fading_disabled_is_zero(self):
         cfg = ScenarioConfig(num_ues=2, trials=1)
@@ -331,7 +331,8 @@ class TestRealization:
         real = sample_realization(topo, PARAMS, 0.0,
                                   shadow_rng=derive_rng(2, "s"),
                                   fading_rng=None)
-        assert all(l.fading_db == 0.0 for l in real.links.values())
+        assert all(link(real, tx, rx).fading_db == 0.0
+                   for tx, rx in real.links.tolist())
 
     def test_missing_pair_raises(self):
         cfg = ScenarioConfig(num_ues=2, trials=1)
@@ -340,4 +341,4 @@ class TestRealization:
                                   shadow_rng=derive_rng(2, "s"),
                                   fading_rng=None)
         with pytest.raises(MissingLinkError):
-            real.link(500, 501)
+            link(real, 500, 501)

@@ -287,3 +287,31 @@ class TestIntegral:
                      "--out", str(tmp_path / "x.csv")])
         assert code == 1
         assert line.split()[0] in capsys.readouterr().err
+
+
+class TestNonNumericTuple:
+    @pytest.mark.parametrize("value", [("a",), (1.0, None), (True,)])
+    @pytest.mark.parametrize("key", ["sweep_backoff_db", "powercdf_rates_bps"])
+    def test_code_value_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            ScenarioConfig().replace(**{key: value})
+
+    @pytest.mark.parametrize("value", [(("a", 0.0),), ((1.0,),),
+                                       ((1.0, 2.0, 3.0),), (5.0,)])
+    def test_code_positions_rejected(self, value):
+        with pytest.raises(ConfigError, match="ue_positions"):
+            ScenarioConfig().replace(ue_positions=value, num_ues=1)
+
+    @pytest.mark.parametrize("text, key", [
+        ('powercdf_rates_bps = ["a"]', "powercdf_rates_bps"),
+        ('sweep_backoff_db = ["x"]', "sweep_backoff_db"),
+        ('num_ues = 1\nue_positions = [("a", 0.0)]', "ue_positions")])
+    def test_file_value_exits_1(self, tmp_path, capsys, text, key):
+        from iabsim.cli import main
+        path = tmp_path / "bad.cfg"
+        path.write_text(text + "\n")
+        code = main(["run", "power-cdf", "--config", str(path),
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()

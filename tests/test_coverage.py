@@ -5,13 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from iabsim.channel import MissingLinkError
 from iabsim.config import ScenarioConfig
-from iabsim.coverage import (PowerVector, ScenarioInstance, UeStatus,
-                             build_instance, evaluate_trial,
-                             monte_carlo_coverage)
-from iabsim.rng import derive_rng
+from iabsim.coverage import (UeStatus, build_instance, monte_carlo_coverage,
+                             run_trial)
+from iabsim.policies import make_policy
 from iabsim.topology import NodeRole
+from oracle import MissingLinkError, evaluate_trial, reference_evaluate
 
 
 def deterministic_config(**kw):
@@ -26,6 +25,11 @@ def deterministic_config(**kw):
 MICRO = deterministic_config(num_ues=2, num_cells=1, num_iab_per_cell=0,
                              ue_positions=((50.0, 0.0), (190.0, 0.0)),
                              min_rate_bps=80e6, power_policy="max")
+
+
+def eirp_of(inst, powers):
+    """A {node_id: EIRP} mapping as the instance's gene-ordered array."""
+    return np.array([powers[g] for g in inst.gene_ids])
 
 
 def micro_oracle_coverage():
@@ -48,14 +52,14 @@ class TestEvaluateTrial:
     def test_overwhelming_sinr_full_coverage(self):
         cfg = deterministic_config(num_ues=4, min_rate_bps=64e3)
         inst = build_instance(cfg, seed=1, trial_index=0)
-        res = inst.evaluate(inst.max_power_vector())
+        res = inst.evaluate(inst.upper)
         assert res.coverage_probability == 1.0
         assert all(s is UeStatus.COVERED for s in res.per_ue.values())
 
     def test_no_ues_vacuous_coverage(self):
         cfg = deterministic_config(num_ues=0)
         inst = build_instance(cfg, seed=1, trial_index=0)
-        res = inst.evaluate(inst.max_power_vector())
+        res = inst.evaluate(inst.upper)
         assert res.coverage_probability == 1.0
         assert res.per_ue == {}
 
@@ -72,12 +76,12 @@ class TestEvaluateTrial:
         assert all(bs == iab.id for bs in inst.assoc.ue_to_bs.values())
         powers = {n.id: 23.0 for n in inst.topology.ues}
         powers[iab.id] = 35.0
-        res = inst.evaluate(PowerVector(powers))
+        res = inst.evaluate(eirp_of(inst, powers))
         assert res.coverage_probability == 0.0
         assert all(s is UeStatus.BACKHAUL_FAIL for s in res.per_ue.values())
         # The same children are fine when the relay transmits at full power.
         powers[iab.id] = 53.0
-        res_max = inst.evaluate(PowerVector(powers))
+        res_max = inst.evaluate(eirp_of(inst, powers))
         assert res_max.coverage_probability == 1.0
 
     def test_donor_served_never_backhaul_fail(self):
@@ -85,7 +89,7 @@ class TestEvaluateTrial:
                              rb_max=16, trials=1)
         for trial in range(5):
             inst = build_instance(cfg, seed=5, trial_index=trial)
-            res = inst.evaluate(inst.max_power_vector())
+            res = inst.evaluate(inst.upper)
             for ue_id, status in res.per_ue.items():
                 server = inst.topology.node(inst.assoc.ue_to_bs[ue_id])
                 if server.role is NodeRole.DONOR:
@@ -95,7 +99,7 @@ class TestEvaluateTrial:
         cfg = ScenarioConfig(num_ues=25, num_cells=2, rb_max=16,
                              min_rate_bps=1e6, trials=1)
         inst = build_instance(cfg, seed=8, trial_index=0)
-        res = inst.evaluate(inst.max_power_vector())
+        res = inst.evaluate(inst.upper)
         indicator = [1 if s is UeStatus.COVERED else 0
                      for s in res.per_ue.values()]
         assert res.coverage_probability == pytest.approx(np.mean(indicator))
@@ -116,13 +120,13 @@ class TestEvaluateTrial:
             rain_rate_mm_h=0.0, params=full.params)
         with pytest.raises(MissingLinkError):
             evaluate_trial(inst.topology, inst.assoc, inst.alloc,
-                           inst.slot_plan, inst.max_power_vector(), real,
-                           inst.req)
+                           inst.slot_plan, dict(zip(inst.gene_ids, inst.upper)),
+                           real, inst.req)
 
     def test_raising_rate_never_helps(self):
         cfg = ScenarioConfig(num_ues=20, num_cells=2, rb_max=16, trials=1)
         inst = build_instance(cfg, seed=4, trial_index=0)
-        powers = inst.max_power_vector()
+        powers = inst.upper
         prev = 1.1
         for rate in (64e3, 5e5, 1e6, 5e6, 2e7):
             cfg_r = cfg.replace(min_rate_bps=rate)
@@ -139,7 +143,7 @@ class TestEvaluateTrial:
         ue_id = inst.topology.ues[0].id
         statuses = []
         for eirp in np.linspace(23.0, 43.0, 41):
-            res = inst.evaluate(PowerVector({ue_id: float(eirp)}))
+            res = inst.evaluate(eirp_of(inst, {ue_id: float(eirp)}))
             statuses.append(res.per_ue[ue_id] is UeStatus.COVERED)
         # Once covered, stays covered as power rises.
         first = statuses.index(True) if True in statuses else len(statuses)
@@ -154,10 +158,9 @@ class TestFastPathAgreement:
         inst = build_instance(cfg, seed=6, trial_index=0)
         rng = np.random.default_rng(0)
         for _ in range(20):
-            vec = PowerVector.from_array(
-                inst.gene_ids, rng.uniform(inst.lower, inst.upper))
-            fast = inst.coverage_of(vec)
-            slow = inst.evaluate(vec).coverage_probability
+            vec = rng.uniform(inst.lower, inst.upper)
+            fast = inst.batch_coverage(vec)[0]
+            slow = reference_evaluate(inst, vec).coverage_probability
             assert fast == pytest.approx(slow, abs=1e-12)
 
     def test_backhaul_failure_beside_donor_served_ues(self):
@@ -177,7 +180,7 @@ class TestFastPathAgreement:
         batch = inst.batch_coverage(mat)
         statuses = []
         for row, fast in zip(mat, batch):
-            res = inst.evaluate(PowerVector.from_array(inst.gene_ids, row))
+            res = reference_evaluate(inst, row)
             assert fast == pytest.approx(res.coverage_probability, abs=1e-12)
             statuses.append(res.per_ue)
         servers = inst.assoc.ue_to_bs
@@ -206,7 +209,7 @@ class TestMonteCarlo:
         cfg = deterministic_config(num_ues=5, power_policy="max")
         res = monte_carlo_coverage(cfg, "max", trials=1, seed=31)
         inst = build_instance(cfg, seed=31, trial_index=0)
-        direct = inst.evaluate(inst.max_power_vector()).coverage_probability
+        direct = inst.evaluate(inst.upper).coverage_probability
         assert res.mean_coverage == direct
 
     def test_determinism(self):
@@ -216,13 +219,18 @@ class TestMonteCarlo:
         b = monte_carlo_coverage(cfg, "random", trials=8, seed=12)
         assert np.array_equal(a.per_trial, b.per_trial)
 
-    def test_serial_and_threaded_identical(self):
+    def test_trial_order_does_not_change_results(self):
         cfg = ScenarioConfig(num_ues=12, num_cells=2, rb_max=16,
                              min_rate_bps=1e6, trials=1)
-        serial = monte_carlo_coverage(cfg, "random", trials=10, seed=2)
-        threaded = monte_carlo_coverage(cfg, "random", trials=10, seed=2,
-                                        workers=4)
-        assert np.array_equal(serial.per_trial, threaded.per_trial)
+        in_order = monte_carlo_coverage(cfg, "random", trials=10, seed=2)
+        policy = make_policy("random", cfg)
+        reversed_order = [run_trial(cfg, policy, 2, t)
+                          for t in reversed(range(10))][::-1]
+        assert np.array_equal(in_order.per_trial,
+                              [o.coverage for o in reversed_order])
+        for a, b in zip(in_order.outcomes, reversed_order):
+            assert a.gene_ids == b.gene_ids
+            assert np.array_equal(a.powers, b.powers)
 
     def test_micro_oracle_exact(self):
         res = monte_carlo_coverage(MICRO, "max", trials=4, seed=9)

@@ -177,17 +177,6 @@ class TestDeterminism:
         run_experiment(ExperimentSpec("intercell", second), reloaded)
         assert Path(second).read_bytes() == Path(first).read_bytes()
 
-    def test_workers_do_not_change_bytes(self, tmp_path):
-        cfg = tiny_config(num_ues=5, num_cells=2, trials=4,
-                          power_policy="max")
-        serial = str(tmp_path / "serial.csv")
-        parallel = str(tmp_path / "parallel.csv")
-        run_experiment(ExperimentSpec("coverage-vs-sinr", serial), cfg,
-                       workers=1)
-        run_experiment(ExperimentSpec("coverage-vs-sinr", parallel), cfg,
-                       workers=4)
-        assert Path(serial).read_bytes() == Path(parallel).read_bytes()
-
 
 class TestFailureCleanup:
     def test_partial_outputs_removed(self, tmp_path, monkeypatch):
@@ -274,6 +263,13 @@ class TestCli:
                      "--out", out])
         assert code == 1
         assert "num_ues" in capsys.readouterr().err
+
+    def test_workers_flag_is_unknown(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code = main(["run", "ga-trace", "--workers", "2", "--out", str(out)])
+        assert code == 1
+        assert "--workers" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_config_file_exit_code(self, tmp_path):
         out = str(tmp_path / "x.csv")

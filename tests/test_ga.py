@@ -170,7 +170,7 @@ class TestOptimize:
         assert res.queen_fitness == 1.0
         assert np.array_equal(res.trace, np.ones(12))
         assert res.n_evaluations == 6 * (12 + 1)
-        assert res.queen.eirp_dbm == {}
+        assert res.queen.shape == (0,)
 
     def test_no_genes_monte_carlo(self):
         cfg = ScenarioConfig(num_ues=0, num_iab_per_cell=0, ga_iterations=5,
@@ -209,7 +209,7 @@ class TestOptimize:
         params = GaParams(n_iterations=200)
         res = optimize(inst, params, derive_rng(10, "ga"))
         assert res.queen_fitness == 1.0
-        gene = res.queen.of(inst.topology.ues[0].id)
+        gene = res.queen[inst.gene_ids.index(inst.topology.ues[0].id)]
         assert abs(gene - 43.0) <= params.mutation_step_db
         assert gene >= threshold - 0.1  # sweep brackets the true threshold
 
@@ -223,7 +223,8 @@ class TestOptimize:
         res = optimize(inst, params, derive_rng(11, "ga"))
         # with coverage flat at 1.0, the power tie-break walks the gene down
         assert res.queen_fitness == 1.0
-        assert res.queen.of(inst.topology.ues[0].id) == pytest.approx(23.0)
+        ue_gene = inst.gene_ids.index(inst.topology.ues[0].id)
+        assert res.queen[ue_gene] == pytest.approx(23.0)
 
     def test_lowest_index_on_full_tie(self):
         from iabsim.ga import _select
@@ -239,7 +240,7 @@ class TestOptimize:
         params = GaParams(n_iterations=30)
         a = optimize(inst, params, derive_rng(12, "ga"))
         b = optimize(inst, params, derive_rng(12, "ga"))
-        assert a.queen.eirp_dbm == b.queen.eirp_dbm
+        assert np.array_equal(a.queen, b.queen)
         assert np.array_equal(a.trace, b.trace)
 
     def test_all_candidates_feasible(self):

@@ -14,10 +14,10 @@ import iabsim.ga as ga
 from iabsim.channel import (ChannelParams, pathloss_uma, sample_fading,
                             sample_realization, sample_shadowing)
 from iabsim.config import ScenarioConfig
-from iabsim.coverage import PowerVector, build_instance
+from iabsim.coverage import build_instance
 from iabsim.rng import derive_rng
 from iabsim.topology import build_topology, distance_3d
-from oracle import reference_optimize
+from oracle import link, reference_evaluate, reference_optimize
 
 # Small and deterministic, so Tier-1 stays within a few seconds.
 FAST = settings(max_examples=30, deadline=None, derandomize=True)
@@ -39,24 +39,26 @@ def test_realization_matches_scalar_draws(seed, num_ues, num_cells, num_iab,
         topo, params, 12.0, derive_rng(seed, "shadow"),
         derive_rng(seed, "fade") if fading else None)
     shadow_rng, fade_rng = derive_rng(seed, "shadow"), derive_rng(seed, "fade")
-    n = 0
+    pairs = []
     for tx in sorted(topo.transmitters, key=lambda node: node.id):
         for rx in sorted(topo.receivers, key=lambda node: node.id):
             if tx.id == rx.id:
                 continue
-            n += 1
-            link = real.link(tx.id, rx.id)
+            pairs.append([tx.id, rx.id])
+            sample = link(real, tx.id, rx.id)
             # Same stream, same (tx, rx) order: bit-identical shadowing.
-            assert link.shadowing_db == float(sample_shadowing(shadow_rng, params))
+            assert sample.shadowing_db == float(sample_shadowing(shadow_rng, params))
             expected_fade = float(sample_fading(fade_rng)) if fading else 0.0
-            assert abs(link.fading_db - expected_fade) <= 1e-12
+            assert abs(sample.fading_db - expected_fade) <= 1e-12
             d3d = distance_3d(tx, rx)
-            assert math.isclose(link.d3d_m, d3d, rel_tol=1e-15)
+            assert math.isclose(sample.d3d_m, d3d, rel_tol=1e-15)
             assert math.isclose(
-                link.pathloss_db,
+                sample.pathloss_db,
                 float(pathloss_uma(d3d, rx.height, tx.height, params)),
                 rel_tol=1e-14)
-    assert len(real.links) == n == len(list(real.links))
+    # `links` lists the pairs in the order the draws above fill them.
+    assert real.links.shape == (len(pairs), 2)
+    assert real.links.tolist() == pairs
 
 
 @FAST
@@ -79,15 +81,14 @@ def test_batched_status_matches_reference(seed, trial, num_ues, num_cells,
     rng = np.random.default_rng(seed)
     vectors = [inst.upper, inst.lower, rng.uniform(inst.lower, inst.upper)]
     for values in vectors:
-        powers = PowerVector.from_array(inst.gene_ids, values)
-        fast, reference = inst.score(powers), inst.evaluate(powers)
+        fast, reference = inst.evaluate(values), reference_evaluate(inst, values)
         assert fast.per_ue == reference.per_ue
         assert fast.coverage_probability == reference.coverage_probability
         assert inst.batch_coverage(values)[0] == reference.coverage_probability
 
 
 def _same_result(a, b):
-    assert a.queen.eirp_dbm == b.queen.eirp_dbm
+    assert np.array_equal(a.queen, b.queen)
     assert a.queen_fitness == b.queen_fitness
     assert np.array_equal(a.trace, b.trace)
     assert a.n_evaluations == b.n_evaluations
