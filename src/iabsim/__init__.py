@@ -2,20 +2,18 @@
 elitist genetic-algorithm transmit-power control."""
 
 from .config import ConfigError, ScenarioConfig, load_config
-from .coverage import (CoverageResult, ScenarioInstance, ServiceRequirement,
-                       UeStatus, build_instance, monte_carlo_coverage)
+from .coverage import (CoverageResult, ScenarioInstance, UeStatus,
+                       build_instance, monte_carlo_coverage)
 from .ga import GaParams, GaResult, optimize
-from .scheduler import SlotMode
 from .topology import NetworkNode, NodeRole, Topology, build_topology
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ConfigError", "ScenarioConfig", "load_config",
-    "CoverageResult", "ScenarioInstance", "ServiceRequirement",
-    "UeStatus", "build_instance", "monte_carlo_coverage",
+    "CoverageResult", "ScenarioInstance", "UeStatus", "build_instance",
+    "monte_carlo_coverage",
     "GaParams", "GaResult", "optimize",
-    "SlotMode",
     "NetworkNode", "NodeRole", "Topology", "build_topology",
     "__version__",
 ]

@@ -230,7 +230,7 @@ class ChannelRealization:
         return self.pathloss_db + self.shadowing_db
 
 
-def _coordinates(nodes: list[NetworkNode]) -> np.ndarray:
+def _coordinates(nodes: tuple[NetworkNode, ...]) -> np.ndarray:
     """(3, n) array of x, y and antenna height."""
     return np.array([[n.x for n in nodes], [n.y for n in nodes],
                      [n.height for n in nodes]], dtype=float)
@@ -246,8 +246,7 @@ def sample_realization(topology: Topology, params: ChannelParams,
     (donor or IAB node), both cells included, so interference toward any
     victim receiver is always available. ``fading_rng=None`` disables fading.
     """
-    txs = sorted(topology.transmitters, key=lambda n: n.id)
-    rxs = sorted(topology.receivers, key=lambda n: n.id)
+    txs, rxs = topology.transmitters, topology.receivers
     tx_ids = np.array([n.id for n in txs], dtype=int)
     rx_ids = np.array([n.id for n in rxs], dtype=int)
     tx_xyz, rx_xyz = _coordinates(txs), _coordinates(rxs)

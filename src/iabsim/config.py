@@ -26,6 +26,8 @@ class ScenarioConfig:
     fc_ghz: float = 28.0
     bw_mhz: float = 400.0
     scs_khz: float = 120.0
+    # Nothing reads rb_min. It stays because every CSV header lists every
+    # field, so removing it changes every output; it goes with a re-pin.
     rb_min: int = 24
     rb_max: int = 270
     alpha: float = 4.0

@@ -10,16 +10,18 @@ Every evaluation goes through one batched kernel on a `ScenarioInstance`.
 Powers are float arrays of EIRPs in dBm, one entry per gene in `gene_ids`
 order. The power optimizer scores (K, J) batches of candidates with
 `batch_coverage`, and `run_trial` scores the chosen powers with `evaluate`,
-which reads the per-UE status off the same link-pass arrays. The tests hold
-this kernel against a per-link reference (`tests/oracle.py`) that computes
-the same link budget one link at a time.
+which reads the per-UE status off the same link-pass arrays. The scheduler's
+gene-indexed arrays (each gene's receiver id, its RB occupancy row and its
+slot id; see `iabsim.scheduler`) are indexed directly into the kernel's
+victim-link arrays. The tests hold this kernel against a per-link reference
+(`tests/oracle.py`) that schedules and computes the same link budget one
+link at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain
 from typing import Callable, Union
 
 import numpy as np
@@ -28,9 +30,8 @@ from .channel import (ChannelParams, ChannelRealization, NoiseModel,
                       min_sinr, sample_realization)
 from .config import ScenarioConfig
 from .rng import derive_rng
-from .scheduler import (Association, RbAllocation, SlotPlan, allocate_rbs,
-                        associate, plan_slots)
-from .topology import Topology, build_topology
+from .scheduler import allocate_rbs, associate, plan_slots
+from .topology import NodeRole, Topology, build_topology
 
 
 class UeStatus(Enum):
@@ -42,15 +43,6 @@ class UeStatus(Enum):
 # Status code k of `ScenarioInstance.ue_status` stands for UE_STATUSES[k]:
 # 0 covered, 1 access failure, 2 backhaul failure.
 UE_STATUSES = tuple(UeStatus)
-
-
-@dataclass(frozen=True)
-class ServiceRequirement:
-    min_rate_bps: float = 64e3
-
-    def __post_init__(self) -> None:
-        if self.min_rate_bps <= 0:
-            raise ValueError(f"min_rate_bps must be > 0, got {self.min_rate_bps}")
 
 
 @dataclass(frozen=True)
@@ -86,67 +78,50 @@ class ScenarioInstance:
     """
 
     def __init__(self, config: ScenarioConfig, topology: Topology,
-                 assoc: Association, alloc: RbAllocation, slot_plan: SlotPlan,
-                 realization: ChannelRealization, req: ServiceRequirement):
+                 assoc: np.ndarray, alloc: np.ndarray, slots: np.ndarray,
+                 realization: ChannelRealization):
         self.config = config
         self.topology = topology
-        self.assoc = assoc
-        self.alloc = alloc
-        self.slot_plan = slot_plan
+        self.assoc = assoc  # receiver id per gene
         self.realization = realization
-        self.req = req
         self.params = realization.params
-        self._build_arrays()
+        self._build_arrays(alloc, slots)
 
-    def _build_arrays(self) -> None:
-        topo, alloc, assoc, real = (self.topology, self.alloc, self.assoc,
-                                    self.realization)
+    def _build_arrays(self, alloc: np.ndarray, slots: np.ndarray) -> None:
+        topo, real = self.topology, self.realization
         # Genes are the channel's transmitter rows: UEs and IAB MTs by id.
         genes = real.tx_ids
         self.gene_ids: tuple[int, ...] = tuple(genes.tolist())
-        ue_ids = np.array(sorted(u.id for u in topo.ues), dtype=int)
-        iab_ids = np.array(sorted(i.id for i in topo.iab_nodes), dtype=int)
-        is_ue = np.ones(len(genes), dtype=bool)
-        is_ue[np.searchsorted(genes, iab_ids)] = False
+        is_ue = np.array([n.role is NodeRole.UE for n in topo.transmitters],
+                         dtype=bool)
         (ue_lo, ue_hi), (iab_lo, iab_hi) = (self.config.ue_eirp_range_dbm,
                                             self.config.iab_eirp_range_dbm)
         self.lower = np.where(is_ue, ue_lo, iab_lo)
         self.upper = np.where(is_ue, ue_hi, iab_hi)
 
         # Victim links: UE access links, then one backhaul link per relay.
-        self.ue_ids = tuple(ue_ids.tolist())
-        self.n_ue = len(ue_ids)
-        servers = np.array([assoc.ue_to_bs[u] for u in self.ue_ids], dtype=int)
-        donors = np.array([assoc.iab_to_donor[i] for i in iab_ids.tolist()],
-                          dtype=int)
-        relay_row = {iab: self.n_ue + k for k, iab in enumerate(iab_ids.tolist())}
-        self.parent_row = np.array(
-            [relay_row.get(bs, r) for r, bs in enumerate(servers.tolist())],
-            dtype=int)
-        self.relay_served = self.parent_row != np.arange(self.n_ue)
-        n_children = np.bincount(self.parent_row[self.relay_served] - self.n_ue,
-                                 minlength=len(iab_ids))
-        tx = np.concatenate([ue_ids, iab_ids])
-        rx = np.concatenate([servers, donors])
-        self.tx_index = np.searchsorted(genes, tx)
+        ue_rows, iab_rows = np.flatnonzero(is_ue), np.flatnonzero(~is_ue)
+        self.tx_index = np.concatenate([ue_rows, iab_rows])
+        self.ue_ids = tuple(genes[ue_rows].tolist())
+        self.n_ue = len(ue_rows)
+        tx, rx = genes[self.tx_index], self.assoc[self.tx_index]
+        iab_ids, servers = genes[iab_rows], rx[:self.n_ue]
+        serves = servers[:, None] == iab_ids[None, :]  # UE r is relay k's child
+        self.relay_served = serves.any(axis=1)
+        self.parent_row = np.where(self.relay_served,
+                                   self.n_ue + np.searchsorted(iab_ids, servers),
+                                   np.arange(self.n_ue))
+        n_children = serves.sum(axis=0)
         rx_col = np.searchsorted(real.rx_ids, rx)
 
-        # RB occupancy per gene; the overlap of victim v with gene j is the
-        # share of v's RBs that j also holds.
-        rb_sets = [alloc.rbs_of(g) for g in self.gene_ids]
-        counts = [len(rbs) for rbs in rb_sets]
-        occ = np.zeros((len(genes), self.config.rb_max))
-        occ[np.repeat(np.arange(len(genes)), counts),
-            np.fromiter(chain.from_iterable(rb_sets), dtype=int,
-                        count=sum(counts))] = 1.0
+        # The overlap of victim v with gene j is the share of v's RBs that j
+        # also holds.
+        occ = alloc.astype(float)
         n_rb = occ[self.tx_index].sum(axis=1)
         overlap = (occ[self.tx_index] @ occ.T) / np.maximum(n_rb, 1.0)[:, None]
 
         # Co-slot transmitters other than the victim's own and its receiver.
-        slot_of = {g: k for k, slot in enumerate(self.slot_plan.slots)
-                   for g in slot}
-        slot_id = np.array([slot_of[g] for g in self.gene_ids], dtype=int)
-        interferes = ((slot_id[None, :] == slot_id[self.tx_index][:, None])
+        interferes = ((slots[None, :] == slots[self.tx_index][:, None])
                       & (genes[None, :] != tx[:, None])
                       & (genes[None, :] != rx[:, None]))
 
@@ -157,12 +132,13 @@ class ScenarioInstance:
         self.interf_lin = np.where(interferes, overlap * unit_mw[:, rx_col].T,
                                    0.0)
 
-        demand = self.req.min_rate_bps * np.concatenate(
+        demand = self.config.min_rate_bps * np.concatenate(
             [np.ones(self.n_ue), n_children])
         # Victims share few (demand, bandwidth) pairs; the scalar budget of
         # the reference path runs once per pair, so the thresholds match it
         # bit for bit.
-        keys = list(zip(demand.tolist(), (n_rb * alloc.rb_width_hz).tolist()))
+        bandwidth = n_rb * self.config.rb_width_hz
+        keys = list(zip(demand.tolist(), bandwidth.tolist()))
         consts = {key: _link_constants(*key, self.params.noise_figure_db)
                   for key in set(keys)}
         self.gamma_min = np.array([consts[key][0] for key in keys])
@@ -251,13 +227,10 @@ def build_instance(config: ScenarioConfig, seed: int,
         topology, params, rain_rate,
         shadow_rng=derive_rng(seed, trial_index, "shadowing"),
         fading_rng=fading_rng)
-    ue_rows = np.isin(realization.tx_ids, [ue.id for ue in topology.ues])
-    assoc = associate(topology, realization.long_term_loss_db[ue_rows])
+    assoc = associate(topology, realization.long_term_loss_db)
     alloc = allocate_rbs(assoc, topology, config)
-    slot_plan = plan_slots(assoc, topology, config.slot_mode)
-    req = ServiceRequirement(config.min_rate_bps)
-    return ScenarioInstance(config, topology, assoc, alloc, slot_plan,
-                            realization, req)
+    slots = plan_slots(topology, config.slot_mode)
+    return ScenarioInstance(config, topology, assoc, alloc, slots, realization)
 
 
 def _link_constants(demand_bps: float, bandwidth_hz: float,
@@ -282,7 +255,7 @@ class TrialOutcome:
     gene_ids: tuple[int, ...]
     powers: np.ndarray  # EIRP in dBm per gene, in gene_ids order
     topology: Topology
-    assoc: Association
+    assoc: np.ndarray  # receiver id per gene, in gene_ids order
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,6 @@ from .coverage import build_instance, monte_carlo_coverage
 from .ga import GaParams, optimize
 from .policies import make_policy
 from .rng import derive_rng
-from .topology import NodeRole
 
 EXPERIMENT_NAMES = ("ga-trace", "coverage-vs-ues", "coverage-vs-sinr",
                     "intercell", "power-cdf")
@@ -177,16 +176,13 @@ def run_power_cdf(config: ScenarioConfig, out: str) -> list[str]:
         cfg = config.replace(min_rate_bps=rate)
         res = monte_carlo_coverage(cfg, "ga", cfg.trials, cfg.seed)
         for outcome in res.outcomes:
-            topo, assoc = outcome.topology, outcome.assoc
-            for node_id, eirp in zip(outcome.gene_ids,
-                                     outcome.powers.tolist()):
-                node = topo.node(node_id)
-                if node.role is NodeRole.UE:
-                    server = topo.node(assoc.ue_to_bs[node_id]).role.value
-                else:
-                    server = NodeRole.DONOR.value
+            topo = outcome.topology
+            for node_id, rx, eirp in zip(outcome.gene_ids,
+                                         outcome.assoc.tolist(),
+                                         outcome.powers.tolist()):
                 rows.append([rate, outcome.trial_index, node_id,
-                             node.role.value, server, eirp])
+                             topo.node(node_id).role.value,
+                             topo.node(rx).role.value, eirp])
     _write_csv(out, config, "power-cdf",
                ["min_rate_bps", "trial", "node_id", "role", "server_role",
                 "eirp_dbm"], rows)

@@ -1,138 +1,95 @@
 """Pre-power-control sequencing: association, RB allocation, slot planning.
 
-Association precedes power optimization and uses long-term loss only
-(pathloss + shadowing), so the chosen servers stay fixed while transmit
-powers are searched. Resource blocks are packed consecutively per cell and
+Each result has one row per uplink transmitter (a gene: every UE and every
+IAB node's MT) in ascending id, the row order of `ChannelRealization.tx_ids`:
+
+- `associate`: ``(J,)`` receiver ids, a UE's serving station or an IAB
+  node's donor;
+- `allocate_rbs`: ``(J, rb_max)`` bool RB occupancy;
+- `plan_slots`: ``(J,)`` slot ids; transmitters with equal ids share a slot.
+
+Servers are chosen before power optimization, from long-term loss only
+(pathloss + shadowing), so they stay fixed while transmit powers are
+searched. Resource blocks are packed consecutively per cell and
 wrap around once the grid is exhausted; both cells reuse the same grid.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
-
 import numpy as np
 
 from .config import ScenarioConfig
-from .topology import Topology
+from .topology import NodeRole, Topology
 
 
-@dataclass(frozen=True)
-class Association:
-    ue_to_bs: dict[int, int]
-    iab_to_donor: dict[int, int]
+def associate(topology: Topology, long_term_loss: np.ndarray) -> np.ndarray:
+    """Each transmitter's receiver: a UE's minimum long-term-loss station
+    of its own cell, an IAB node's own cell's donor.
 
-
-@dataclass(frozen=True)
-class RbAllocation:
-    ue_rbs: dict[int, frozenset[int]]
-    backhaul_rbs: dict[int, frozenset[int]]
-    rb_width_hz: float
-    rbs_per_ue: int
-    # Grid accounting only: demand padded up to the minimum schedulable grid.
-    scheduled_rbs_per_cell: dict[int, int]
-
-    def rbs_of(self, node_id: int) -> frozenset[int]:
-        if node_id in self.ue_rbs:
-            return self.ue_rbs[node_id]
-        return self.backhaul_rbs.get(node_id, frozenset())
-
-    def bandwidth_hz(self, node_id: int) -> float:
-        return len(self.rbs_of(node_id)) * self.rb_width_hz
-
-
-class SlotMode(Enum):
-    SEPARATED = "separated"
-    SIMULTANEOUS = "simultaneous"
-
-
-@dataclass(frozen=True)
-class SlotPlan:
-    mode: SlotMode
-    slots: tuple[frozenset[int], ...]
-
-    def slot_of(self, tx_id: int) -> frozenset[int]:
-        for slot in self.slots:
-            if tx_id in slot:
-                return slot
-        raise KeyError(f"transmitter {tx_id} is in no slot")
-
-
-def associate(topology: Topology, long_term_loss: np.ndarray) -> Association:
-    """Assign each UE to its minimum long-term-loss same-cell station.
-
-    ``long_term_loss[u, b]`` is the dB loss from the u-th UE to the b-th
-    receiver (donor or IAB node), both in ascending id order. One masked
-    argmin per UE picks among the stations of the UE's own cell; ties break
-    toward the lowest station id. Every IAB node backhauls to its own
-    cell's donor.
+    ``long_term_loss[j, b]`` is the dB loss from the j-th transmitter to
+    the b-th receiver (donor or IAB node), both in ascending id order. One
+    masked argmin per row picks among the allowed receivers; ties break
+    toward the lowest station id.
     """
-    ues = sorted(topology.ues, key=lambda n: n.id)
-    rxs = sorted(topology.receivers, key=lambda n: n.id)
-    ue_cell = np.array([u.cell_id for u in ues], dtype=int)
-    rx_cell = np.array([b.cell_id for b in rxs], dtype=int)
-    same_cell = ue_cell[:, None] == rx_cell[None, :]
+    txs, rxs = topology.transmitters, topology.receivers
+    tx_cell = np.array([n.cell_id for n in txs], dtype=int)
+    rx_cell = np.array([n.cell_id for n in rxs], dtype=int)
+    tx_ue = np.array([n.role is NodeRole.UE for n in txs], dtype=bool)
+    rx_donor = np.array([n.role is NodeRole.DONOR for n in rxs], dtype=bool)
+    allowed = ((tx_cell[:, None] == rx_cell[None, :])
+               & (tx_ue[:, None] | rx_donor[None, :]))
     loss = np.asarray(long_term_loss, dtype=float)
-    if loss.shape != same_cell.shape:
+    if loss.shape != allowed.shape:
         raise ValueError(f"long_term_loss has shape {loss.shape}, expected "
-                         f"{same_cell.shape} (UEs, receivers)")
-    best = np.where(same_cell, loss, np.inf).argmin(axis=1)
-    rx_ids = [b.id for b in rxs]
-    ue_to_bs = {u.id: rx_ids[b] for u, b in zip(ues, best.tolist())}
-    iab_to_donor = {iab.id: topology.donor_of_cell(iab.cell_id).id
-                    for iab in topology.iab_nodes}
-    return Association(ue_to_bs=ue_to_bs, iab_to_donor=iab_to_donor)
+                         f"{allowed.shape} (transmitters, receivers)")
+    best = np.where(allowed, loss, np.inf).argmin(axis=1)
+    return np.array([n.id for n in rxs], dtype=int)[best]
 
 
-def allocate_rbs(assoc: Association, topology: Topology,
-                 config: ScenarioConfig) -> RbAllocation:
-    """Pack per-UE RB blocks and derive backhaul RB sets.
+def allocate_rbs(assoc: np.ndarray, topology: Topology,
+                 config: ScenarioConfig) -> np.ndarray:
+    """Pack per-UE RB blocks and derive each relay's backhaul RBs.
 
     UEs of a cell receive consecutive blocks from index 0 upward (ordered by
     UE id). Once cumulative demand exceeds the grid, indices wrap to 0 and
     co-channel reuse begins within the cell. Both cells allocate over the
-    same grid. A relay's backhaul set is the union of its children's blocks.
+    same grid. A relay's row is the OR of its children's rows, the children
+    being the UEs that ``assoc`` serves from it.
     """
     per_ue = config.rbs_per_ue
     grid = config.rb_max
     if per_ue > grid:
         raise ValueError(f"rbs_per_ue ({per_ue}) exceeds the RB grid ({grid})")
-    ue_rbs: dict[int, frozenset[int]] = {}
-    scheduled: dict[int, int] = {}
-    for cell_id in range(len(topology.cells)):
-        cursor = 0
-        cell_ues = sorted(u.id for u in topology.ues if u.cell_id == cell_id)
-        for ue_id in cell_ues:
-            ue_rbs[ue_id] = frozenset((cursor + k) % grid for k in range(per_ue))
-            cursor += per_ue
-        scheduled[cell_id] = max(config.rb_min, min(cursor, grid))
-    children: dict[int, list[int]] = {iab.id: [] for iab in topology.iab_nodes}
-    for ue_id, bs_id in assoc.ue_to_bs.items():
-        if bs_id in children:
-            children[bs_id].append(ue_id)
-    backhaul = {iab_id: frozenset().union(*(ue_rbs[c] for c in kids))
-                for iab_id, kids in children.items()}
-    return RbAllocation(ue_rbs=ue_rbs, backhaul_rbs=backhaul,
-                        rb_width_hz=config.rb_width_hz, rbs_per_ue=per_ue,
-                        scheduled_rbs_per_cell=scheduled)
+    txs = topology.transmitters
+    tx_ids = np.array([n.id for n in txs], dtype=int)
+    ue_rows = np.flatnonzero([n.role is NodeRole.UE for n in txs])
+    # Each UE's rank among its cell's UEs: its position in a stable sort by
+    # cell, less the position of its cell's first UE there.
+    cell = np.array([txs[r].cell_id for r in ue_rows], dtype=int)
+    order = np.argsort(cell, kind="stable")
+    rank = np.empty(len(cell), dtype=int)
+    rank[order] = np.arange(len(cell)) - np.searchsorted(cell[order],
+                                                         cell[order])
+    cols = (rank[:, None] * per_ue + np.arange(per_ue)) % grid
+    occ = np.zeros((len(txs), grid), dtype=bool)
+    occ[ue_rows[:, None], cols] = True
+    # A relay also holds the RBs of each UE it serves.
+    child, relay = np.nonzero(assoc[ue_rows][:, None] == tx_ids[None, :])
+    occ[relay[:, None], cols[child]] = True
+    return occ
 
 
-def plan_slots(assoc: Association, topology: Topology,
-               mode: SlotMode | str) -> SlotPlan:
+def plan_slots(topology: Topology, mode: str) -> np.ndarray:
     """Group uplink transmitters into slots.
 
-    Separated: one slot with every UE, one with every IAB MT. Simultaneous:
-    a single slot with all of them. A slot's members are the co-slot
-    interferer pool for any victim link transmitting in it.
+    Separated: UEs in slot 0, IAB MTs in slot 1. Simultaneous: all of them
+    in slot 0. A slot's members are the co-slot interferer pool for any
+    victim link transmitting in it.
     """
-    if isinstance(mode, str):
-        mode = SlotMode(mode)
-    ue_ids = frozenset(u.id for u in topology.ues)
-    iab_ids = frozenset(i.id for i in topology.iab_nodes)
-    if mode is SlotMode.SEPARATED:
-        slots = tuple(s for s in (ue_ids, iab_ids) if s)
-        if not slots:
-            slots = (frozenset(),)
-    else:
-        slots = (ue_ids | iab_ids,)
-    return SlotPlan(mode=mode, slots=slots)
+    is_iab = np.array([n.role is NodeRole.IAB for n in topology.transmitters],
+                      dtype=int)
+    if mode == "separated":
+        return is_iab
+    if mode == "simultaneous":
+        return np.zeros_like(is_iab)
+    raise ValueError(f"slot mode must be separated|simultaneous, got {mode!r}")

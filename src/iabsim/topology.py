@@ -39,6 +39,13 @@ class Topology:
     nodes: tuple[NetworkNode, ...]
     cells: tuple[tuple[int, float], ...]  # (donor_id, radius_m) per cell
 
+    def __post_init__(self) -> None:
+        # Every per-node array (channel rows and columns, scheduler genes)
+        # is laid out in node order, which must therefore be id order.
+        ids = [n.id for n in self.nodes]
+        if any(a >= b for a, b in zip(ids, ids[1:])):
+            raise ValueError(f"node ids must be strictly increasing, got {ids}")
+
     @cached_property
     def _by_id(self) -> dict[int, NetworkNode]:
         return {n.id: n for n in self.nodes}
@@ -49,22 +56,11 @@ class Topology:
     def by_role(self, role: NodeRole) -> tuple[NetworkNode, ...]:
         return tuple(n for n in self.nodes if n.role is role)
 
-    # The role views below are read many times per trial; a topology is
-    # frozen, so each is computed once.
-    @cached_property
-    def donors(self) -> tuple[NetworkNode, ...]:
-        return self.by_role(NodeRole.DONOR)
-
-    @cached_property
-    def iab_nodes(self) -> tuple[NetworkNode, ...]:
-        return self.by_role(NodeRole.IAB)
-
+    # The views below are read many times per trial; a topology is frozen,
+    # so each is computed once.
     @cached_property
     def ues(self) -> tuple[NetworkNode, ...]:
         return self.by_role(NodeRole.UE)
-
-    def donor_of_cell(self, cell_id: int) -> NetworkNode:
-        return self.node(self.cells[cell_id][0])
 
     @cached_property
     def transmitters(self) -> tuple[NetworkNode, ...]:
@@ -169,8 +165,3 @@ def build_topology(config: ScenarioConfig,
         next_id += len(ues)
     return Topology(nodes=tuple(nodes), cells=tuple(cells))
 
-
-def distance_3d(a: NetworkNode, b: NetworkNode) -> float:
-    """Euclidean distance between antenna tops, in meters."""
-    return math.sqrt((a.x - b.x) ** 2 + (a.y - b.y) ** 2
-                     + (a.height - b.height) ** 2)

@@ -1,8 +1,11 @@
 """Readable references for the tests to hold the fast paths against.
 
-The per-link evaluator below computes the link budget of one trial one
-link at a time, with powers as a ``{node_id: EIRP in dBm}`` mapping; the
-batched kernel of `iabsim.coverage.ScenarioInstance` must agree with it.
+The scheduler references below give association, RB packing and slot
+grouping as dicts and frozensets keyed by node id; `iabsim.scheduler`'s
+gene-indexed arrays must agree with them. The per-link evaluator computes
+the link budget of one trial one link at a time on those references, with
+powers as a ``{node_id: EIRP in dBm}`` mapping; the batched kernel of
+`iabsim.coverage.ScenarioInstance` must agree with it.
 """
 
 import math
@@ -13,11 +16,16 @@ import numpy as np
 
 from iabsim.channel import (ChannelParams, ChannelRealization, NoiseModel,
                             min_sinr)
-from iabsim.coverage import (CoverageResult, ScenarioInstance,
-                             ServiceRequirement, UeStatus)
+from iabsim.config import ScenarioConfig
+from iabsim.coverage import CoverageResult, ScenarioInstance, UeStatus
 from iabsim.ga import GaParams, GaResult
-from iabsim.scheduler import Association, RbAllocation, SlotPlan
 from iabsim.topology import NetworkNode, NodeRole, Topology
+
+
+def distance_3d(a: NetworkNode, b: NetworkNode) -> float:
+    """Euclidean distance between antenna tops, in meters."""
+    return math.sqrt((a.x - b.x) ** 2 + (a.y - b.y) ** 2
+                     + (a.height - b.height) ** 2)
 
 
 class MissingLinkError(KeyError):
@@ -50,6 +58,89 @@ def link(realization: ChannelRealization, tx_id: int, rx_id: int) -> LinkSample:
                       shadowing_db=float(realization.shadowing_db[i, k]),
                       fading_db=float(realization.fading_db[i, k]),
                       rain_db=float(realization.rain_db[i, k]))
+
+
+@dataclass(frozen=True)
+class Association:
+    ue_to_bs: dict[int, int]
+    iab_to_donor: dict[int, int]
+
+
+@dataclass(frozen=True)
+class RbAllocation:
+    ue_rbs: dict[int, frozenset[int]]
+    backhaul_rbs: dict[int, frozenset[int]]
+    rb_width_hz: float
+
+    def rbs_of(self, node_id: int) -> frozenset[int]:
+        if node_id in self.ue_rbs:
+            return self.ue_rbs[node_id]
+        return self.backhaul_rbs.get(node_id, frozenset())
+
+    def bandwidth_hz(self, node_id: int) -> float:
+        return len(self.rbs_of(node_id)) * self.rb_width_hz
+
+
+@dataclass(frozen=True)
+class SlotPlan:
+    slots: tuple[frozenset[int], ...]
+
+    def slot_of(self, tx_id: int) -> frozenset[int]:
+        for slot in self.slots:
+            if tx_id in slot:
+                return slot
+        raise KeyError(f"transmitter {tx_id} is in no slot")
+
+
+def reference_associate(topology: Topology,
+                        realization: ChannelRealization) -> Association:
+    """Each UE to the station of its own cell with the least pathloss +
+    shadowing, the lowest id on ties; each IAB node to its cell's donor."""
+    ue_to_bs = {}
+    for ue in topology.ues:
+        best_loss, best_id = math.inf, None
+        for bs in topology.receivers:
+            if bs.cell_id != ue.cell_id:
+                continue
+            sample = link(realization, ue.id, bs.id)
+            loss = sample.pathloss_db + sample.shadowing_db
+            if loss < best_loss:
+                best_loss, best_id = loss, bs.id
+        ue_to_bs[ue.id] = best_id
+    iab_to_donor = {iab.id: topology.cells[iab.cell_id][0]
+                    for iab in topology.by_role(NodeRole.IAB)}
+    return Association(ue_to_bs=ue_to_bs, iab_to_donor=iab_to_donor)
+
+
+def reference_allocate_rbs(assoc: Association, topology: Topology,
+                           config: ScenarioConfig) -> RbAllocation:
+    """Consecutive ``rbs_per_ue`` blocks per cell in UE id order, wrapping
+    around the grid; a relay's backhaul set is the union of its children's."""
+    per_ue, grid = config.rbs_per_ue, config.rb_max
+    ue_rbs: dict[int, frozenset[int]] = {}
+    for cell_id in range(len(topology.cells)):
+        cursor = 0
+        for ue in topology.ues:
+            if ue.cell_id == cell_id:
+                ue_rbs[ue.id] = frozenset((cursor + k) % grid
+                                          for k in range(per_ue))
+                cursor += per_ue
+    backhaul = {iab.id: frozenset().union(
+                    *(ue_rbs[u] for u, bs in assoc.ue_to_bs.items()
+                      if bs == iab.id))
+                for iab in topology.by_role(NodeRole.IAB)}
+    return RbAllocation(ue_rbs=ue_rbs, backhaul_rbs=backhaul,
+                        rb_width_hz=config.rb_width_hz)
+
+
+def reference_plan_slots(topology: Topology, mode: str) -> SlotPlan:
+    """Separated: one slot of UEs, one of IAB MTs (empty ones dropped).
+    Simultaneous: one slot of all of them."""
+    ue_ids = frozenset(u.id for u in topology.ues)
+    iab_ids = frozenset(i.id for i in topology.by_role(NodeRole.IAB))
+    if mode == "separated":
+        return SlotPlan(slots=tuple(s for s in (ue_ids, iab_ids) if s))
+    return SlotPlan(slots=(ue_ids | iab_ids,))
 
 
 def received_power(eirp_dbm: float, link: LinkSample,
@@ -99,7 +190,7 @@ def achievable_rate(gamma: float, bw_hz: float) -> float:
 def evaluate_trial(topology: Topology, assoc: Association,
                    alloc: RbAllocation, slot_plan: SlotPlan,
                    powers: Mapping[int, float], realization: ChannelRealization,
-                   req: ServiceRequirement) -> CoverageResult:
+                   min_rate_bps: float) -> CoverageResult:
     """Per-UE coverage evaluation over one channel realization.
 
     Access links are checked first; for relay-served UEs the serving relay's
@@ -122,10 +213,10 @@ def evaluate_trial(topology: Topology, assoc: Association,
               for j in sorted(slot) if j != ue.id]
         i_mw = interference_at(topology.node(bs_id), rbs, co, realization)
         gamma = sinr(p_r, i_mw, NoiseModel(bw, nf))
-        access_pass[ue.id] = gamma >= min_sinr(req.min_rate_bps, bw)
+        access_pass[ue.id] = gamma >= min_sinr(min_rate_bps, bw)
 
     backhaul_pass: dict[int, bool] = {}
-    for iab in topology.iab_nodes:
+    for iab in topology.by_role(NodeRole.IAB):
         children = [u for u, bs in assoc.ue_to_bs.items() if bs == iab.id]
         if not children:
             backhaul_pass[iab.id] = True
@@ -140,7 +231,7 @@ def evaluate_trial(topology: Topology, assoc: Association,
               for j in sorted(slot) if j != iab.id]
         i_mw = interference_at(topology.node(donor_id), union, co, realization)
         gamma = sinr(p_r, i_mw, NoiseModel(bw, nf))
-        aggregate = req.min_rate_bps * len(children)
+        aggregate = min_rate_bps * len(children)
         backhaul_pass[iab.id] = gamma >= min_sinr(aggregate, bw)
 
     per_ue: dict[int, UeStatus] = {}
@@ -157,12 +248,17 @@ def evaluate_trial(topology: Topology, assoc: Association,
 
 def reference_evaluate(instance: ScenarioInstance,
                        eirp_dbm: np.ndarray) -> CoverageResult:
-    """`ScenarioInstance.evaluate` by the per-link path: `evaluate_trial` on
-    the instance's trial, with the EIRPs keyed by `gene_ids`."""
+    """`ScenarioInstance.evaluate` by the per-link path: the reference
+    schedule and `evaluate_trial` on the instance's topology and channel,
+    with the EIRPs keyed by `gene_ids`."""
+    topo, real, config = (instance.topology, instance.realization,
+                          instance.config)
+    assoc = reference_associate(topo, real)
+    alloc = reference_allocate_rbs(assoc, topo, config)
+    slot_plan = reference_plan_slots(topo, config.slot_mode)
     powers = dict(zip(instance.gene_ids, np.asarray(eirp_dbm).tolist()))
-    return evaluate_trial(instance.topology, instance.assoc, instance.alloc,
-                          instance.slot_plan, powers, instance.realization,
-                          instance.req)
+    return evaluate_trial(topo, assoc, alloc, slot_plan, powers, real,
+                          config.min_rate_bps)
 
 
 def _select_full(pop: np.ndarray, fitness: np.ndarray) -> int:

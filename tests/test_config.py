@@ -139,6 +139,11 @@ class TestValidation:
         with pytest.raises(ConfigError, match="rb_max"):
             load_config(None, {"rb_max": 280})
 
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_min_rate_must_be_positive(self, value):
+        with pytest.raises(ConfigError, match="min_rate_bps"):
+            load_config(None, {"min_rate_bps": value})
+
     def test_position_outside_cell(self):
         with pytest.raises(ConfigError, match="outside"):
             load_config(None, {"num_ues": 1, "ue_positions": ((500.0, 0.0),)})

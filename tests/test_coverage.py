@@ -10,7 +10,9 @@ from iabsim.coverage import (UeStatus, build_instance, monte_carlo_coverage,
                              run_trial)
 from iabsim.policies import make_policy
 from iabsim.topology import NodeRole
-from oracle import MissingLinkError, evaluate_trial, reference_evaluate
+from oracle import (MissingLinkError, evaluate_trial, reference_allocate_rbs,
+                    reference_associate, reference_evaluate,
+                    reference_plan_slots)
 
 
 def deterministic_config(**kw):
@@ -30,6 +32,12 @@ MICRO = deterministic_config(num_ues=2, num_cells=1, num_iab_per_cell=0,
 def eirp_of(inst, powers):
     """A {node_id: EIRP} mapping as the instance's gene-ordered array."""
     return np.array([powers[g] for g in inst.gene_ids])
+
+
+def ue_servers(inst):
+    """{UE id: serving station id}, read off the gene-indexed association."""
+    rx_of = dict(zip(inst.gene_ids, inst.assoc.tolist()))
+    return {u: rx_of[u] for u in inst.ue_ids}
 
 
 def micro_oracle_coverage():
@@ -72,8 +80,8 @@ class TestEvaluateTrial:
             ue_positions=((9_970.0, 0.0), (10_030.0, 0.0)),
             min_rate_bps=1e6)
         inst = build_instance(cfg, seed=3, trial_index=0)
-        iab = inst.topology.iab_nodes[0]
-        assert all(bs == iab.id for bs in inst.assoc.ue_to_bs.values())
+        iab = inst.topology.by_role(NodeRole.IAB)[0]
+        assert all(bs == iab.id for bs in ue_servers(inst).values())
         powers = {n.id: 23.0 for n in inst.topology.ues}
         powers[iab.id] = 35.0
         res = inst.evaluate(eirp_of(inst, powers))
@@ -90,8 +98,9 @@ class TestEvaluateTrial:
         for trial in range(5):
             inst = build_instance(cfg, seed=5, trial_index=trial)
             res = inst.evaluate(inst.upper)
+            servers = ue_servers(inst)
             for ue_id, status in res.per_ue.items():
-                server = inst.topology.node(inst.assoc.ue_to_bs[ue_id])
+                server = inst.topology.node(servers[ue_id])
                 if server.role is NodeRole.DONOR:
                     assert status is not UeStatus.BACKHAUL_FAIL
 
@@ -118,10 +127,13 @@ class TestEvaluateTrial:
             **{name: getattr(full, name)[keep] for name in
                ("d3d_m", "pathloss_db", "shadowing_db", "fading_db", "rain_db")},
             rain_rate_mm_h=0.0, params=full.params)
+        assoc = reference_associate(inst.topology, full)
+        alloc = reference_allocate_rbs(assoc, inst.topology, cfg)
+        slot_plan = reference_plan_slots(inst.topology, cfg.slot_mode)
         with pytest.raises(MissingLinkError):
-            evaluate_trial(inst.topology, inst.assoc, inst.alloc,
-                           inst.slot_plan, dict(zip(inst.gene_ids, inst.upper)),
-                           real, inst.req)
+            evaluate_trial(inst.topology, assoc, alloc, slot_plan,
+                           dict(zip(inst.gene_ids, inst.upper)), real,
+                           cfg.min_rate_bps)
 
     def test_raising_rate_never_helps(self):
         cfg = ScenarioConfig(num_ues=20, num_cells=2, rb_max=16, trials=1)
@@ -172,7 +184,7 @@ class TestFastPathAgreement:
                           (0.0, -60.0)),
             min_rate_bps=1e6)
         inst = build_instance(cfg, seed=3, trial_index=0)
-        iab_id = inst.topology.iab_nodes[0].id
+        iab_id = inst.topology.by_role(NodeRole.IAB)[0].id
         iab_gene = inst.gene_ids.index(iab_id)
         rng = np.random.default_rng(4)
         mat = rng.uniform(inst.lower, inst.upper, size=(40, len(inst.gene_ids)))
@@ -183,7 +195,7 @@ class TestFastPathAgreement:
             res = reference_evaluate(inst, row)
             assert fast == pytest.approx(res.coverage_probability, abs=1e-12)
             statuses.append(res.per_ue)
-        servers = inst.assoc.ue_to_bs
+        servers = ue_servers(inst)
         assert sum(bs != iab_id for bs in servers.values()) == 2
         failed = [st for st in statuses
                   if UeStatus.BACKHAUL_FAIL in st.values()]

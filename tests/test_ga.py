@@ -10,6 +10,7 @@ from iabsim.coverage import (ScenarioInstance, build_instance,
                              monte_carlo_coverage)
 from iabsim.ga import GaParams, _mutation_deltas, next_population, optimize
 from iabsim.rng import derive_rng
+from iabsim.topology import NodeRole
 
 # Gene bounds of two UEs and one relay.
 LOWER = np.array([23.0, 23.0, 35.0])
@@ -261,8 +262,9 @@ class TestOptimize:
         inst = deterministic_instance(
             num_ues=1, num_iab_per_cell=1, cell_radius_m=20_000.0,
             ue_positions=((10_030.0, 0.0),), min_rate_bps=1e6, seed=21)
-        iab_id = inst.topology.iab_nodes[0].id
-        assert inst.assoc.ue_to_bs[inst.topology.ues[0].id] == iab_id
+        iab_id = inst.topology.by_role(NodeRole.IAB)[0].id
+        ue_gene = inst.gene_ids.index(inst.topology.ues[0].id)
+        assert inst.assoc[ue_gene] == iab_id
         ue_grid = np.arange(23.0, 43.1, 1.0)
         iab_grid = np.arange(35.0, 53.1, 1.0)
         combos = np.array(list(itertools.product(ue_grid, iab_grid)))

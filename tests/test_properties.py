@@ -16,8 +16,11 @@ from iabsim.channel import (ChannelParams, pathloss_uma, sample_fading,
 from iabsim.config import ScenarioConfig
 from iabsim.coverage import build_instance
 from iabsim.rng import derive_rng
-from iabsim.topology import build_topology, distance_3d
-from oracle import link, reference_evaluate, reference_optimize
+from iabsim.scheduler import allocate_rbs, associate, plan_slots
+from iabsim.topology import build_topology
+from oracle import (distance_3d, link, reference_allocate_rbs,
+                    reference_associate, reference_evaluate,
+                    reference_optimize, reference_plan_slots)
 
 # Small and deterministic, so Tier-1 stays within a few seconds.
 FAST = settings(max_examples=30, deadline=None, derandomize=True)
@@ -85,6 +88,49 @@ def test_batched_status_matches_reference(seed, trial, num_ues, num_cells,
         assert fast.per_ue == reference.per_ue
         assert fast.coverage_probability == reference.coverage_probability
         assert inst.batch_coverage(values)[0] == reference.coverage_probability
+
+
+# (rb_max, rbs_per_ue) with rbs_per_ue up to the whole grid.
+grids = st.integers(1, 16).flatmap(
+    lambda rb_max: st.tuples(st.just(rb_max), st.integers(1, rb_max)))
+
+
+@FAST
+@given(seed=seeds, num_ues=st.integers(0, 8), num_cells=st.sampled_from((1, 2)),
+       num_iab=st.integers(0, 3), poisson=st.booleans(), grid=grids,
+       slot_mode=st.sampled_from(("separated", "simultaneous")),
+       radius=st.sampled_from((200.0, 2000.0)))
+@example(seed=5, num_ues=0, num_cells=2, num_iab=2, poisson=True, grid=(4, 4),
+         slot_mode="separated", radius=200.0)  # no UEs, every relay childless
+@example(seed=6, num_ues=8, num_cells=2, num_iab=0, poisson=False,
+         grid=(5, 3), slot_mode="separated", radius=200.0)  # no relays, wrap
+def test_scheduler_matches_reference(seed, num_ues, num_cells, num_iab,
+                                     poisson, grid, slot_mode, radius):
+    rb_max, rbs_per_ue = grid
+    cfg = ScenarioConfig(num_ues=num_ues, num_cells=num_cells,
+                         num_iab_per_cell=num_iab, ue_count_poisson=poisson,
+                         rb_max=rb_max, rbs_per_ue=rbs_per_ue,
+                         slot_mode=slot_mode, cell_radius_m=radius, trials=1)
+    topo = build_topology(cfg, derive_rng(seed, "topo"))
+    real = sample_realization(topo, ChannelParams.from_config(cfg), 0.0,
+                              derive_rng(seed, "shadow"), None)
+    genes = [n.id for n in topo.transmitters]
+
+    assoc = associate(topo, real.long_term_loss_db)
+    ref_assoc = reference_associate(topo, real)
+    ref_rx = {**ref_assoc.ue_to_bs, **ref_assoc.iab_to_donor}
+    assert assoc.tolist() == [ref_rx[g] for g in genes]
+
+    alloc = allocate_rbs(assoc, topo, cfg)
+    ref_alloc = reference_allocate_rbs(ref_assoc, topo, cfg)
+    assert alloc.shape == (len(genes), rb_max)
+    assert ([frozenset(np.flatnonzero(row).tolist()) for row in alloc]
+            == [ref_alloc.rbs_of(g) for g in genes])
+
+    slots = plan_slots(topo, slot_mode).tolist()
+    groups = {frozenset(g for g, s in zip(genes, slots) if s == slot)
+              for slot in slots}
+    assert groups == set(reference_plan_slots(topo, slot_mode).slots)
 
 
 def _same_result(a, b):

@@ -7,8 +7,9 @@ import pytest
 
 from iabsim.config import ScenarioConfig
 from iabsim.rng import derive_rng
-from iabsim.topology import (NetworkNode, NodeRole, build_topology,
-                             distance_3d, place_iab_nodes, sample_ues)
+from iabsim.topology import (NetworkNode, NodeRole, Topology, build_topology,
+                             place_iab_nodes, sample_ues)
+from oracle import distance_3d
 
 
 def make_config(**kwargs):
@@ -88,27 +89,36 @@ class TestPlaceIabNodes:
 class TestBuildTopology:
     def test_single_cell_donor_at_origin(self):
         topo = build_topology(make_config(num_cells=1), derive_rng(1))
-        donor = topo.donors[0]
+        donor = topo.by_role(NodeRole.DONOR)[0]
         assert (donor.x, donor.y, donor.height) == (0.0, 0.0, 25.0)
 
     def test_two_cell_donor_separation(self):
         topo = build_topology(make_config(num_cells=2, cell_radius_m=200.0),
                               derive_rng(1))
-        d0, d1 = topo.donors
+        d0, d1 = topo.by_role(NodeRole.DONOR)
         assert math.hypot(d0.x - d1.x, d0.y - d1.y) == pytest.approx(400.0)
 
     def test_node_counts(self):
         cfg = make_config(num_cells=2, num_iab_per_cell=4, num_ues=10)
         topo = build_topology(cfg, derive_rng(1))
         assert len(topo.nodes) == 2 + 8 + 20
-        assert len(topo.donors) == 2
-        assert len(topo.iab_nodes) == 8
+        assert len(topo.by_role(NodeRole.DONOR)) == 2
+        assert len(topo.by_role(NodeRole.IAB)) == 8
         assert len(topo.ues) == 20
 
     def test_ids_dense_and_unique(self):
         cfg = make_config(num_cells=2, num_ues=7)
         topo = build_topology(cfg, derive_rng(1))
         assert sorted(n.id for n in topo.nodes) == list(range(len(topo.nodes)))
+
+    @pytest.mark.parametrize("ids", [(0, 2, 1), (0, 1, 1)],
+                             ids=["out_of_order", "duplicate"])
+    def test_rejects_ids_not_strictly_increasing(self, ids):
+        donor = NetworkNode(ids[0], NodeRole.DONOR, 0, 0.0, 0.0, 25.0)
+        ues = tuple(NetworkNode(i, NodeRole.UE, 0, 10.0 * i, 0.0, 1.5)
+                    for i in ids[1:])
+        with pytest.raises(ValueError, match="strictly increasing"):
+            Topology(nodes=(donor, *ues), cells=((ids[0], 200.0),))
 
     def test_rejects_bad_cell_count(self):
         import dataclasses
@@ -124,7 +134,7 @@ class TestBuildTopology:
     def test_donor_spacing_override(self):
         cfg = make_config(num_cells=2, donor_spacing_m=1000.0)
         topo = build_topology(cfg, derive_rng(1))
-        d0, d1 = topo.donors
+        d0, d1 = topo.by_role(NodeRole.DONOR)
         assert math.hypot(d0.x - d1.x, d0.y - d1.y) == pytest.approx(1000.0)
 
 
