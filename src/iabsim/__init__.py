@@ -2,8 +2,7 @@
 elitist genetic-algorithm transmit-power control."""
 
 from .config import ConfigError, ScenarioConfig, load_config
-from .coverage import (CoverageResult, ScenarioInstance, UeStatus,
-                       build_instance, monte_carlo_coverage)
+from .coverage import ScenarioInstance, build_instance, monte_carlo_coverage
 from .ga import GaParams, GaResult, optimize
 from .topology import NetworkNode, NodeRole, Topology, build_topology
 
@@ -11,8 +10,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConfigError", "ScenarioConfig", "load_config",
-    "CoverageResult", "ScenarioInstance", "UeStatus", "build_instance",
-    "monte_carlo_coverage",
+    "ScenarioInstance", "build_instance", "monte_carlo_coverage",
     "GaParams", "GaResult", "optimize",
     "NetworkNode", "NodeRole", "Topology", "build_topology",
     "__version__",

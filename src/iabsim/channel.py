@@ -6,7 +6,10 @@ All decibel quantities follow the uplink budget
 
 with urban-macro pathloss, lognormal shadowing, Rayleigh flat fading
 (exponential power gain, expressed as a dB loss), and ITU-R power-law rain
-attenuation scaled by path length.
+attenuation scaled by path length. Each term reads its constants straight
+from the ``ScenarioConfig``, whose ``validate`` checks them at config load.
+The noise floor is ``noise_mw``: thermal noise over the link bandwidth plus
+the receiver noise figure.
 
 A trial's channel is one ``ChannelRealization`` of ``(n_tx, n_rx)`` arrays.
 Rows are the transmitters (UEs and IAB nodes) and columns the receivers
@@ -57,7 +60,7 @@ def rain_coefficients(fc_ghz: float) -> tuple[float, float]:
 
     k is interpolated log-log in frequency, gamma linearly against log f,
     matching the convention of the source coefficient table. Cached per
-    frequency: every trial rebuilds its `ChannelParams`.
+    frequency: every trial's rain attenuation looks them up.
     """
     freqs, ks, gammas = _rain_table()
     if not freqs[0] <= fc_ghz <= freqs[-1]:
@@ -70,58 +73,16 @@ def rain_coefficients(fc_ghz: float) -> tuple[float, float]:
     return k, gamma
 
 
-@dataclass(frozen=True)
-class ChannelParams:
-    fc_ghz: float = 28.0
-    alpha: float = 4.0
-    shadow_std_db: float = 4.0
-    rx_gain_db: float = 25.0
-    noise_figure_db: float = 5.0
-    eff_ant_height_m: float = 1.0
-    speed_of_light: float = SPEED_OF_LIGHT
-    k_coeff: float = field(default=None)  # type: ignore[assignment]
-    gamma_coeff: float = field(default=None)  # type: ignore[assignment]
-    pathloss_literal: bool = False
-
-    def __post_init__(self) -> None:
-        if self.fc_ghz <= 0:
-            raise ValueError(f"fc_ghz must be > 0, got {self.fc_ghz}")
-        if self.alpha < 2:
-            raise ValueError(f"alpha must be >= 2, got {self.alpha}")
-        if self.shadow_std_db < 0:
-            raise ValueError(f"shadow_std_db must be >= 0, got {self.shadow_std_db}")
-        if self.k_coeff is None or self.gamma_coeff is None:
-            k, gamma = rain_coefficients(self.fc_ghz)
-            if self.k_coeff is None:
-                object.__setattr__(self, "k_coeff", k)
-            if self.gamma_coeff is None:
-                object.__setattr__(self, "gamma_coeff", gamma)
-        if self.k_coeff <= 0:
-            raise ValueError(f"k_coeff must be > 0, got {self.k_coeff}")
-        if not 0 < self.gamma_coeff < 2:
-            raise ValueError(f"gamma_coeff must be in (0, 2), got {self.gamma_coeff}")
-
-    @classmethod
-    def from_config(cls, config: ScenarioConfig) -> "ChannelParams":
-        return cls(fc_ghz=config.fc_ghz, alpha=config.alpha,
-                   shadow_std_db=config.shadow_std_db,
-                   rx_gain_db=config.rx_gain_db,
-                   noise_figure_db=config.nf_db,
-                   eff_ant_height_m=config.eff_ant_height_m,
-                   k_coeff=config.rain_k, gamma_coeff=config.rain_gamma,
-                   pathloss_literal=config.pathloss_literal)
-
-
-def breakpoint_distance(params: ChannelParams) -> float:
+def breakpoint_distance(config: ScenarioConfig) -> float:
     """Breakpoint distance 4 * h'_bs * h'_ut * fc / c, in meters."""
-    fc_hz = params.fc_ghz * 1e9
-    h = params.eff_ant_height_m
-    return 4.0 * h * h * fc_hz / params.speed_of_light
+    fc_hz = config.fc_ghz * 1e9
+    h = config.eff_ant_height_m
+    return 4.0 * h * h * fc_hz / SPEED_OF_LIGHT
 
 
 def pathloss_uma(d3d_m: float | np.ndarray, h_bs_m: float | np.ndarray,
                  h_ue_m: float | np.ndarray,
-                 params: ChannelParams) -> float | np.ndarray:
+                 config: ScenarioConfig) -> float | np.ndarray:
     """Urban-macro pathloss in dB, for scalars or broadcastable arrays.
 
     L = 32.4 + 10*alpha*log10(d3D) + 20*log10(fc_GHz)
@@ -135,33 +96,40 @@ def pathloss_uma(d3d_m: float | np.ndarray, h_bs_m: float | np.ndarray,
     if np.any(d <= 0):
         raise ValueError(f"d3d_m must be > 0, got {d[d <= 0].flat[0]}")
     d = np.maximum(d, 1.0)
-    d_bp = breakpoint_distance(params)
+    d_bp = breakpoint_distance(config)
     bp_term = d_bp ** 2 + np.square(np.subtract(h_bs_m, h_ue_m))
-    loss = 32.4 + 10.0 * params.alpha * np.log10(d) \
-        + 20.0 * math.log10(params.fc_ghz)
-    if params.pathloss_literal:
+    loss = 32.4 + 10.0 * config.alpha * np.log10(d) \
+        + 20.0 * math.log10(config.fc_ghz)
+    if config.pathloss_literal:
         return loss - 10.0 * bp_term
     return loss - 10.0 * np.log10(bp_term)
 
 
 def rain_attenuation(rain_rate_mm_h: float, path_km: float | np.ndarray,
-                     params: ChannelParams) -> float | np.ndarray:
+                     config: ScenarioConfig) -> float | np.ndarray:
     """Total rain loss in dB: k * R^gamma [dB/km] times path length.
 
-    ``path_km`` may be a scalar or an array.
+    k and gamma are ``rain_k`` and ``rain_gamma``, or the table's
+    coefficients at ``fc_ghz`` where those are None. ``path_km`` may be a
+    scalar or an array.
     """
     if rain_rate_mm_h < 0:
         raise ValueError(f"rain_rate_mm_h must be >= 0, got {rain_rate_mm_h}")
     path = np.asarray(path_km)
     if np.any(path < 0):
         raise ValueError(f"path_km must be >= 0, got {path[path < 0].flat[0]}")
-    return params.k_coeff * rain_rate_mm_h ** params.gamma_coeff * path_km
+    k, gamma = config.rain_k, config.rain_gamma
+    if k is None or gamma is None:
+        table_k, table_gamma = rain_coefficients(config.fc_ghz)
+        k = table_k if k is None else k
+        gamma = table_gamma if gamma is None else gamma
+    return k * rain_rate_mm_h ** gamma * path_km
 
 
-def sample_shadowing(rng: np.random.Generator, params: ChannelParams,
+def sample_shadowing(rng: np.random.Generator, config: ScenarioConfig,
                      size: Optional[int] = None) -> float | np.ndarray:
     """Lognormal shadowing: zero-mean normal in dB, one value or ``size``."""
-    return rng.normal(0.0, params.shadow_std_db, size)
+    return rng.normal(0.0, config.shadow_std_db, size)
 
 
 def sample_fading(rng: np.random.Generator,
@@ -175,23 +143,13 @@ def sample_fading(rng: np.random.Generator,
     return -10.0 * np.log10(rng.exponential(1.0, size))
 
 
-@dataclass(frozen=True)
-class NoiseModel:
-    bandwidth_hz: float
-    noise_figure_db: float
-    thermal_dbm_per_hz: float = THERMAL_NOISE_DBM_HZ
-
-    @property
-    def total_dbm(self) -> float:
-        if self.bandwidth_hz <= 0:
-            raise ValueError(f"bandwidth_hz must be > 0, got {self.bandwidth_hz}")
-        return (self.thermal_dbm_per_hz
-                + 10.0 * math.log10(self.bandwidth_hz)
-                + self.noise_figure_db)
-
-    @property
-    def total_mw(self) -> float:
-        return 10.0 ** (self.total_dbm / 10.0)
+def noise_mw(bandwidth_hz: float, noise_figure_db: float) -> float:
+    """Thermal noise over a bandwidth plus the receiver noise figure, in mW."""
+    if bandwidth_hz <= 0:
+        raise ValueError(f"bandwidth_hz must be > 0, got {bandwidth_hz}")
+    total_dbm = (THERMAL_NOISE_DBM_HZ + 10.0 * math.log10(bandwidth_hz)
+                 + noise_figure_db)
+    return 10.0 ** (total_dbm / 10.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,13 +170,13 @@ class ChannelRealization:
     fading_db: np.ndarray
     rain_db: np.ndarray
     rain_rate_mm_h: float
-    params: ChannelParams
+    rx_gain_db: float
     unit_rx_dbm: np.ndarray = field(init=False, repr=False)
     links: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "unit_rx_dbm",
-                           0.0 + self.params.rx_gain_db - self.pathloss_db
+                           0.0 + self.rx_gain_db - self.pathloss_db
                            - self.shadowing_db - self.rain_db - self.fading_db)
         rows, cols = np.nonzero(self.tx_ids[:, None] != self.rx_ids[None, :])
         object.__setattr__(self, "links", np.column_stack(
@@ -236,7 +194,7 @@ def _coordinates(nodes: tuple[NetworkNode, ...]) -> np.ndarray:
                      [n.height for n in nodes]], dtype=float)
 
 
-def sample_realization(topology: Topology, params: ChannelParams,
+def sample_realization(topology: Topology, config: ScenarioConfig,
                        rain_rate_mm_h: float,
                        shadow_rng: np.random.Generator,
                        fading_rng: Optional[np.random.Generator]) -> ChannelRealization:
@@ -254,17 +212,18 @@ def sample_realization(topology: Topology, params: ChannelParams,
     linked = tx_ids[:, None] != rx_ids[None, :]
     n_links = int(np.count_nonzero(linked))
     d3d = np.where(linked, np.sqrt(dx ** 2 + dy ** 2 + dh ** 2), np.nan)
-    pathloss = pathloss_uma(d3d, rx_xyz[2][None, :], tx_xyz[2][:, None], params)
+    pathloss = pathloss_uma(d3d, rx_xyz[2][None, :], tx_xyz[2][:, None], config)
     shadowing = np.full(d3d.shape, np.nan)
-    shadowing[linked] = sample_shadowing(shadow_rng, params, n_links)
+    shadowing[linked] = sample_shadowing(shadow_rng, config, n_links)
     fading = np.where(linked, 0.0, np.nan)
     if fading_rng is not None:
         fading[linked] = sample_fading(fading_rng, n_links)
-    rain = rain_attenuation(rain_rate_mm_h, d3d / 1e3, params)
+    rain = rain_attenuation(rain_rate_mm_h, d3d / 1e3, config)
     return ChannelRealization(tx_ids=tx_ids, rx_ids=rx_ids, d3d_m=d3d,
                               pathloss_db=pathloss, shadowing_db=shadowing,
                               fading_db=fading, rain_db=rain,
-                              rain_rate_mm_h=rain_rate_mm_h, params=params)
+                              rain_rate_mm_h=rain_rate_mm_h,
+                              rx_gain_db=config.rx_gain_db)
 
 
 def min_sinr(rate_bps: float, bw_hz: float) -> float:

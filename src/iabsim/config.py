@@ -12,8 +12,8 @@ import ast
 import dataclasses
 import math
 import numbers
-from dataclasses import dataclass, field
-from typing import Any, Optional, Sequence
+from dataclasses import dataclass
+from typing import Any, Optional
 
 
 class ConfigError(ValueError):
@@ -124,9 +124,23 @@ class ScenarioConfig:
                               f"{self.ue_positions!r}")
         _check_positive(self, "fc_ghz", "bw_mhz", "scs_khz", "cell_radius_m")
         _check_nonneg(self, "shadow_std_db", "num_ues", "num_iab_per_cell",
-                      "iab_ring_angle_offset_deg")
+                      "iab_ring_angle_offset_deg", "ga_neighborhood", "seed")
         if self.alpha < 2:
             raise ConfigError(f"alpha must be >= 2, got {self.alpha}")
+        if self.rain_k is not None and not (_is_real(self.rain_k)
+                                            and self.rain_k > 0):
+            raise ConfigError(f"rain_k must be a number > 0, got {self.rain_k!r}")
+        if self.rain_gamma is not None and not (_is_real(self.rain_gamma)
+                                                and 0 < self.rain_gamma < 2):
+            raise ConfigError(
+                f"rain_gamma must be a number in (0, 2), got {self.rain_gamma!r}")
+        if self.rain_k is None or self.rain_gamma is None:
+            from .channel import rain_coefficients  # channel imports config
+            try:
+                rain_coefficients(self.fc_ghz)
+            except ValueError as exc:
+                raise ConfigError(f"fc_ghz: {exc}; set rain_k and rain_gamma "
+                                  f"to use this carrier") from None
         if self.num_cells not in (1, 2):
             raise ConfigError(f"num_cells must be 1 or 2, got {self.num_cells}")
         if self.rb_max < 1:

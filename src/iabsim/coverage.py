@@ -9,56 +9,29 @@ re-draw geometry, shadowing, fading, and rain.
 Every evaluation goes through one batched kernel on a `ScenarioInstance`.
 Powers are float arrays of EIRPs in dBm, one entry per gene in `gene_ids`
 order. The power optimizer scores (K, J) batches of candidates with
-`batch_coverage`, and `run_trial` scores the chosen powers with `evaluate`,
-which reads the per-UE status off the same link-pass arrays. The scheduler's
-gene-indexed arrays (each gene's receiver id, its RB occupancy row and its
-slot id; see `iabsim.scheduler`) are indexed directly into the kernel's
-victim-link arrays. The tests hold this kernel against a per-link reference
-(`tests/oracle.py`) that schedules and computes the same link budget one
-link at a time.
+`batch_coverage`. `run_trial` scores the chosen powers with `evaluate`,
+which reads one status code per UE off the same link-pass arrays; the
+trial keeps the codes on `TrialOutcome.status` and reports their covered
+share. The scheduler's gene-indexed arrays (each gene's receiver id, its
+RB occupancy row and its slot id; see `iabsim.scheduler`) are indexed
+directly into the kernel's victim-link arrays. The tests hold this kernel
+against a per-link reference (`tests/oracle.py`) that schedules and
+computes the same link budget one link at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Union
 
 import numpy as np
 
-from .channel import (ChannelParams, ChannelRealization, NoiseModel,
-                      min_sinr, sample_realization)
+from .channel import (ChannelRealization, min_sinr, noise_mw,
+                      sample_realization)
 from .config import ScenarioConfig
 from .rng import derive_rng
 from .scheduler import allocate_rbs, associate, plan_slots
 from .topology import NodeRole, Topology, build_topology
-
-
-class UeStatus(Enum):
-    COVERED = "covered"
-    ACCESS_FAIL = "access_fail"
-    BACKHAUL_FAIL = "backhaul_fail"
-
-
-# Status code k of `ScenarioInstance.ue_status` stands for UE_STATUSES[k]:
-# 0 covered, 1 access failure, 2 backhaul failure.
-UE_STATUSES = tuple(UeStatus)
-
-
-@dataclass(frozen=True)
-class CoverageResult:
-    per_ue: dict[int, UeStatus]
-    coverage_probability: float
-
-    @staticmethod
-    def of(per_ue: dict[int, UeStatus]) -> "CoverageResult":
-        """The result of per-UE statuses: the covered share, 1.0 with no UEs."""
-        if per_ue:
-            covered = sum(1 for s in per_ue.values() if s is UeStatus.COVERED)
-            probability = covered / len(per_ue)
-        else:
-            probability = 1.0  # vacuous: no UEs to fail
-        return CoverageResult(per_ue=per_ue, coverage_probability=probability)
 
 
 class ScenarioInstance:
@@ -84,7 +57,6 @@ class ScenarioInstance:
         self.topology = topology
         self.assoc = assoc  # receiver id per gene
         self.realization = realization
-        self.params = realization.params
         self._build_arrays(alloc, slots)
 
     def _build_arrays(self, alloc: np.ndarray, slots: np.ndarray) -> None:
@@ -139,7 +111,7 @@ class ScenarioInstance:
         # bit for bit.
         bandwidth = n_rb * self.config.rb_width_hz
         keys = list(zip(demand.tolist(), bandwidth.tolist()))
-        consts = {key: _link_constants(*key, self.params.noise_figure_db)
+        consts = {key: _link_constants(*key, self.config.nf_db)
                   for key in set(keys)}
         self.gamma_min = np.array([consts[key][0] for key in keys])
         self.noise_mw = np.array([consts[key][1] for key in keys])
@@ -184,21 +156,17 @@ class ScenarioInstance:
         ue_pass &= link_pass.take(self.parent_row, axis=1)
         return ue_pass.sum(axis=1) / self.n_ue
 
-    def ue_status(self, eirp_dbm: np.ndarray) -> np.ndarray:
-        """Per-UE status codes (see `UE_STATUSES`) for one EIRP vector.
+    def evaluate(self, eirp_dbm: np.ndarray) -> np.ndarray:
+        """Per-UE status codes, in `ue_ids` order, of one EIRP vector in
+        `gene_ids` order.
 
+        The codes are 0 covered, 1 access failure and 2 backhaul failure.
         A relay-served UE whose relay's backhaul fails is a backhaul
         failure whatever its access link does.
         """
         link_pass = self._link_pass(eirp_dbm)[0]
         backhaul_fail = self.relay_served & ~link_pass[self.parent_row]
         return np.where(backhaul_fail, 2, np.where(link_pass[:self.n_ue], 0, 1))
-
-    def evaluate(self, eirp_dbm: np.ndarray) -> CoverageResult:
-        """Per-UE coverage of one EIRP vector, in `gene_ids` order."""
-        codes = self.ue_status(eirp_dbm)
-        return CoverageResult.of({u: UE_STATUSES[c] for u, c
-                                  in zip(self.ue_ids, codes.tolist())})
 
     def access_sinr_db(self, eirp_dbm: np.ndarray,
                        offset_db: float = 0.0) -> np.ndarray:
@@ -221,10 +189,9 @@ def build_instance(config: ScenarioConfig, seed: int,
         rain_rate = float(derive_rng(seed, trial_index, "rain").uniform(lo, hi))
     else:
         rain_rate = float(lo)
-    params = ChannelParams.from_config(config)
     fading_rng = derive_rng(seed, trial_index, "fading") if config.fading_enabled else None
     realization = sample_realization(
-        topology, params, rain_rate,
+        topology, config, rain_rate,
         shadow_rng=derive_rng(seed, trial_index, "shadowing"),
         fading_rng=fading_rng)
     assoc = associate(topology, realization.long_term_loss_db)
@@ -240,7 +207,7 @@ def _link_constants(demand_bps: float, bandwidth_hz: float,
     if demand_bps == 0.0:
         return 0.0, 1.0
     return (min_sinr(demand_bps, bandwidth_hz),
-            NoiseModel(bandwidth_hz, noise_figure_db).total_mw)
+            noise_mw(bandwidth_hz, noise_figure_db))
 
 
 # A policy returns EIRPs in dBm in the instance's `gene_ids` order.
@@ -251,7 +218,7 @@ PowersPolicy = Callable[[ScenarioInstance, np.random.Generator], np.ndarray]
 class TrialOutcome:
     trial_index: int
     coverage: float
-    result: CoverageResult
+    status: np.ndarray  # per-UE code of `ScenarioInstance.evaluate`
     gene_ids: tuple[int, ...]
     powers: np.ndarray  # EIRP in dBm per gene, in gene_ids order
     topology: Topology
@@ -271,10 +238,11 @@ def run_trial(config: ScenarioConfig, powers_policy: PowersPolicy,
     instance = build_instance(config, seed, trial_index)
     policy_rng = derive_rng(seed, trial_index, "policy")
     powers = powers_policy(instance, policy_rng)
-    result = instance.evaluate(powers)
-    return TrialOutcome(trial_index=trial_index,
-                        coverage=result.coverage_probability,
-                        result=result, gene_ids=instance.gene_ids,
+    status = instance.evaluate(powers)
+    n = status.size
+    coverage = np.count_nonzero(status == 0) / n if n else 1.0  # vacuous
+    return TrialOutcome(trial_index=trial_index, coverage=coverage,
+                        status=status, gene_ids=instance.gene_ids,
                         powers=powers,
                         topology=instance.topology, assoc=instance.assoc)
 

@@ -14,10 +14,9 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from iabsim.channel import (ChannelParams, ChannelRealization, NoiseModel,
-                            min_sinr)
+from iabsim.channel import ChannelRealization, min_sinr, noise_mw
 from iabsim.config import ScenarioConfig
-from iabsim.coverage import CoverageResult, ScenarioInstance, UeStatus
+from iabsim.coverage import ScenarioInstance
 from iabsim.ga import GaParams, GaResult
 from iabsim.topology import NetworkNode, NodeRole, Topology
 
@@ -144,9 +143,9 @@ def reference_plan_slots(topology: Topology, mode: str) -> SlotPlan:
 
 
 def received_power(eirp_dbm: float, link: LinkSample,
-                   params: ChannelParams) -> float:
+                   rx_gain_db: float) -> float:
     """Received power in dBm for a given transmit EIRP over a sampled link."""
-    return (eirp_dbm + params.rx_gain_db - link.pathloss_db
+    return (eirp_dbm + rx_gain_db - link.pathloss_db
             - link.shadowing_db - link.rain_db - link.fading_db)
 
 
@@ -170,14 +169,14 @@ def interference_at(victim_rx: NetworkNode, victim_rbs: frozenset[int],
         if overlap == 0.0:
             continue
         p_r = received_power(eirp_dbm, link(realization, node.id, victim_rx.id),
-                             realization.params)
+                             realization.rx_gain_db)
         total_mw += overlap * 10.0 ** (p_r / 10.0)
     return total_mw
 
 
-def sinr(p_r_dbm: float, interference_mw: float, noise: NoiseModel) -> float:
+def sinr(p_r_dbm: float, interference_mw: float, noise_mw: float) -> float:
     """Linear SINR: signal over interference plus thermal noise."""
-    return 10.0 ** (p_r_dbm / 10.0) / (interference_mw + noise.total_mw)
+    return 10.0 ** (p_r_dbm / 10.0) / (interference_mw + noise_mw)
 
 
 def achievable_rate(gamma: float, bw_hz: float) -> float:
@@ -190,16 +189,17 @@ def achievable_rate(gamma: float, bw_hz: float) -> float:
 def evaluate_trial(topology: Topology, assoc: Association,
                    alloc: RbAllocation, slot_plan: SlotPlan,
                    powers: Mapping[int, float], realization: ChannelRealization,
-                   min_rate_bps: float) -> CoverageResult:
-    """Per-UE coverage evaluation over one channel realization.
+                   config: ScenarioConfig) -> np.ndarray:
+    """Per-UE status codes over one channel realization, in UE id order:
+    0 covered, 1 access failure, 2 backhaul failure.
 
     Access links are checked first; for relay-served UEs the serving relay's
     backhaul must also sustain the aggregate of its children's target rates.
-    A failed backhaul marks every child of that relay BACKHAUL_FAIL. Missing
-    realization entries raise; nothing is silently defaulted.
+    A failed backhaul marks every child of that relay a backhaul failure.
+    Missing realization entries raise; nothing is silently defaulted.
     """
-    params = realization.params
-    nf = params.noise_figure_db
+    rx_gain, nf, min_rate_bps = (realization.rx_gain_db, config.nf_db,
+                                 config.min_rate_bps)
 
     access_pass: dict[int, bool] = {}
     for ue in topology.ues:
@@ -207,12 +207,12 @@ def evaluate_trial(topology: Topology, assoc: Association,
         rbs = alloc.rbs_of(ue.id)
         bw = alloc.bandwidth_hz(ue.id)
         p_r = received_power(powers[ue.id], link(realization, ue.id, bs_id),
-                             params)
+                             rx_gain)
         slot = slot_plan.slot_of(ue.id)
         co = [(topology.node(j), powers[j], alloc.rbs_of(j))
               for j in sorted(slot) if j != ue.id]
         i_mw = interference_at(topology.node(bs_id), rbs, co, realization)
-        gamma = sinr(p_r, i_mw, NoiseModel(bw, nf))
+        gamma = sinr(p_r, i_mw, noise_mw(bw, nf))
         access_pass[ue.id] = gamma >= min_sinr(min_rate_bps, bw)
 
     backhaul_pass: dict[int, bool] = {}
@@ -225,29 +225,34 @@ def evaluate_trial(topology: Topology, assoc: Association,
         union = alloc.rbs_of(iab.id)
         bw = alloc.bandwidth_hz(iab.id)
         p_r = received_power(powers[iab.id], link(realization, iab.id, donor_id),
-                             params)
+                             rx_gain)
         slot = slot_plan.slot_of(iab.id)
         co = [(topology.node(j), powers[j], alloc.rbs_of(j))
               for j in sorted(slot) if j != iab.id]
         i_mw = interference_at(topology.node(donor_id), union, co, realization)
-        gamma = sinr(p_r, i_mw, NoiseModel(bw, nf))
+        gamma = sinr(p_r, i_mw, noise_mw(bw, nf))
         aggregate = min_rate_bps * len(children)
         backhaul_pass[iab.id] = gamma >= min_sinr(aggregate, bw)
 
-    per_ue: dict[int, UeStatus] = {}
+    status = []
     for ue in topology.ues:
         bs = topology.node(assoc.ue_to_bs[ue.id])
         if bs.role is NodeRole.IAB and not backhaul_pass[bs.id]:
-            per_ue[ue.id] = UeStatus.BACKHAUL_FAIL
+            status.append(2)
         elif not access_pass[ue.id]:
-            per_ue[ue.id] = UeStatus.ACCESS_FAIL
+            status.append(1)
         else:
-            per_ue[ue.id] = UeStatus.COVERED
-    return CoverageResult.of(per_ue)
+            status.append(0)
+    return np.array(status, dtype=int)
+
+
+def covered_share(status: np.ndarray) -> float:
+    """The share of status codes that are 0 (covered); 1.0 with no UEs."""
+    return np.count_nonzero(status == 0) / status.size if status.size else 1.0
 
 
 def reference_evaluate(instance: ScenarioInstance,
-                       eirp_dbm: np.ndarray) -> CoverageResult:
+                       eirp_dbm: np.ndarray) -> np.ndarray:
     """`ScenarioInstance.evaluate` by the per-link path: the reference
     schedule and `evaluate_trial` on the instance's topology and channel,
     with the EIRPs keyed by `gene_ids`."""
@@ -257,8 +262,7 @@ def reference_evaluate(instance: ScenarioInstance,
     alloc = reference_allocate_rbs(assoc, topo, config)
     slot_plan = reference_plan_slots(topo, config.slot_mode)
     powers = dict(zip(instance.gene_ids, np.asarray(eirp_dbm).tolist()))
-    return evaluate_trial(topo, assoc, alloc, slot_plan, powers, real,
-                          config.min_rate_bps)
+    return evaluate_trial(topo, assoc, alloc, slot_plan, powers, real, config)
 
 
 def _select_full(pop: np.ndarray, fitness: np.ndarray) -> int:

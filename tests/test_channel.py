@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from iabsim.channel import (ChannelParams, ChannelRealization, NoiseModel,
-                            breakpoint_distance, min_sinr, pathloss_uma,
-                            rain_attenuation, rain_coefficients, sample_fading,
+from iabsim.channel import (ChannelRealization, breakpoint_distance,
+                            min_sinr, noise_mw, pathloss_uma, rain_attenuation,
+                            rain_coefficients, sample_fading,
                             sample_realization, sample_shadowing)
 from iabsim.config import ScenarioConfig
 from iabsim.rng import derive_rng
@@ -15,7 +15,7 @@ from iabsim.topology import NetworkNode, NodeRole, build_topology
 from oracle import (LinkSample, MissingLinkError, achievable_rate,
                     interference_at, link, received_power, sinr)
 
-PARAMS = ChannelParams()
+CONFIG = ScenarioConfig()
 
 
 # Independent oracle: the published regression for the horizontal-polarization
@@ -43,17 +43,17 @@ def oracle_rain_coefficients(f_ghz):
 
 class TestBreakpointDistance:
     def test_default_28ghz(self):
-        assert breakpoint_distance(PARAMS) == pytest.approx(
+        assert breakpoint_distance(CONFIG) == pytest.approx(
             4 * 28e9 / 3e8, rel=1e-12)
-        assert breakpoint_distance(PARAMS) == pytest.approx(373.3333333, rel=1e-9)
+        assert breakpoint_distance(CONFIG) == pytest.approx(373.3333333, rel=1e-9)
 
     def test_linear_in_frequency(self):
-        doubled = ChannelParams(fc_ghz=56.0)
+        doubled = ScenarioConfig(fc_ghz=56.0)
         assert breakpoint_distance(doubled) == pytest.approx(
-            2 * breakpoint_distance(PARAMS), rel=1e-12)
+            2 * breakpoint_distance(CONFIG), rel=1e-12)
 
     def test_zero_effective_height(self):
-        assert breakpoint_distance(ChannelParams(eff_ant_height_m=0.0)) == 0.0
+        assert breakpoint_distance(ScenarioConfig(eff_ant_height_m=0.0)) == 0.0
 
 
 class TestPathloss:
@@ -63,31 +63,31 @@ class TestPathloss:
         expected = (32.4 + 10 * 4 * math.log10(100.0)
                     + 20 * math.log10(28.0)
                     - 10 * math.log10(d_bp ** 2 + (25.0 - 1.5) ** 2))
-        got = pathloss_uma(100.0, 25.0, 1.5, PARAMS)
+        got = pathloss_uma(100.0, 25.0, 1.5, CONFIG)
         assert got == pytest.approx(expected, rel=1e-12)
         assert got == pytest.approx(89.88405142339428, rel=1e-9)
 
     def test_distance_decade_adds_40db(self):
-        base = pathloss_uma(30.0, 25.0, 1.5, PARAMS)
-        assert pathloss_uma(300.0, 25.0, 1.5, PARAMS) - base == \
+        base = pathloss_uma(30.0, 25.0, 1.5, CONFIG)
+        assert pathloss_uma(300.0, 25.0, 1.5, CONFIG) - base == \
             pytest.approx(40.0, abs=1e-9)
 
     def test_pure_function(self):
-        assert pathloss_uma(123.4, 25.0, 1.5, PARAMS) == \
-            pathloss_uma(123.4, 25.0, 1.5, PARAMS)
+        assert pathloss_uma(123.4, 25.0, 1.5, CONFIG) == \
+            pathloss_uma(123.4, 25.0, 1.5, CONFIG)
 
     def test_rejects_nonpositive_distance(self):
         with pytest.raises(ValueError):
-            pathloss_uma(0.0, 25.0, 1.5, PARAMS)
+            pathloss_uma(0.0, 25.0, 1.5, CONFIG)
         with pytest.raises(ValueError):
-            pathloss_uma(-5.0, 25.0, 1.5, PARAMS)
+            pathloss_uma(-5.0, 25.0, 1.5, CONFIG)
 
     def test_clamps_below_reference_distance(self):
-        assert pathloss_uma(0.2, 25.0, 1.5, PARAMS) == \
-            pathloss_uma(1.0, 25.0, 1.5, PARAMS)
+        assert pathloss_uma(0.2, 25.0, 1.5, CONFIG) == \
+            pathloss_uma(1.0, 25.0, 1.5, CONFIG)
 
     def test_literal_variant(self):
-        literal = ChannelParams(pathloss_literal=True)
+        literal = ScenarioConfig(pathloss_literal=True)
         d_bp = 4 * 28e9 / 3e8
         expected = (32.4 + 40 * math.log10(100.0) + 20 * math.log10(28.0)
                     - 10 * (d_bp ** 2 + 23.5 ** 2))
@@ -96,14 +96,14 @@ class TestPathloss:
 
     def test_strictly_increasing_in_distance(self):
         distances = np.linspace(1.0, 10_000.0, 200)
-        losses = [pathloss_uma(d, 25.0, 1.5, PARAMS) for d in distances]
+        losses = [pathloss_uma(d, 25.0, 1.5, CONFIG) for d in distances]
         assert all(b > a for a, b in zip(losses, losses[1:]))
         assert all(math.isfinite(v) for v in losses)
 
 
 class TestRain:
     def test_zero_rate_zero_loss(self):
-        assert rain_attenuation(0.0, 5.0, PARAMS) == 0.0
+        assert rain_attenuation(0.0, 5.0, CONFIG) == 0.0
 
     def test_coefficients_match_regression_oracle(self):
         for f in (1.0, 10.0, 28.0, 40.0, 99.0):
@@ -116,20 +116,20 @@ class TestRain:
         # 20 mm/h over 0.2 km with table coefficients at 28 GHz.
         k, gamma = rain_coefficients(28.0)
         expected = k * 20.0 ** gamma * 0.2
-        got = rain_attenuation(20.0, 0.2, PARAMS)
+        got = rain_attenuation(20.0, 0.2, CONFIG)
         assert got == pytest.approx(expected, rel=1e-9)
         assert got == pytest.approx(0.74509684, rel=1e-6)
 
     def test_linear_in_path(self):
-        one = rain_attenuation(17.0, 1.0, PARAMS)
-        assert rain_attenuation(17.0, 2.0, PARAMS) == pytest.approx(2 * one)
+        one = rain_attenuation(17.0, 1.0, CONFIG)
+        assert rain_attenuation(17.0, 2.0, CONFIG) == pytest.approx(2 * one)
 
     def test_monotone_in_rate_and_path(self):
         rates = np.linspace(0.0, 50.0, 25)
-        vals = [rain_attenuation(r, 1.0, PARAMS) for r in rates]
+        vals = [rain_attenuation(r, 1.0, CONFIG) for r in rates]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
         paths = np.linspace(0.0, 10.0, 25)
-        vals = [rain_attenuation(20.0, p, PARAMS) for p in paths]
+        vals = [rain_attenuation(20.0, p, CONFIG) for p in paths]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
     def test_out_of_table_frequency_rejected(self):
@@ -140,7 +140,7 @@ class TestRain:
 class TestSamples:
     def test_shadowing_moments(self):
         rng = derive_rng(123, "shadow-test")
-        draws = np.array([sample_shadowing(rng, PARAMS) for _ in range(100_000)])
+        draws = np.array([sample_shadowing(rng, CONFIG) for _ in range(100_000)])
         assert -0.05 < draws.mean() < 0.05
         assert 3.95 < draws.std() < 4.05
 
@@ -154,8 +154,8 @@ class TestSamples:
         a = [sample_fading(derive_rng(5, "f")) for _ in range(1)]
         b = [sample_fading(derive_rng(5, "f")) for _ in range(1)]
         assert a == b
-        seq1 = [sample_shadowing(derive_rng(5, 0, "s"), PARAMS) for _ in range(3)]
-        seq2 = [sample_shadowing(derive_rng(5, 0, "s"), PARAMS) for _ in range(3)]
+        seq1 = [sample_shadowing(derive_rng(5, 0, "s"), CONFIG) for _ in range(3)]
+        seq2 = [sample_shadowing(derive_rng(5, 0, "s"), CONFIG) for _ in range(3)]
         assert seq1 == seq2
 
 
@@ -166,16 +166,15 @@ def make_link(pl=89.88405142339428, shadow=0.0, fade=0.0, rain=0.0):
 
 class TestReceivedPower:
     def test_hand_example(self):
-        assert received_power(43.0, make_link(), PARAMS) == \
+        assert received_power(43.0, make_link(), CONFIG.rx_gain_db) == \
             pytest.approx(-21.884051423394283, rel=1e-9)
 
     def test_identity_with_no_losses(self):
-        params = ChannelParams(rx_gain_db=0.0)
-        assert received_power(17.0, make_link(pl=0.0), params) == 17.0
+        assert received_power(17.0, make_link(pl=0.0), 0.0) == 17.0
 
     def test_linear_in_eirp(self):
-        base = received_power(30.0, make_link(), PARAMS)
-        assert received_power(33.0, make_link(), PARAMS) == \
+        base = received_power(30.0, make_link(), CONFIG.rx_gain_db)
+        assert received_power(33.0, make_link(), CONFIG.rx_gain_db) == \
             pytest.approx(base + 3.0, abs=1e-12)
 
     def test_term_by_term_decomposition(self):
@@ -185,8 +184,8 @@ class TestReceivedPower:
                 rng.normal(0, 5), rng.uniform(0, 2)
             link = make_link(pl=pl, shadow=sh, fade=fa, rain=ra)
             eirp = rng.uniform(23, 53)
-            expected = eirp + PARAMS.rx_gain_db - pl - sh - ra - fa
-            assert received_power(eirp, link, PARAMS) == \
+            expected = eirp + CONFIG.rx_gain_db - pl - sh - ra - fa
+            assert received_power(eirp, link, CONFIG.rx_gain_db) == \
                 pytest.approx(expected, abs=1e-9)
 
 
@@ -208,7 +207,8 @@ def _fake_realization(entries):
             arrays[name][tx_ids.index(tx), rx_ids.index(rx)] = getattr(link, name)
     return ChannelRealization(tx_ids=np.array(tx_ids, dtype=int),
                               rx_ids=np.array(rx_ids, dtype=int),
-                              rain_rate_mm_h=0.0, params=PARAMS, **arrays)
+                              rain_rate_mm_h=0.0,
+                              rx_gain_db=CONFIG.rx_gain_db, **arrays)
 
 
 class TestInterference:
@@ -273,16 +273,18 @@ class TestInterference:
 
 class TestSinrRate:
     def test_noise_level_2_88mhz(self):
-        noise = NoiseModel(bandwidth_hz=2.88e6, noise_figure_db=5.0)
-        assert noise.total_dbm == pytest.approx(-104.4060751224077, rel=1e-12)
+        noise = noise_mw(bandwidth_hz=2.88e6, noise_figure_db=5.0)
+        assert 10 * math.log10(noise) == \
+            pytest.approx(-104.4060751224077, rel=1e-12)
 
     def test_signal_at_noise_floor(self):
-        noise = NoiseModel(2.88e6, 5.0)
-        assert sinr(noise.total_dbm, 0.0, noise) == pytest.approx(1.0, rel=1e-12)
+        noise = noise_mw(2.88e6, 5.0)
+        assert sinr(10 * math.log10(noise), 0.0, noise) == \
+            pytest.approx(1.0, rel=1e-12)
 
     def test_interference_equal_to_noise(self):
-        noise = NoiseModel(2.88e6, 5.0)
-        assert sinr(noise.total_dbm, noise.total_mw, noise) == \
+        noise = noise_mw(2.88e6, 5.0)
+        assert sinr(10 * math.log10(noise), noise, noise) == \
             pytest.approx(0.5, rel=1e-12)
 
     def test_rate_trivials(self):
@@ -313,7 +315,7 @@ class TestRealization:
     def test_covers_all_uplink_pairs_and_is_finite(self):
         cfg = ScenarioConfig(num_ues=6, num_cells=2, trials=1)
         topo = build_topology(cfg, derive_rng(2))
-        real = sample_realization(topo, PARAMS, 18.0,
+        real = sample_realization(topo, CONFIG, 18.0,
                                   shadow_rng=derive_rng(2, "s"),
                                   fading_rng=derive_rng(2, "f"))
         for tx in topo.transmitters:
@@ -328,7 +330,7 @@ class TestRealization:
     def test_fading_disabled_is_zero(self):
         cfg = ScenarioConfig(num_ues=2, trials=1)
         topo = build_topology(cfg, derive_rng(2))
-        real = sample_realization(topo, PARAMS, 0.0,
+        real = sample_realization(topo, CONFIG, 0.0,
                                   shadow_rng=derive_rng(2, "s"),
                                   fading_rng=None)
         assert all(link(real, tx, rx).fading_db == 0.0
@@ -337,7 +339,7 @@ class TestRealization:
     def test_missing_pair_raises(self):
         cfg = ScenarioConfig(num_ues=2, trials=1)
         topo = build_topology(cfg, derive_rng(2))
-        real = sample_realization(topo, PARAMS, 0.0,
+        real = sample_realization(topo, CONFIG, 0.0,
                                   shadow_rng=derive_rng(2, "s"),
                                   fading_rng=None)
         with pytest.raises(MissingLinkError):

@@ -320,3 +320,39 @@ class TestNonNumericTuple:
         assert code == 1
         assert key in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
+
+
+class TestChannelAndSeedChecks:
+    """The rain law, the carrier's place in the rain table, the GA
+    neighborhood and the seed are checked at config load, by key."""
+
+    @pytest.mark.parametrize("key, value", [
+        ("rain_k", 0.0), ("rain_k", -1.0), ("rain_k", "abc"),
+        ("rain_gamma", 0.0), ("rain_gamma", 2.0), ("rain_gamma", -0.5),
+        ("fc_ghz", 0.5), ("fc_ghz", 500.0),
+        ("ga_neighborhood", -1), ("seed", -1)])
+    def test_code_value_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            ScenarioConfig().replace(**{key: value})
+
+    @pytest.mark.parametrize("kw", [{"rain_k": 0.5}, {"rain_gamma": 1.0}])
+    def test_out_of_table_carrier_with_one_coefficient_rejected(self, kw):
+        with pytest.raises(ConfigError, match="fc_ghz"):
+            ScenarioConfig().replace(fc_ghz=500.0, **kw)
+
+    def test_out_of_table_carrier_with_both_coefficients_accepted(self):
+        cfg = ScenarioConfig().replace(fc_ghz=500.0, rain_k=0.5, rain_gamma=1.0)
+        assert (cfg.rain_k, cfg.rain_gamma) == (0.5, 1.0)
+
+    @pytest.mark.parametrize("line", ["rain_k = -1", "rain_gamma = 3",
+                                      "fc_ghz = 500", "ga_neighborhood = -1",
+                                      "seed = -1"])
+    def test_file_value_exits_1(self, tmp_path, capsys, line):
+        from iabsim.cli import main
+        path = tmp_path / "bad.cfg"
+        path.write_text(line + "\n")
+        code = main(["run", "ga-trace", "--config", str(path),
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        assert line.split()[0] in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()

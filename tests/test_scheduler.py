@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from iabsim.channel import ChannelParams, pathloss_uma, sample_realization
+from iabsim.channel import pathloss_uma, sample_realization
 from iabsim.config import ScenarioConfig
 from iabsim.rng import derive_rng
 from iabsim.scheduler import allocate_rbs, associate, plan_slots
@@ -25,10 +25,10 @@ def bare_topology(ue_positions, iab_positions=(), radius=200.0):
 def pathloss_losses(topo):
     """Long-term losses equal to pathloss, as a (transmitter, receiver)
     array; self pairs hold NaN, as in a channel realization."""
-    params = ChannelParams()
+    config = ScenarioConfig()
     return np.array([[np.nan if tx.id == bs.id else
                       pathloss_uma(distance_3d(tx, bs), bs.height, tx.height,
-                                   params)
+                                   config)
                       for bs in topo.receivers] for tx in topo.transmitters])
 
 
@@ -83,7 +83,7 @@ class TestAssociate:
     def test_every_iab_maps_to_its_donor(self):
         cfg = ScenarioConfig(num_cells=2, num_ues=4, trials=1)
         topo = build_topology(cfg, derive_rng(3))
-        real = sample_realization(topo, ChannelParams(), 16.0,
+        real = sample_realization(topo, ScenarioConfig(), 16.0,
                                   derive_rng(3, "s"), None)
         assoc = associate(topo, real.long_term_loss_db)
         for node, rx in zip(topo.transmitters, assoc.tolist()):
@@ -153,7 +153,7 @@ class TestAllocateRbs:
     def test_both_cells_share_the_grid(self):
         cfg = self.config(num_cells=2, num_ues=3)
         topo = build_topology(cfg, derive_rng(4))
-        real = sample_realization(topo, ChannelParams(), 16.0,
+        real = sample_realization(topo, ScenarioConfig(), 16.0,
                                   derive_rng(4, "s"), None)
         alloc = allocate_rbs(associate(topo, real.long_term_loss_db), topo, cfg)
         rows = list(topo.transmitters)
