@@ -102,6 +102,10 @@ class ScenarioConfig:
     def validate(self) -> None:
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
+            number = f.type == "float" or (f.type == "Optional[float]"
+                                           and value is not None)
+            if number and not _is_real(value):
+                raise ConfigError(f"{f.name} must be a number, got {value!r}")
             if not all(math.isfinite(v) for v in _floats(value)):
                 raise ConfigError(f"{f.name} must be finite, got {value!r}")
             if f.type == "int" and not _is_int(value):
@@ -127,13 +131,11 @@ class ScenarioConfig:
                       "iab_ring_angle_offset_deg", "ga_neighborhood", "seed")
         if self.alpha < 2:
             raise ConfigError(f"alpha must be >= 2, got {self.alpha}")
-        if self.rain_k is not None and not (_is_real(self.rain_k)
-                                            and self.rain_k > 0):
-            raise ConfigError(f"rain_k must be a number > 0, got {self.rain_k!r}")
-        if self.rain_gamma is not None and not (_is_real(self.rain_gamma)
-                                                and 0 < self.rain_gamma < 2):
+        if self.rain_k is not None and not self.rain_k > 0:
+            raise ConfigError(f"rain_k must be > 0, got {self.rain_k!r}")
+        if self.rain_gamma is not None and not 0 < self.rain_gamma < 2:
             raise ConfigError(
-                f"rain_gamma must be a number in (0, 2), got {self.rain_gamma!r}")
+                f"rain_gamma must be in (0, 2), got {self.rain_gamma!r}")
         if self.rain_k is None or self.rain_gamma is None:
             from .channel import rain_coefficients  # channel imports config
             try:

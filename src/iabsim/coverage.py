@@ -4,7 +4,10 @@ A UE is covered when its access link clears the minimum SINR for the target
 rate and, if relay-served, the serving relay's backhaul link clears the
 minimum SINR for the aggregate of its children's target rates. Coverage
 probability is the covered fraction, averaged over Monte-Carlo trials that
-re-draw geometry, shadowing, fading, and rain.
+re-draw geometry, shadowing, fading, and rain. All power policies of a
+trial are scored on one instance, built once, and each policy draws from
+its own fresh `policy` stream of the trial; the policies are thus compared
+on common random numbers, a paired comparison.
 
 Every evaluation goes through one batched kernel on a `ScenarioInstance`.
 Powers are float arrays of EIRPs in dBm, one entry per gene in `gene_ids`
@@ -22,7 +25,7 @@ computes the same link budget one link at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -232,38 +235,51 @@ class MonteCarloResult:
     outcomes: tuple[TrialOutcome, ...]
 
 
-def run_trial(config: ScenarioConfig, powers_policy: PowersPolicy,
-              seed: int, trial_index: int) -> TrialOutcome:
-    """One self-contained Monte-Carlo trial."""
+def run_trial(config: ScenarioConfig, policies: Sequence[PowersPolicy],
+              seed: int, trial_index: int) -> list[TrialOutcome]:
+    """One Monte-Carlo trial, built once and scored under every policy.
+
+    Each policy gets a fresh `policy` stream of this trial, so its outcome
+    does not depend on which other policies run or in what order: the
+    policies are compared on common random numbers. A policy must not
+    mutate the instance.
+    """
     instance = build_instance(config, seed, trial_index)
-    policy_rng = derive_rng(seed, trial_index, "policy")
-    powers = powers_policy(instance, policy_rng)
-    status = instance.evaluate(powers)
-    n = status.size
-    coverage = np.count_nonzero(status == 0) / n if n else 1.0  # vacuous
-    return TrialOutcome(trial_index=trial_index, coverage=coverage,
-                        status=status, gene_ids=instance.gene_ids,
-                        powers=powers,
-                        topology=instance.topology, assoc=instance.assoc)
+    outcomes = []
+    for policy in policies:
+        powers = policy(instance, derive_rng(seed, trial_index, "policy"))
+        status = instance.evaluate(powers)
+        n = status.size
+        coverage = np.count_nonzero(status == 0) / n if n else 1.0  # vacuous
+        outcomes.append(TrialOutcome(
+            trial_index=trial_index, coverage=coverage, status=status,
+            gene_ids=instance.gene_ids, powers=powers,
+            topology=instance.topology, assoc=instance.assoc))
+    return outcomes
 
 
 def monte_carlo_coverage(config: ScenarioConfig,
-                         powers_policy: Union[str, PowersPolicy],
-                         trials: int, seed: int) -> MonteCarloResult:
-    """Mean service coverage over independent trials.
+                         policies: Sequence[Union[str, PowersPolicy]],
+                         trials: int, seed: int) -> list[MonteCarloResult]:
+    """Mean service coverage of each policy over independent trials.
 
-    Each trial redraws the UE pattern and the channel, re-associates,
-    re-allocates, applies the power policy, and evaluates coverage. The
-    policy is a callable (instance, rng) -> EIRP array or one of
-    "max" | "random" | "ga".
+    Each trial redraws the UE pattern and the channel, re-associates and
+    re-allocates once, then applies and evaluates every policy on that one
+    instance, each with its own `policy` stream: a paired comparison on
+    common random numbers (see `run_trial`). A policy is a callable (instance, rng) ->
+    EIRP array or one of "max" | "random" | "ga". One result is returned
+    per policy, in the order given.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if isinstance(powers_policy, str):
-        from .policies import make_policy
-        powers_policy = make_policy(powers_policy, config)
-    outcomes = [run_trial(config, powers_policy, seed, t)
-                for t in range(trials)]
-    per_trial = np.array([o.coverage for o in outcomes])
-    return MonteCarloResult(mean_coverage=float(per_trial.mean()),
-                            per_trial=per_trial, outcomes=tuple(outcomes))
+    from .policies import make_policy
+    policies = [make_policy(p, config) if isinstance(p, str) else p
+                for p in policies]
+    per_policy = zip(*(run_trial(config, policies, seed, t)
+                       for t in range(trials)))
+    results = []
+    for outcomes in per_policy:
+        per_trial = np.array([o.coverage for o in outcomes])
+        results.append(MonteCarloResult(mean_coverage=float(per_trial.mean()),
+                                        per_trial=per_trial, outcomes=outcomes))
+    return results

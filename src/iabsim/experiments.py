@@ -5,7 +5,9 @@ Five experiments are available:
   ga-trace         per-iteration best coverage of the power optimizer,
                    one column per seed (convergence ladders)
   coverage-vs-ues  coverage vs UE count for optimized / max / random
-                   power, one file per RBs-per-UE value
+                   power, one file per RBs-per-UE value; each trial is
+                   built once and all three policies are scored on it
+                   (common random numbers)
   coverage-vs-sinr coverage vs median access SINR under separated vs
                    simultaneous access/backhaul slots, swept by applying a
                    network-wide EIRP back-off after power selection
@@ -92,12 +94,6 @@ def run_ga_trace(config: ScenarioConfig, out: str) -> list[str]:
     return [out]
 
 
-def _mean_coverage(config: ScenarioConfig, policy_name: str) -> float:
-    policy = make_policy(policy_name, config)
-    res = monte_carlo_coverage(config, policy, config.trials, config.seed)
-    return res.mean_coverage
-
-
 def run_coverage_vs_ues(config: ScenarioConfig, out: str,
                         rbs_values: tuple[int, ...] = (2, 4)) -> list[str]:
     """Coverage vs UE count for the optimized and baseline power policies."""
@@ -107,10 +103,9 @@ def run_coverage_vs_ues(config: ScenarioConfig, out: str,
         rows = []
         for num_ues in config.sweep_ues:
             cfg = cfg_rb.replace(num_ues=num_ues)
-            rows.append([num_ues,
-                         _mean_coverage(cfg, "ga"),
-                         _mean_coverage(cfg, "max"),
-                         _mean_coverage(cfg, "random")])
+            results = monte_carlo_coverage(cfg, ("ga", "max", "random"),
+                                           cfg.trials, cfg.seed)
+            rows.append([num_ues] + [r.mean_coverage for r in results])
         path = _suffixed(out, f"_rb{rbs}") if len(rbs_values) > 1 else out
         _write_csv(path, cfg_rb, "coverage-vs-ues",
                    ["num_ues", "coverage_optimized", "coverage_max_power",
@@ -162,7 +157,9 @@ def run_intercell(config: ScenarioConfig, out: str) -> list[str]:
         cov = []
         for cells in (1, 2):
             cfg = config.replace(num_ues=num_ues, num_cells=cells)
-            cov.append(_mean_coverage(cfg, config.power_policy))
+            [res] = monte_carlo_coverage(cfg, (config.power_policy,),
+                                         cfg.trials, cfg.seed)
+            cov.append(res.mean_coverage)
         rows.append([num_ues, cov[0], cov[1]])
     _write_csv(out, config, "intercell",
                ["num_ues", "coverage_1cell", "coverage_2cell"], rows)
@@ -174,7 +171,7 @@ def run_power_cdf(config: ScenarioConfig, out: str) -> list[str]:
     rows = []
     for rate in config.powercdf_rates_bps:
         cfg = config.replace(min_rate_bps=rate)
-        res = monte_carlo_coverage(cfg, "ga", cfg.trials, cfg.seed)
+        [res] = monte_carlo_coverage(cfg, ("ga",), cfg.trials, cfg.seed)
         for outcome in res.outcomes:
             topo = outcome.topology
             for node_id, rx, eirp in zip(outcome.gene_ids,

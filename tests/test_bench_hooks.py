@@ -77,3 +77,16 @@ def test_final_evaluation_once_per_trial(traced_run):
     metrics = tracing.layer_metrics(spans, measured, csv_bytes)
     assert metrics["coverage.evaluate.calls"] == (
         w.trials * len(w.sweep) * w.runs_per_point)
+
+
+# Distinct configs per sweep point: coverage-vs-ues scores its three power
+# policies on one build of each trial; intercell builds each cell count.
+CONFIGS_PER_POINT = {"coverage-vs-ues": 1, "intercell": 2}
+
+
+def test_one_build_per_trial_and_config(traced_run):
+    w, spans, measured, csv_bytes = traced_run
+    metrics = tracing.layer_metrics(spans, measured, csv_bytes)
+    builds = w.trials * len(w.sweep) * CONFIGS_PER_POINT[w.experiment]
+    for layer in ("coverage.build", "topology", "channel"):
+        assert metrics[f"{layer}.calls"] == builds, layer

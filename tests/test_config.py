@@ -356,3 +356,30 @@ class TestChannelAndSeedChecks:
         assert code == 1
         assert line.split()[0] in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
+
+
+NUMBER_KEYS = [f.name for f in dataclasses.fields(ScenarioConfig)
+               if f.type in ("float", "Optional[float]")]
+
+
+class TestNonNumericFloat:
+    """Every float field, optional ones included, must hold a real number;
+    a string or a bool is rejected by key at config load."""
+
+    @pytest.mark.parametrize("key", NUMBER_KEYS)
+    def test_rejected_by_key(self, tmp_path, capsys, key):
+        from iabsim.cli import main
+        for value in ("abc", True):
+            with pytest.raises(ConfigError, match=key):
+                ScenarioConfig().replace(**{key: value})
+        with pytest.raises(ConfigError, match=key):
+            load_config(cli_overrides={key: "abc"})
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"{key} = abc\n")
+        code = main(["run", "ga-trace", "--config", str(path),
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+        if getattr(ScenarioConfig(), key) is None:  # optional keeps None
+            assert getattr(ScenarioConfig().replace(**{key: None}), key) is None

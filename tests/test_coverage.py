@@ -66,7 +66,7 @@ class TestEvaluateTrial:
         cfg = deterministic_config(num_ues=0)
         inst = build_instance(cfg, seed=1, trial_index=0)
         assert inst.evaluate(inst.upper).shape == (0,)
-        outcome = run_trial(cfg, max_power_policy, seed=1, trial_index=0)
+        [outcome] = run_trial(cfg, [max_power_policy], seed=1, trial_index=0)
         assert outcome.coverage == 1.0
         assert outcome.status.shape == (0,)
 
@@ -103,7 +103,7 @@ class TestEvaluateTrial:
     def test_coverage_equals_mean_indicator(self):
         cfg = ScenarioConfig(num_ues=25, num_cells=2, rb_max=16,
                              min_rate_bps=1e6, trials=1)
-        outcome = run_trial(cfg, max_power_policy, seed=8, trial_index=0)
+        [outcome] = run_trial(cfg, [max_power_policy], seed=8, trial_index=0)
         indicator = [1 if code == 0 else 0 for code in outcome.status]
         assert outcome.coverage == pytest.approx(np.mean(indicator))
         assert 0.0 <= outcome.coverage <= 1.0
@@ -211,7 +211,7 @@ class TestFastPathAgreement:
 class TestMonteCarlo:
     def test_single_trial_equals_evaluate(self):
         cfg = deterministic_config(num_ues=5, power_policy="max")
-        res = monte_carlo_coverage(cfg, "max", trials=1, seed=31)
+        [res] = monte_carlo_coverage(cfg, ["max"], trials=1, seed=31)
         inst = build_instance(cfg, seed=31, trial_index=0)
         direct = covered_share(inst.evaluate(inst.upper))
         assert res.mean_coverage == direct
@@ -219,16 +219,16 @@ class TestMonteCarlo:
     def test_determinism(self):
         cfg = ScenarioConfig(num_ues=10, num_cells=2, rb_max=16,
                              min_rate_bps=1e6, trials=1)
-        a = monte_carlo_coverage(cfg, "random", trials=8, seed=12)
-        b = monte_carlo_coverage(cfg, "random", trials=8, seed=12)
+        [a] = monte_carlo_coverage(cfg, ["random"], trials=8, seed=12)
+        [b] = monte_carlo_coverage(cfg, ["random"], trials=8, seed=12)
         assert np.array_equal(a.per_trial, b.per_trial)
 
     def test_trial_order_does_not_change_results(self):
         cfg = ScenarioConfig(num_ues=12, num_cells=2, rb_max=16,
                              min_rate_bps=1e6, trials=1)
-        in_order = monte_carlo_coverage(cfg, "random", trials=10, seed=2)
+        [in_order] = monte_carlo_coverage(cfg, ["random"], trials=10, seed=2)
         policy = make_policy("random", cfg)
-        reversed_order = [run_trial(cfg, policy, 2, t)
+        reversed_order = [run_trial(cfg, [policy], 2, t)[0]
                           for t in reversed(range(10))][::-1]
         assert np.array_equal(in_order.per_trial,
                               [o.coverage for o in reversed_order])
@@ -237,7 +237,7 @@ class TestMonteCarlo:
             assert np.array_equal(a.powers, b.powers)
 
     def test_micro_oracle_exact(self):
-        res = monte_carlo_coverage(MICRO, "max", trials=4, seed=9)
+        [res] = monte_carlo_coverage(MICRO, ["max"], trials=4, seed=9)
         assert micro_oracle_coverage() == 0.5
         assert res.mean_coverage == 0.5
         assert np.array_equal(res.per_trial, [0.5, 0.5, 0.5, 0.5])
@@ -247,11 +247,11 @@ class TestMonteCarlo:
     def test_estimator_consistency(self):
         cfg = ScenarioConfig(num_ues=10, num_cells=1, rb_max=8,
                              min_rate_bps=1e6, trials=1)
-        small = monte_carlo_coverage(cfg, "max", trials=200, seed=40)
-        big = monte_carlo_coverage(cfg, "max", trials=800, seed=40)
+        [small] = monte_carlo_coverage(cfg, ["max"], trials=200, seed=40)
+        [big] = monte_carlo_coverage(cfg, ["max"], trials=800, seed=40)
         se = small.per_trial.std(ddof=1) / math.sqrt(small.per_trial.size)
         assert abs(big.mean_coverage - small.mean_coverage) < 3 * se
 
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
-            monte_carlo_coverage(MICRO, "max", trials=0, seed=1)
+            monte_carlo_coverage(MICRO, ["max"], trials=0, seed=1)

@@ -182,15 +182,15 @@ class TestFailureCleanup:
     def test_partial_outputs_removed(self, tmp_path, monkeypatch):
         cfg = tiny_config()
         calls = {"n": 0}
-        real = experiments._mean_coverage
+        real = experiments.monte_carlo_coverage
 
         def flaky(*args, **kwargs):
             calls["n"] += 1
-            if calls["n"] > len(cfg.sweep_ues) * 3:  # first file complete
+            if calls["n"] > len(cfg.sweep_ues):  # first file complete
                 raise RuntimeError("injected failure")
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(experiments, "_mean_coverage", flaky)
+        monkeypatch.setattr(experiments, "monte_carlo_coverage", flaky)
         out = str(tmp_path / "cov.csv")
         with pytest.raises(RuntimeError):
             run_experiment(ExperimentSpec("coverage-vs-ues", out), cfg)

@@ -176,7 +176,7 @@ class TestOptimize:
     def test_no_genes_monte_carlo(self):
         cfg = ScenarioConfig(num_ues=0, num_iab_per_cell=0, ga_iterations=5,
                              ga_population=6, ga_neighborhood=2)
-        res = monte_carlo_coverage(cfg, "ga", trials=3, seed=18)
+        [res] = monte_carlo_coverage(cfg, ["ga"], trials=3, seed=18)
         assert np.array_equal(res.per_trial, np.ones(3))
 
     def test_evaluation_count(self):

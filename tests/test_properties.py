@@ -1,6 +1,7 @@
 """Property tests: the array channel, the batched status kernel and the
 block-drawn GA against their scalar, per-link and per-generation references,
-over random small scenarios."""
+and the shared-build trial runner against one build per policy, over random
+small scenarios."""
 
 import math
 from unittest import mock
@@ -14,7 +15,8 @@ import iabsim.ga as ga
 from iabsim.channel import (pathloss_uma, sample_fading, sample_realization,
                             sample_shadowing)
 from iabsim.config import ScenarioConfig
-from iabsim.coverage import build_instance
+from iabsim.coverage import build_instance, monte_carlo_coverage
+from iabsim.policies import make_policy
 from iabsim.rng import derive_rng
 from iabsim.scheduler import allocate_rbs, associate, plan_slots
 from iabsim.topology import build_topology
@@ -178,3 +180,43 @@ def test_optimize_matches_reference(seed, num_ues, num_cells, num_iab, rb_max,
         with mock.patch.object(ga, "_BLOCK_DOUBLES", block):
             _same_result(fast, ga.optimize(inst, params,
                                            derive_rng(seed, "policy")))
+
+
+POLICIES = ("ga", "max", "random")
+
+
+@FAST
+@given(seed=seeds, num_ues=st.integers(0, 6), num_cells=st.sampled_from((1, 2)),
+       num_iab=st.integers(0, 2), poisson=st.booleans(),
+       slot_mode=st.sampled_from(("separated", "simultaneous")),
+       rb_max=st.sampled_from((2, 16)),
+       min_rate=st.sampled_from((64e3, 5e6, 20e6)))
+@example(seed=5, num_ues=0, num_cells=2, num_iab=0, poisson=True,
+         slot_mode="simultaneous", rb_max=16, min_rate=5e6)  # Poisson 0, J = 0
+def test_shared_build_matches_one_build_per_policy(seed, num_ues, num_cells,
+                                                    num_iab, poisson,
+                                                    slot_mode, rb_max,
+                                                    min_rate):
+    cfg = ScenarioConfig(num_ues=num_ues, num_cells=num_cells,
+                         num_iab_per_cell=num_iab, ue_count_poisson=poisson,
+                         slot_mode=slot_mode, rb_max=rb_max,
+                         min_rate_bps=min_rate, ga_iterations=3,
+                         ga_population=4, ga_neighborhood=2, trials=1)
+    trials = 2
+    shared = monte_carlo_coverage(cfg, POLICIES, trials, seed)
+    # The order of the policies changes no outcome.
+    backwards = monte_carlo_coverage(cfg, POLICIES[::-1], trials, seed)[::-1]
+    for name, a, b in zip(POLICIES, shared, backwards):
+        policy = make_policy(name, cfg)
+        for t in range(trials):
+            inst = build_instance(cfg, seed, t)
+            powers = policy(inst, derive_rng(seed, t, "policy"))
+            status = inst.evaluate(powers)
+            for res in (a, b):
+                outcome = res.outcomes[t]
+                assert outcome.trial_index == t
+                assert outcome.gene_ids == inst.gene_ids
+                assert np.array_equal(outcome.powers, powers)
+                assert np.array_equal(outcome.status, status)
+                assert outcome.coverage == covered_share(status)
+                assert res.per_trial[t] == outcome.coverage
