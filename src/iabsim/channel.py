@@ -227,7 +227,11 @@ def sample_realization(topology: Topology, config: ScenarioConfig,
 
 
 def min_sinr(rate_bps: float, bw_hz: float) -> float:
-    """Minimum linear SINR sustaining a target rate; inverse of the rate."""
+    """Minimum linear SINR sustaining a target rate; inverse of the rate.
+
+    From an exponent of 1024, 2**x overflows a double: the SINR is inf, and
+    no link can meet it."""
     if bw_hz <= 0:
         raise ValueError(f"bw_hz must be > 0, got {bw_hz}")
-    return 2.0 ** (rate_bps / bw_hz) - 1.0
+    x = rate_bps / bw_hz
+    return math.inf if x >= 1024 else 2.0 ** x - 1.0

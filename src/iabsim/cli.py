@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import ConfigError, load_config
+from .config import DOMAINS, ConfigError, load_config
 from .experiments import EXPERIMENT_NAMES, ExperimentSpec, run_experiment, summarize
 
 
@@ -31,10 +31,11 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--trials", type=int)
     run_p.add_argument("--ues", type=int, dest="num_ues")
     run_p.add_argument("--rbs-per-ue", type=int, dest="rbs_per_ue")
-    run_p.add_argument("--slot-mode", choices=("separated", "simultaneous"),
+    run_p.add_argument("--slot-mode", choices=DOMAINS["slot_mode"].choices,
                        dest="slot_mode")
-    run_p.add_argument("--cells", type=int, choices=(1, 2), dest="num_cells")
-    run_p.add_argument("--policy", choices=("max", "random", "ga"),
+    run_p.add_argument("--cells", type=int, choices=DOMAINS["num_cells"].choices,
+                       dest="num_cells")
+    run_p.add_argument("--policy", choices=DOMAINS["power_policy"].choices,
                        dest="power_policy")
     run_p.add_argument("--out", required=True, help="output CSV path")
 

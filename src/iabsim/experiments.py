@@ -296,7 +296,9 @@ def summarize(path: str) -> str:
     """Headline statistics for an experiment CSV, as a text report."""
     experiment, _, columns, data, raw = read_csv(path)
     lines = [f"summary of {os.path.basename(path)} ({experiment or 'unknown'})"]
-    if experiment == "coverage-vs-ues":
+    if not raw:
+        lines.append("  no data rows")
+    elif experiment == "coverage-vs-ues":
         ues = data[:, columns.index("num_ues")]
         crossings: dict[str, Optional[float]] = {}
         for col in ("coverage_optimized", "coverage_max_power",

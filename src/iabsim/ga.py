@@ -44,27 +44,14 @@ _BLOCK_DOUBLES = 1 << 14
 
 @dataclass(frozen=True)
 class GaParams:
-    n_iterations: int = 200
-    population: int = 20
-    neighborhood: int = 10
-    mutation_step_db: float = 3.0
-    mutation_prob: float = 0.15
-
-    def __post_init__(self) -> None:
-        if self.population < 2:
-            raise ValueError(f"population must be >= 2, got {self.population}")
-        if not 0 <= self.neighborhood < self.population:
-            raise ValueError(
-                f"neighborhood must satisfy 0 <= S < K, got S={self.neighborhood} "
-                f"K={self.population}")
-        if self.n_iterations < 1:
-            raise ValueError(f"n_iterations must be >= 1, got {self.n_iterations}")
-        if self.mutation_step_db <= 0:
-            raise ValueError(
-                f"mutation_step_db must be > 0, got {self.mutation_step_db}")
-        if not 0 < self.mutation_prob <= 1:
-            raise ValueError(
-                f"mutation_prob must be in (0, 1], got {self.mutation_prob}")
+    """The GA's hyperparameters: a view of the ``ga_*`` keys of a
+    ScenarioConfig, with the same defaults. ``ScenarioConfig.validate``
+    holds their domains."""
+    n_iterations: int = ScenarioConfig.ga_iterations
+    population: int = ScenarioConfig.ga_population
+    neighborhood: int = ScenarioConfig.ga_neighborhood
+    mutation_step_db: float = ScenarioConfig.ga_mutation_step_db
+    mutation_prob: float = ScenarioConfig.ga_mutation_prob
 
     @property
     def immigrants(self) -> int:

@@ -297,6 +297,14 @@ class TestSinrRate:
         assert min_sinr(64e3, 2.88e6) == \
             pytest.approx(0.015522512504275054, rel=1e-9)
 
+    def test_min_sinr_unreachable_rate_is_inf(self):
+        # 2**x overflows a double from x = 1024: such a link never passes.
+        bw = 2.88e6
+        assert min_sinr(1024 * bw, bw) == math.inf
+        assert min_sinr(1e13, bw) == math.inf
+        for x in (1023.999, 1000.0, 1.5):
+            assert min_sinr(x * bw, bw) == 2.0 ** (x * bw / bw) - 1.0
+
     def test_round_trip_identity(self):
         rng = np.random.default_rng(13)
         for _ in range(1000):

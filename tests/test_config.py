@@ -5,8 +5,9 @@ import math
 
 import pytest
 
-from iabsim.config import (ConfigError, ScenarioConfig, config_lines,
-                           load_config, parse_config_file)
+from iabsim.config import (DOMAINS, PAIR, POINTS, SCALAR, TUPLE, ConfigError,
+                           ScenarioConfig, config_lines, load_config,
+                           parse_config_file)
 
 
 class TestDefaults:
@@ -383,3 +384,134 @@ class TestNonNumericFloat:
         assert not (tmp_path / "x.csv").exists()
         if getattr(ScenarioConfig(), key) is None:  # optional keeps None
             assert getattr(ScenarioConfig().replace(**{key: None}), key) is None
+
+
+# ---------------------------------------------------------------------------
+# Tests generated from the domain table: every field, every bound, every kind
+# ---------------------------------------------------------------------------
+
+DEFAULTS = ScenarioConfig()
+WRONG_KIND = {float: ("abc", True), int: (2.5, True, "abc"),
+              bool: (1, "abc"), str: (1, True)}
+
+
+def test_every_field_has_a_domain():
+    fields = [f.name for f in dataclasses.fields(ScenarioConfig)]
+    assert [key for key in fields if key not in DOMAINS] == []
+    assert list(DOMAINS) == fields
+
+
+def _place(key, entry, last=False):
+    """The value of ``key`` with ``entry`` in one entry, the rest default."""
+    domain, default = DOMAINS[key], getattr(DEFAULTS, key)
+    if domain.shape == SCALAR:
+        return entry
+    if domain.shape == POINTS:
+        return ((entry, 0.0),)
+    values = list(default)
+    values[-1 if last else 0] = entry
+    return tuple(values)
+
+
+def _outside(key):
+    """(label, value) of ``key`` just outside each of its bounds and its
+    choices, of the wrong kind, and of the wrong shape."""
+    d = DOMAINS[key]
+    step = 1 if d.kind is int else None
+
+    def below(b):
+        return b - step if step else math.nextafter(float(b), -math.inf)
+
+    def above(b):
+        return b + step if step else math.nextafter(float(b), math.inf)
+
+    exact = int if d.kind is int else float
+    if d.gt is not None:
+        yield f"gt{d.gt}", _place(key, exact(d.gt))
+    if d.ge is not None:
+        yield f"ge{d.ge}", _place(key, below(d.ge))
+    if d.lt is not None:
+        yield f"lt{d.lt}", _place(key, exact(d.lt), last=True)
+    if d.le is not None:
+        yield f"le{d.le}", _place(key, above(d.le), last=True)
+    if d.choices:
+        yield "choice", "bogus" if d.kind is str else max(d.choices) + 1
+    for wrong in WRONG_KIND[d.kind]:
+        yield f"kind-{type(wrong).__name__}", _place(key, wrong)
+    if not d.optional:
+        yield "none", None
+    if d.shape == PAIR:
+        yield "inverted", tuple(reversed(getattr(DEFAULTS, key)))
+        yield "arity", getattr(DEFAULTS, key) * 2
+    if d.shape == TUPLE:
+        yield "empty", ()
+    if d.shape == POINTS:
+        yield "arity", ((1.0,),)
+    if d.shape != SCALAR:
+        yield "scalar", 5.0
+
+
+CASES = [pytest.param(key, value, id=f"{key}-{label}")
+         for key in DOMAINS for label, value in _outside(key)]
+
+
+def _rendered(key, value):
+    """The text of ``key = value`` as a config file or a CLI flag gives it."""
+    [line] = [line for line in config_lines(dataclasses.replace(
+        DEFAULTS, **{key: value})) if line.startswith(f"{key} = ")]
+    return line.partition(" = ")[2]
+
+
+class TestDomains:
+    """Each case is one value just outside a field's domain. It must raise a
+    ConfigError naming the key on every route: code, file and CLI."""
+
+    @pytest.mark.parametrize("key, value", CASES)
+    def test_code(self, key, value):
+        with pytest.raises(ConfigError, match=f"^{key} must be"):
+            ScenarioConfig().replace(**{key: value})
+
+    @pytest.mark.parametrize("key, value", CASES)
+    def test_config_file_exits_1(self, tmp_path, capsys, key, value):
+        from iabsim.cli import main
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"{key} = {_rendered(key, value)}\n")
+        code = main(["run", "ga-trace", "--config", str(path),
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        assert f"{key} must be" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("key, value", CASES)
+    def test_cli_override(self, key, value):
+        for override in (_rendered(key, value), value):
+            with pytest.raises(ConfigError, match=f"^{key} must be"):
+                load_config(cli_overrides={key: override})
+
+
+class TestRejectedBeforeAnyTrial:
+    """Values that once ran (a bool read as a number, a negative height) or
+    failed mid-run under another key (a bad sweep entry) fail at load, by
+    their own key, before the first trial runs."""
+
+    @pytest.mark.parametrize("line", [
+        "fc_ghz = true", "num_ues = true", "seed = false",
+        "sweep_ues = [5, -3]", "powercdf_rates_bps = [64e3, -5]",
+        "sweep_backoff_db = []", "sweep_ues = []", "powercdf_rates_bps = []",
+        "donor_height_m = -1", "ue_height_m = 0",
+        "iab_height_range_m = [-1, 24]", "fc_ghz = 1" + "0" * 400])
+    def test_config_file_exits_1(self, tmp_path, capsys, monkeypatch, line):
+        import iabsim.cli as cli
+        runs = []
+        monkeypatch.setattr(cli, "run_experiment", lambda *a: runs.append(a))
+        path = tmp_path / "bad.cfg"
+        path.write_text(line + "\n")
+        code = cli.main(["run", "coverage-vs-ues", "--config", str(path),
+                         "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        assert f"{line.split()[0]} must be" in capsys.readouterr().err
+        assert runs == []
+
+    def test_entries_share_the_scalar_domains(self):
+        assert DOMAINS["sweep_ues"].ge == DOMAINS["num_ues"].ge == 0
+        assert DOMAINS["powercdf_rates_bps"].gt == DOMAINS["min_rate_bps"].gt == 0

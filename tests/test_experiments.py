@@ -9,7 +9,7 @@ import pytest
 
 import iabsim.experiments as experiments
 from iabsim.cli import main
-from iabsim.config import ScenarioConfig, load_config
+from iabsim.config import ScenarioConfig, config_lines, load_config
 from iabsim.experiments import (ExperimentSpec, crossing_point, read_csv,
                                 run_experiment, summarize)
 
@@ -232,6 +232,32 @@ class TestSummarize:
         path.write_text("# not an experiment\n")
         with pytest.raises(Exception):
             summarize(str(path))
+
+
+class TestSummarizeNoRows:
+    @pytest.mark.parametrize("name", experiments.EXPERIMENT_NAMES)
+    def test_header_only_file(self, tmp_path, capsys, name):
+        [path, *_] = run(tmp_path, name, tiny_config(power_policy="max"))
+        lines = Path(path).read_text().splitlines(keepends=True)
+        n_header = sum(line.startswith("#") for line in lines) + 1
+        Path(path).write_text("".join(lines[:n_header]))
+        assert main(["summarize", path]) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == ["  no data rows"]
+
+
+class TestUnreachableRate:
+    """A rate whose minimum SINR overflows a double covers no UE."""
+
+    @pytest.mark.parametrize("kw", [{"min_rate_bps": 1e13},
+                                    {"scs_khz": 0.001}])
+    def test_ga_trace_exits_0_with_zero_coverage(self, tmp_path, kw):
+        cfg_path = tmp_path / "rate.cfg"
+        cfg_path.write_text("\n".join(config_lines(tiny_config(**kw))) + "\n")
+        out = str(tmp_path / "trace.csv")
+        assert main(["run", "ga-trace", "--config", str(cfg_path),
+                     "--out", out]) == 0
+        _, _, _, data, _ = read_csv(out)
+        assert data.shape[0] == 5 and np.all(data[:, 1:] == 0.0)
 
 
 class TestCli:

@@ -30,15 +30,10 @@ class TestGaParams:
         assert GaParams(population=20, neighborhood=10).immigrants == 9
         assert GaParams(population=10, neighborhood=5).immigrants == 4
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            GaParams(population=1)
-        with pytest.raises(ValueError):
-            GaParams(population=10, neighborhood=10)
-        with pytest.raises(ValueError):
-            GaParams(mutation_prob=0.0)
-        with pytest.raises(ValueError):
-            GaParams(mutation_step_db=0.0)
+    def test_defaults_match_config(self):
+        # The config holds (and validates) the GA keys; the two default
+        # sets must not drift apart.
+        assert GaParams() == GaParams.from_config(ScenarioConfig())
 
 
 def recorded_batches(inst):
