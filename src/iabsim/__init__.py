@@ -4,7 +4,7 @@ elitist genetic-algorithm transmit-power control."""
 from .config import ConfigError, ScenarioConfig, load_config
 from .coverage import ScenarioInstance, build_instance, monte_carlo_coverage
 from .ga import GaParams, GaResult, optimize
-from .topology import NetworkNode, NodeRole, Topology, build_topology
+from .topology import Topology, build_topology
 
 __version__ = "0.1.0"
 
@@ -12,6 +12,6 @@ __all__ = [
     "ConfigError", "ScenarioConfig", "load_config",
     "ScenarioInstance", "build_instance", "monte_carlo_coverage",
     "GaParams", "GaResult", "optimize",
-    "NetworkNode", "NodeRole", "Topology", "build_topology",
+    "Topology", "build_topology",
     "__version__",
 ]

@@ -13,8 +13,10 @@ the receiver noise figure.
 
 A trial's channel is one ``ChannelRealization`` of ``(n_tx, n_rx)`` arrays.
 Rows are the transmitters (UEs and IAB nodes) and columns the receivers
-(donors and IAB nodes), each in ascending node id. The self pair of an IAB
-node (its MT row against its own DU column) is not a link: it holds NaN.
+(donors and IAB nodes), each in ascending node id: the topology's ``tx``
+and ``rx`` rows, whose coordinates are gathered from its per-node arrays.
+The self pair of an IAB node (its MT row against its own DU column) is not
+a link: it holds NaN.
 ``links`` lists the other pairs as ``(tx_id, rx_id)`` rows in row-major
 order. Shadowing is one ``normal(0, sigma, n)`` draw and fading one
 ``exponential(1, n)`` draw, each filling the ``n`` links in that order. A
@@ -36,7 +38,7 @@ from typing import Optional
 import numpy as np
 
 from .config import ScenarioConfig
-from .topology import NetworkNode, Topology
+from .topology import Topology
 
 SPEED_OF_LIGHT = 3e8  # m/s
 THERMAL_NOISE_DBM_HZ = -174.0
@@ -188,12 +190,6 @@ class ChannelRealization:
         return self.pathloss_db + self.shadowing_db
 
 
-def _coordinates(nodes: tuple[NetworkNode, ...]) -> np.ndarray:
-    """(3, n) array of x, y and antenna height."""
-    return np.array([[n.x for n in nodes], [n.y for n in nodes],
-                     [n.height for n in nodes]], dtype=float)
-
-
 def sample_realization(topology: Topology, config: ScenarioConfig,
                        rain_rate_mm_h: float,
                        shadow_rng: np.random.Generator,
@@ -204,15 +200,14 @@ def sample_realization(topology: Topology, config: ScenarioConfig,
     (donor or IAB node), both cells included, so interference toward any
     victim receiver is always available. ``fading_rng=None`` disables fading.
     """
-    txs, rxs = topology.transmitters, topology.receivers
-    tx_ids = np.array([n.id for n in txs], dtype=int)
-    rx_ids = np.array([n.id for n in rxs], dtype=int)
-    tx_xyz, rx_xyz = _coordinates(txs), _coordinates(rxs)
-    dx, dy, dh = tx_xyz[:, :, None] - rx_xyz[:, None, :]
+    tx_ids, rx_ids = topology.tx, topology.rx
+    xyz = np.stack((topology.x, topology.y, topology.height))
+    dx, dy, dh = xyz[:, tx_ids, None] - xyz[:, None, rx_ids]
     linked = tx_ids[:, None] != rx_ids[None, :]
     n_links = int(np.count_nonzero(linked))
     d3d = np.where(linked, np.sqrt(dx ** 2 + dy ** 2 + dh ** 2), np.nan)
-    pathloss = pathloss_uma(d3d, rx_xyz[2][None, :], tx_xyz[2][:, None], config)
+    pathloss = pathloss_uma(d3d, topology.height[rx_ids][None, :],
+                            topology.height[tx_ids][:, None], config)
     shadowing = np.full(d3d.shape, np.nan)
     shadowing[linked] = sample_shadowing(shadow_rng, config, n_links)
     fading = np.where(linked, 0.0, np.nan)

@@ -72,7 +72,11 @@ class Domain:
         if isinstance(v, bool) != (self.kind is bool):
             return False
         if self.kind is float:
-            if not (isinstance(v, numbers.Real) and math.isfinite(v)):
+            try:
+                finite = isinstance(v, numbers.Real) and math.isfinite(v)
+            except OverflowError:  # an int beyond the range of a double
+                finite = False
+            if not finite:
                 return False
         elif not isinstance(v, numbers.Integral if self.kind is int else self.kind):
             return False
@@ -132,14 +136,17 @@ class ScenarioConfig:
     donor_height_m: float = _field(25.0, float, gt=0)
     iab_height_range_m: tuple[float, float] = _field((21.0, 24.0), float, PAIR, gt=0)
     ue_height_m: float = _field(1.5, float, gt=0)
-    num_iab_per_cell: int = _field(4, int, ge=0)
+    # The bounds of num_iab_per_cell, num_ues and ga_population keep one
+    # trial well under 1 GiB: two cells of 1000 UEs (Poisson mean) and 100
+    # relays each, scored in batches of 1000 GA rows, peak at about 0.2 GiB.
+    num_iab_per_cell: int = _field(4, int, ge=0, le=100)
     iab_ring_radius_fraction: float = _field(0.5, float, gt=0, le=1)
     iab_ring_angle_offset_deg: float = _field(0.0, float, ge=0)
     # None: adjacent cells, donors 2r apart (tangent disks).
     donor_spacing_m: Optional[float] = _field(None, float, gt=0)
 
     # Traffic / users
-    num_ues: int = _field(19, int, ge=0)
+    num_ues: int = _field(19, int, ge=0, le=1000)  # per cell; see num_iab_per_cell
     ue_count_poisson: bool = _field(False, bool)
     # Fixed per-cell UE offsets (x, y) relative to the donor; overrides
     # random placement. Length must equal num_ues.
@@ -156,19 +163,22 @@ class ScenarioConfig:
     slot_mode: str = _field("separated", str, choices=("separated", "simultaneous"))
 
     # GA hyperparameters
-    ga_iterations: int = _field(200, int, ge=1)
-    ga_population: int = _field(20, int, ge=2)
+    ga_iterations: int = _field(200, int, ge=1, le=100_000)  # a trace double each
+    ga_population: int = _field(20, int, ge=2, le=1000)  # see num_iab_per_cell
     ga_neighborhood: int = _field(10, int, ge=0)
     ga_mutation_step_db: float = _field(3.0, float, gt=0)
     ga_mutation_prob: float = _field(0.15, float, gt=0, le=1)
 
     # Monte-Carlo
-    trials: int = _field(200, int, ge=1)
+    # Every trial's outcome is kept: about 4 kB at the default sizes, so
+    # 0.4 GB at the bound.
+    trials: int = _field(200, int, ge=1, le=100_000)
     seed: int = _field(1, int, ge=0)
 
     # Experiment sweeps (documented defaults, not measurement facts). Their
     # entries share the domains of num_ues and min_rate_bps.
-    sweep_ues: tuple[int, ...] = _field((5, 10, 15, 20, 25, 30, 35, 40), int, TUPLE, ge=0)
+    sweep_ues: tuple[int, ...] = _field((5, 10, 15, 20, 25, 30, 35, 40), int,
+                                        TUPLE, ge=0, le=1000)
     sweep_backoff_db: tuple[float, ...] = _field(
         tuple(float(b) for b in range(0, 64, 4)), float, TUPLE)
     powercdf_rates_bps: tuple[float, ...] = _field((64e3, 1e6), float, TUPLE, gt=0)

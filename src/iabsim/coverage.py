@@ -34,7 +34,7 @@ from .channel import (ChannelRealization, min_sinr, noise_mw,
 from .config import ScenarioConfig
 from .rng import derive_rng
 from .scheduler import allocate_rbs, associate, plan_slots
-from .topology import NodeRole, Topology, build_topology
+from .topology import UE, Topology, build_topology
 
 
 class ScenarioInstance:
@@ -63,12 +63,11 @@ class ScenarioInstance:
         self._build_arrays(alloc, slots)
 
     def _build_arrays(self, alloc: np.ndarray, slots: np.ndarray) -> None:
-        topo, real = self.topology, self.realization
+        real = self.realization
         # Genes are the channel's transmitter rows: UEs and IAB MTs by id.
         genes = real.tx_ids
         self.gene_ids: tuple[int, ...] = tuple(genes.tolist())
-        is_ue = np.array([n.role is NodeRole.UE for n in topo.transmitters],
-                         dtype=bool)
+        is_ue = self.topology.role[genes] == UE
         (ue_lo, ue_hi), (iab_lo, iab_hi) = (self.config.ue_eirp_range_dbm,
                                             self.config.iab_eirp_range_dbm)
         self.lower = np.where(is_ue, ue_lo, iab_lo)

@@ -33,6 +33,7 @@ from .coverage import build_instance, monte_carlo_coverage
 from .ga import GaParams, optimize
 from .policies import make_policy
 from .rng import derive_rng
+from .topology import ROLE_NAMES
 
 EXPERIMENT_NAMES = ("ga-trace", "coverage-vs-ues", "coverage-vs-sinr",
                     "intercell", "power-cdf")
@@ -173,13 +174,13 @@ def run_power_cdf(config: ScenarioConfig, out: str) -> list[str]:
         cfg = config.replace(min_rate_bps=rate)
         [res] = monte_carlo_coverage(cfg, ("ga",), cfg.trials, cfg.seed)
         for outcome in res.outcomes:
-            topo = outcome.topology
+            role = outcome.topology.role.tolist()
             for node_id, rx, eirp in zip(outcome.gene_ids,
                                          outcome.assoc.tolist(),
                                          outcome.powers.tolist()):
                 rows.append([rate, outcome.trial_index, node_id,
-                             topo.node(node_id).role.value,
-                             topo.node(rx).role.value, eirp])
+                             ROLE_NAMES[role[node_id]],
+                             ROLE_NAMES[role[rx]], eirp])
     _write_csv(out, config, "power-cdf",
                ["min_rate_bps", "trial", "node_id", "role", "server_role",
                 "eirp_dbm"], rows)

@@ -8,10 +8,13 @@ concurrently -- and still produce identical results.
 from __future__ import annotations
 
 import hashlib
+from functools import lru_cache
 
 import numpy as np
 
 
+# Pure, and every trial hashes the same few purpose tags again: cached.
+@lru_cache(maxsize=None)
 def _tag_to_int(tag: str | int) -> int:
     if isinstance(tag, int):
         return tag

@@ -1,7 +1,9 @@
 """Pre-power-control sequencing: association, RB allocation, slot planning.
 
 Each result has one row per uplink transmitter (a gene: every UE and every
-IAB node's MT) in ascending id, the row order of `ChannelRealization.tx_ids`:
+IAB node's MT) in ascending id: the topology's ``tx`` rows, which are also
+the rows of `ChannelRealization.tx_ids`. Roles and cells are read from the
+topology's per-node arrays at those rows.
 
 - `associate`: ``(J,)`` receiver ids, a UE's serving station or an IAB
   node's donor;
@@ -19,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import ScenarioConfig
-from .topology import NodeRole, Topology
+from .topology import DONOR, IAB, UE, Topology
 
 
 def associate(topology: Topology, long_term_loss: np.ndarray) -> np.ndarray:
@@ -31,19 +33,16 @@ def associate(topology: Topology, long_term_loss: np.ndarray) -> np.ndarray:
     masked argmin per row picks among the allowed receivers; ties break
     toward the lowest station id.
     """
-    txs, rxs = topology.transmitters, topology.receivers
-    tx_cell = np.array([n.cell_id for n in txs], dtype=int)
-    rx_cell = np.array([n.cell_id for n in rxs], dtype=int)
-    tx_ue = np.array([n.role is NodeRole.UE for n in txs], dtype=bool)
-    rx_donor = np.array([n.role is NodeRole.DONOR for n in rxs], dtype=bool)
-    allowed = ((tx_cell[:, None] == rx_cell[None, :])
-               & (tx_ue[:, None] | rx_donor[None, :]))
+    tx, rx = topology.tx, topology.rx
+    cell, role = topology.cell, topology.role
+    allowed = ((cell[tx][:, None] == cell[rx][None, :])
+               & ((role[tx] == UE)[:, None] | (role[rx] == DONOR)[None, :]))
     loss = np.asarray(long_term_loss, dtype=float)
     if loss.shape != allowed.shape:
         raise ValueError(f"long_term_loss has shape {loss.shape}, expected "
                          f"{allowed.shape} (transmitters, receivers)")
     best = np.where(allowed, loss, np.inf).argmin(axis=1)
-    return np.array([n.id for n in rxs], dtype=int)[best]
+    return rx[best]
 
 
 def allocate_rbs(assoc: np.ndarray, topology: Topology,
@@ -60,21 +59,20 @@ def allocate_rbs(assoc: np.ndarray, topology: Topology,
     grid = config.rb_max
     if per_ue > grid:
         raise ValueError(f"rbs_per_ue ({per_ue}) exceeds the RB grid ({grid})")
-    txs = topology.transmitters
-    tx_ids = np.array([n.id for n in txs], dtype=int)
-    ue_rows = np.flatnonzero([n.role is NodeRole.UE for n in txs])
+    tx = topology.tx
+    ue_rows = np.flatnonzero(topology.role[tx] == UE)
     # Each UE's rank among its cell's UEs: its position in a stable sort by
     # cell, less the position of its cell's first UE there.
-    cell = np.array([txs[r].cell_id for r in ue_rows], dtype=int)
+    cell = topology.cell[tx[ue_rows]]
     order = np.argsort(cell, kind="stable")
     rank = np.empty(len(cell), dtype=int)
     rank[order] = np.arange(len(cell)) - np.searchsorted(cell[order],
                                                          cell[order])
     cols = (rank[:, None] * per_ue + np.arange(per_ue)) % grid
-    occ = np.zeros((len(txs), grid), dtype=bool)
+    occ = np.zeros((len(tx), grid), dtype=bool)
     occ[ue_rows[:, None], cols] = True
     # A relay also holds the RBs of each UE it serves.
-    child, relay = np.nonzero(assoc[ue_rows][:, None] == tx_ids[None, :])
+    child, relay = np.nonzero(assoc[ue_rows][:, None] == tx[None, :])
     occ[relay[:, None], cols[child]] = True
     return occ
 
@@ -86,8 +84,7 @@ def plan_slots(topology: Topology, mode: str) -> np.ndarray:
     in slot 0. A slot's members are the co-slot interferer pool for any
     victim link transmitting in it.
     """
-    is_iab = np.array([n.role is NodeRole.IAB for n in topology.transmitters],
-                      dtype=int)
+    is_iab = (topology.role[topology.tx] == IAB).astype(int)
     if mode == "separated":
         return is_iab
     if mode == "simultaneous":

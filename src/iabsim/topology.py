@@ -4,73 +4,56 @@ Donors and IAB nodes are placed deterministically from the config; UEs are
 drawn per trial as a uniform point pattern in each cell's disk (a finite
 homogeneous Poisson process conditioned on the configured count, with an
 optional Poisson-count mode).
+
+A `Topology` is one array per node attribute, in node-id order: node ``i``
+is row ``i`` of the role code, cell id, x, y and antenna height arrays.
+`build_topology` numbers each cell's donor and IAB ring first and the UEs
+after them, so infrastructure ids stay stable as the UE count varies. The
+uplink transmitters (UEs and IAB MTs) and receivers (donors and IAB DUs)
+are the rows ``tx`` and ``rx``, also in id order; the channel, the
+scheduler and the scenario instance index the node arrays with them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 
 import numpy as np
 
 from .config import ScenarioConfig
 
-
-class NodeRole(Enum):
-    DONOR = "donor"
-    IAB = "iab"
-    UE = "ue"
+# Role codes of `Topology.role`, and the name each code has in a CSV.
+DONOR, IAB, UE = 0, 1, 2
+ROLE_NAMES = ("donor", "iab", "ue")
 
 
-@dataclass(frozen=True)
-class NetworkNode:
-    id: int
-    role: NodeRole
-    cell_id: int
-    x: float
-    y: float
-    height: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Topology:
-    nodes: tuple[NetworkNode, ...]
-    cells: tuple[tuple[int, float], ...]  # (donor_id, radius_m) per cell
+    role: np.ndarray  # (n,) role code
+    cell: np.ndarray  # (n,) cell id
+    x: np.ndarray  # (n,) m
+    y: np.ndarray  # (n,) m
+    height: np.ndarray  # (n,) antenna height, m
 
-    def __post_init__(self) -> None:
-        # Every per-node array (channel rows and columns, scheduler genes)
-        # is laid out in node order, which must therefore be id order.
-        ids = [n.id for n in self.nodes]
-        if any(a >= b for a, b in zip(ids, ids[1:])):
-            raise ValueError(f"node ids must be strictly increasing, got {ids}")
-
-    @cached_property
-    def _by_id(self) -> dict[int, NetworkNode]:
-        return {n.id: n for n in self.nodes}
-
-    def node(self, node_id: int) -> NetworkNode:
-        return self._by_id[node_id]
-
-    def by_role(self, role: NodeRole) -> tuple[NetworkNode, ...]:
-        return tuple(n for n in self.nodes if n.role is role)
-
-    # The views below are read many times per trial; a topology is frozen,
+    # A topology is frozen and each view is read several times per trial,
     # so each is computed once.
     @cached_property
-    def ues(self) -> tuple[NetworkNode, ...]:
-        return self.by_role(NodeRole.UE)
+    def tx(self) -> np.ndarray:
+        """Rows of the uplink transmitters: all UEs and all IAB nodes."""
+        return np.flatnonzero(self.role != DONOR)
 
     @cached_property
-    def transmitters(self) -> tuple[NetworkNode, ...]:
-        """Uplink transmitters: all UEs and all IAB nodes (as MTs)."""
-        return tuple(n for n in self.nodes if n.role is not NodeRole.DONOR)
+    def rx(self) -> np.ndarray:
+        """Rows of the possible uplink receivers: donors and IAB nodes."""
+        return np.flatnonzero(self.role != UE)
 
-    @cached_property
-    def receivers(self) -> tuple[NetworkNode, ...]:
-        """Possible uplink receivers: donors and IAB nodes."""
-        return tuple(n for n in self.nodes if n.role is not NodeRole.UE)
+    @property
+    def ues(self) -> np.recarray:
+        """The UEs as records with ``.x`` and ``.y``, in id order."""
+        rows = self.role == UE
+        return np.rec.fromarrays((self.x[rows], self.y[rows]), names="x,y")
 
 
 def donor_position(config: ScenarioConfig, cell_id: int) -> tuple[float, float]:
@@ -82,8 +65,8 @@ def donor_position(config: ScenarioConfig, cell_id: int) -> tuple[float, float]:
 
 
 def sample_ues(config: ScenarioConfig, cell_id: int,
-               rng: np.random.Generator, id_start: int = 0) -> list[NetworkNode]:
-    """Draw the cell's UE point pattern.
+               rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Draw the cell's UE point pattern as x and y arrays.
 
     Uniform i.i.d. placement in the disk of radius ``cell_radius_m`` around
     the cell's donor. With ``ue_count_poisson`` the count itself is Poisson
@@ -91,29 +74,23 @@ def sample_ues(config: ScenarioConfig, cell_id: int,
     Fixed ``ue_positions`` (offsets from the donor) bypass sampling.
     """
     cx, cy = donor_position(config, cell_id)
-    h = config.ue_height_m
     if config.ue_positions is not None:
-        return [NetworkNode(id_start + i, NodeRole.UE, cell_id,
-                            cx + x, cy + y, h)
-                for i, (x, y) in enumerate(config.ue_positions)]
+        offsets = np.array(config.ue_positions, dtype=float).reshape(-1, 2)
+        return cx + offsets[:, 0], cy + offsets[:, 1]
     count = config.num_ues
     if config.ue_count_poisson:
         count = int(rng.poisson(config.num_ues))
     if count == 0:
-        return []
+        return np.empty(0), np.empty(0)
     # Uniform in a disk: radius via sqrt of a uniform variate.
     radii = config.cell_radius_m * np.sqrt(rng.random(count))
     angles = 2.0 * math.pi * rng.random(count)
-    xs = cx + radii * np.cos(angles)
-    ys = cy + radii * np.sin(angles)
-    return [NetworkNode(id_start + i, NodeRole.UE, cell_id,
-                        float(xs[i]), float(ys[i]), h)
-            for i in range(count)]
+    return cx + radii * np.cos(angles), cy + radii * np.sin(angles)
 
 
-def place_iab_nodes(config: ScenarioConfig, cell_id: int,
-                    id_start: int = 0) -> list[NetworkNode]:
-    """Deterministic IAB-node ring.
+def place_iab_nodes(config: ScenarioConfig, cell_id: int
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Deterministic IAB-node ring as x, y and height arrays.
 
     Nodes sit equally spaced in angle on the circle of radius
     ``iab_ring_radius_fraction * cell_radius_m`` around the donor, first node
@@ -121,21 +98,14 @@ def place_iab_nodes(config: ScenarioConfig, cell_id: int,
     configured range.
     """
     m = config.num_iab_per_cell
-    if m == 0:
-        return []
     cx, cy = donor_position(config, cell_id)
     ring = config.iab_ring_radius_fraction * config.cell_radius_m
     lo, hi = config.iab_height_range_m
-    heights = np.linspace(lo, hi, m) if m > 1 else np.array([lo])
     offset = math.radians(config.iab_ring_angle_offset_deg)
-    nodes = []
-    for i in range(m):
-        theta = offset + 2.0 * math.pi * i / m
-        nodes.append(NetworkNode(id_start + i, NodeRole.IAB, cell_id,
-                                 cx + ring * math.cos(theta),
-                                 cy + ring * math.sin(theta),
-                                 float(heights[i])))
-    return nodes
+    thetas = [offset + 2.0 * math.pi * i / m for i in range(m)]
+    return (np.array([cx + ring * math.cos(t) for t in thetas]),
+            np.array([cy + ring * math.sin(t) for t in thetas]),
+            np.linspace(lo, hi, m))
 
 
 def build_topology(config: ScenarioConfig,
@@ -146,22 +116,18 @@ def build_topology(config: ScenarioConfig,
     """
     if config.num_cells not in (1, 2):
         raise ValueError(f"num_cells must be 1 or 2, got {config.num_cells}")
-    nodes: list[NetworkNode] = []
-    cells: list[tuple[int, float]] = []
-    next_id = 0
-    for cell_id in range(config.num_cells):
-        cx, cy = donor_position(config, cell_id)
-        donor = NetworkNode(next_id, NodeRole.DONOR, cell_id, cx, cy,
-                            config.donor_height_m)
-        nodes.append(donor)
-        cells.append((donor.id, config.cell_radius_m))
-        next_id += 1
-        iabs = place_iab_nodes(config, cell_id, id_start=next_id)
-        nodes.extend(iabs)
-        next_id += len(iabs)
-    for cell_id in range(config.num_cells):
-        ues = sample_ues(config, cell_id, rng, id_start=next_id)
-        nodes.extend(ues)
-        next_id += len(ues)
-    return Topology(nodes=tuple(nodes), cells=tuple(cells))
-
+    cells = range(config.num_cells)
+    # (role, cell id, x, y, height) blocks in id order.
+    blocks = []
+    for c in cells:
+        cx, cy = donor_position(config, c)
+        blocks.append((DONOR, c, [cx], [cy], [config.donor_height_m]))
+        blocks.append((IAB, c, *place_iab_nodes(config, c)))
+    for c in cells:
+        xs, ys = sample_ues(config, c, rng)
+        blocks.append((UE, c, xs, ys, np.full(len(xs), config.ue_height_m)))
+    role, cell, x, y, height = zip(*blocks)
+    sizes = [len(b) for b in x]
+    return Topology(role=np.repeat(role, sizes), cell=np.repeat(cell, sizes),
+                    x=np.concatenate(x), y=np.concatenate(y),
+                    height=np.concatenate(height))

@@ -1,10 +1,14 @@
 """Readable references for the tests to hold the fast paths against.
 
-The scheduler references below give association, RB packing and slot
-grouping as dicts and frozensets keyed by node id; `iabsim.scheduler`'s
-gene-indexed arrays must agree with them. The per-link evaluator computes
-the link budget of one trial one link at a time on those references, with
-powers as a ``{node_id: EIRP in dBm}`` mapping; the batched kernel of
+`reference_topology` builds a trial's nodes one `Node` object at a time,
+with the draws of `iabsim.topology.build_topology` in the same order; the
+production per-node arrays must equal it bit for bit. The scheduler
+references below take such nodes (`nodes_of` turns a production topology
+into them) and give association, RB packing and slot grouping as dicts and
+frozensets keyed by node id; `iabsim.scheduler`'s gene-indexed arrays must
+agree with them. The per-link evaluator computes the link budget of one
+trial one link at a time on those references, with powers as a
+``{node_id: EIRP in dBm}`` mapping; the batched kernel of
 `iabsim.coverage.ScenarioInstance` must agree with it.
 """
 
@@ -18,10 +22,77 @@ from iabsim.channel import ChannelRealization, min_sinr, noise_mw
 from iabsim.config import ScenarioConfig
 from iabsim.coverage import ScenarioInstance
 from iabsim.ga import GaParams, GaResult
-from iabsim.topology import NetworkNode, NodeRole, Topology
+from iabsim.topology import DONOR, IAB, UE, Topology, donor_position
 
 
-def distance_3d(a: NetworkNode, b: NetworkNode) -> float:
+@dataclass(frozen=True)
+class Node:
+    """One node; ``role`` is a role code of `iabsim.topology`."""
+    id: int
+    role: int
+    cell_id: int
+    x: float
+    y: float
+    height: float
+
+
+def reference_topology(config: ScenarioConfig,
+                       rng: np.random.Generator) -> tuple[Node, ...]:
+    """`iabsim.topology.build_topology`, one node at a time: per cell its
+    donor and IAB ring, then per cell its UEs, numbered 0..n-1 in that
+    order. Each cell's UE draws are a Poisson count (in Poisson-count
+    mode), then ``count`` radius uniforms, then ``count`` angle uniforms."""
+    nodes: list[Node] = []
+
+    def add(role: int, cell_id: int, x: float, y: float, height: float) -> None:
+        nodes.append(Node(len(nodes), role, cell_id, x, y, height))
+
+    m = config.num_iab_per_cell
+    ring = config.iab_ring_radius_fraction * config.cell_radius_m
+    lo, hi = config.iab_height_range_m
+    heights = np.linspace(lo, hi, m) if m > 1 else np.array([lo])
+    offset = math.radians(config.iab_ring_angle_offset_deg)
+    for cell_id in range(config.num_cells):
+        cx, cy = donor_position(config, cell_id)
+        add(DONOR, cell_id, cx, cy, config.donor_height_m)
+        for i in range(m):
+            theta = offset + 2.0 * math.pi * i / m
+            add(IAB, cell_id, cx + ring * math.cos(theta),
+                cy + ring * math.sin(theta), float(heights[i]))
+    h = config.ue_height_m
+    for cell_id in range(config.num_cells):
+        cx, cy = donor_position(config, cell_id)
+        if config.ue_positions is not None:
+            for x, y in config.ue_positions:
+                add(UE, cell_id, cx + x, cy + y, h)
+            continue
+        count = config.num_ues
+        if config.ue_count_poisson:
+            count = int(rng.poisson(config.num_ues))
+        if count == 0:
+            continue
+        radii = config.cell_radius_m * np.sqrt(rng.random(count))
+        angles = 2.0 * math.pi * rng.random(count)
+        xs = cx + radii * np.cos(angles)
+        ys = cy + radii * np.sin(angles)
+        for i in range(count):
+            add(UE, cell_id, float(xs[i]), float(ys[i]), h)
+    return tuple(nodes)
+
+
+def nodes_of(topology: Topology) -> tuple[Node, ...]:
+    """A production topology's rows as `Node` objects, in id order."""
+    columns = (topology.role, topology.cell, topology.x, topology.y,
+               topology.height)
+    return tuple(Node(i, *row)
+                 for i, row in enumerate(zip(*(c.tolist() for c in columns))))
+
+
+def _of_role(nodes: Iterable[Node], role: int) -> list[Node]:
+    return [n for n in nodes if n.role == role]
+
+
+def distance_3d(a: Node, b: Node) -> float:
     """Euclidean distance between antenna tops, in meters."""
     return math.sqrt((a.x - b.x) ** 2 + (a.y - b.y) ** 2
                      + (a.height - b.height) ** 2)
@@ -91,35 +162,36 @@ class SlotPlan:
         raise KeyError(f"transmitter {tx_id} is in no slot")
 
 
-def reference_associate(topology: Topology,
+def reference_associate(nodes: tuple[Node, ...],
                         realization: ChannelRealization) -> Association:
     """Each UE to the station of its own cell with the least pathloss +
     shadowing, the lowest id on ties; each IAB node to its cell's donor."""
     ue_to_bs = {}
-    for ue in topology.ues:
+    for ue in _of_role(nodes, UE):
         best_loss, best_id = math.inf, None
-        for bs in topology.receivers:
-            if bs.cell_id != ue.cell_id:
+        for bs in nodes:
+            if bs.role == UE or bs.cell_id != ue.cell_id:
                 continue
             sample = link(realization, ue.id, bs.id)
             loss = sample.pathloss_db + sample.shadowing_db
             if loss < best_loss:
                 best_loss, best_id = loss, bs.id
         ue_to_bs[ue.id] = best_id
-    iab_to_donor = {iab.id: topology.cells[iab.cell_id][0]
-                    for iab in topology.by_role(NodeRole.IAB)}
+    donor_of_cell = {d.cell_id: d.id for d in _of_role(nodes, DONOR)}
+    iab_to_donor = {iab.id: donor_of_cell[iab.cell_id]
+                    for iab in _of_role(nodes, IAB)}
     return Association(ue_to_bs=ue_to_bs, iab_to_donor=iab_to_donor)
 
 
-def reference_allocate_rbs(assoc: Association, topology: Topology,
+def reference_allocate_rbs(assoc: Association, nodes: tuple[Node, ...],
                            config: ScenarioConfig) -> RbAllocation:
     """Consecutive ``rbs_per_ue`` blocks per cell in UE id order, wrapping
     around the grid; a relay's backhaul set is the union of its children's."""
     per_ue, grid = config.rbs_per_ue, config.rb_max
     ue_rbs: dict[int, frozenset[int]] = {}
-    for cell_id in range(len(topology.cells)):
+    for cell_id in range(config.num_cells):
         cursor = 0
-        for ue in topology.ues:
+        for ue in _of_role(nodes, UE):
             if ue.cell_id == cell_id:
                 ue_rbs[ue.id] = frozenset((cursor + k) % grid
                                           for k in range(per_ue))
@@ -127,19 +199,18 @@ def reference_allocate_rbs(assoc: Association, topology: Topology,
     backhaul = {iab.id: frozenset().union(
                     *(ue_rbs[u] for u, bs in assoc.ue_to_bs.items()
                       if bs == iab.id))
-                for iab in topology.by_role(NodeRole.IAB)}
+                for iab in _of_role(nodes, IAB)}
     return RbAllocation(ue_rbs=ue_rbs, backhaul_rbs=backhaul,
                         rb_width_hz=config.rb_width_hz)
 
 
-def reference_plan_slots(topology: Topology, mode: str) -> SlotPlan:
-    """Separated: one slot of UEs, one of IAB MTs (empty ones dropped).
-    Simultaneous: one slot of all of them."""
-    ue_ids = frozenset(u.id for u in topology.ues)
-    iab_ids = frozenset(i.id for i in topology.by_role(NodeRole.IAB))
-    if mode == "separated":
-        return SlotPlan(slots=tuple(s for s in (ue_ids, iab_ids) if s))
-    return SlotPlan(slots=(ue_ids | iab_ids,))
+def reference_plan_slots(nodes: tuple[Node, ...], mode: str) -> SlotPlan:
+    """Separated: one slot of UEs, one of IAB MTs. Simultaneous: one slot
+    of all of them. Empty slots are dropped."""
+    ue_ids = frozenset(u.id for u in _of_role(nodes, UE))
+    iab_ids = frozenset(i.id for i in _of_role(nodes, IAB))
+    groups = (ue_ids, iab_ids) if mode == "separated" else (ue_ids | iab_ids,)
+    return SlotPlan(slots=tuple(s for s in groups if s))
 
 
 def received_power(eirp_dbm: float, link: LinkSample,
@@ -149,10 +220,12 @@ def received_power(eirp_dbm: float, link: LinkSample,
             - link.shadowing_db - link.rain_db - link.fading_db)
 
 
-def interference_at(victim_rx: NetworkNode, victim_rbs: frozenset[int],
-                    co_slot_transmitters: Iterable[tuple[NetworkNode, float, frozenset[int]]],
+def interference_at(victim_rx: int, victim_rbs: frozenset[int],
+                    co_slot_transmitters: Iterable[tuple[int, float, frozenset[int]]],
                     realization: ChannelRealization) -> float:
-    """Aggregate interference at a receiver, in linear milliwatts.
+    """Aggregate interference at receiver ``victim_rx``, in linear
+    milliwatts; each co-slot transmitter is a (node id, EIRP in dBm, RBs)
+    triple.
 
     Each co-slot transmitter contributes its received power scaled by the
     fraction of the victim's resource blocks it overlaps. The victim's own
@@ -162,13 +235,13 @@ def interference_at(victim_rx: NetworkNode, victim_rbs: frozenset[int],
         return 0.0
     total_mw = 0.0
     n_victim = len(victim_rbs)
-    for node, eirp_dbm, rbs in co_slot_transmitters:
-        if node.id == victim_rx.id:
+    for tx, eirp_dbm, rbs in co_slot_transmitters:
+        if tx == victim_rx:
             continue
         overlap = len(victim_rbs & rbs) / n_victim
         if overlap == 0.0:
             continue
-        p_r = received_power(eirp_dbm, link(realization, node.id, victim_rx.id),
+        p_r = received_power(eirp_dbm, link(realization, tx, victim_rx),
                              realization.rx_gain_db)
         total_mw += overlap * 10.0 ** (p_r / 10.0)
     return total_mw
@@ -186,7 +259,7 @@ def achievable_rate(gamma: float, bw_hz: float) -> float:
     return bw_hz * math.log2(1.0 + gamma)
 
 
-def evaluate_trial(topology: Topology, assoc: Association,
+def evaluate_trial(nodes: tuple[Node, ...], assoc: Association,
                    alloc: RbAllocation, slot_plan: SlotPlan,
                    powers: Mapping[int, float], realization: ChannelRealization,
                    config: ScenarioConfig) -> np.ndarray:
@@ -202,21 +275,20 @@ def evaluate_trial(topology: Topology, assoc: Association,
                                  config.min_rate_bps)
 
     access_pass: dict[int, bool] = {}
-    for ue in topology.ues:
+    for ue in _of_role(nodes, UE):
         bs_id = assoc.ue_to_bs[ue.id]
         rbs = alloc.rbs_of(ue.id)
         bw = alloc.bandwidth_hz(ue.id)
         p_r = received_power(powers[ue.id], link(realization, ue.id, bs_id),
                              rx_gain)
         slot = slot_plan.slot_of(ue.id)
-        co = [(topology.node(j), powers[j], alloc.rbs_of(j))
-              for j in sorted(slot) if j != ue.id]
-        i_mw = interference_at(topology.node(bs_id), rbs, co, realization)
+        co = [(j, powers[j], alloc.rbs_of(j)) for j in sorted(slot) if j != ue.id]
+        i_mw = interference_at(bs_id, rbs, co, realization)
         gamma = sinr(p_r, i_mw, noise_mw(bw, nf))
         access_pass[ue.id] = gamma >= min_sinr(min_rate_bps, bw)
 
     backhaul_pass: dict[int, bool] = {}
-    for iab in topology.by_role(NodeRole.IAB):
+    for iab in _of_role(nodes, IAB):
         children = [u for u, bs in assoc.ue_to_bs.items() if bs == iab.id]
         if not children:
             backhaul_pass[iab.id] = True
@@ -227,17 +299,16 @@ def evaluate_trial(topology: Topology, assoc: Association,
         p_r = received_power(powers[iab.id], link(realization, iab.id, donor_id),
                              rx_gain)
         slot = slot_plan.slot_of(iab.id)
-        co = [(topology.node(j), powers[j], alloc.rbs_of(j))
-              for j in sorted(slot) if j != iab.id]
-        i_mw = interference_at(topology.node(donor_id), union, co, realization)
+        co = [(j, powers[j], alloc.rbs_of(j)) for j in sorted(slot) if j != iab.id]
+        i_mw = interference_at(donor_id, union, co, realization)
         gamma = sinr(p_r, i_mw, noise_mw(bw, nf))
         aggregate = min_rate_bps * len(children)
         backhaul_pass[iab.id] = gamma >= min_sinr(aggregate, bw)
 
     status = []
-    for ue in topology.ues:
-        bs = topology.node(assoc.ue_to_bs[ue.id])
-        if bs.role is NodeRole.IAB and not backhaul_pass[bs.id]:
+    for ue in _of_role(nodes, UE):
+        bs = nodes[assoc.ue_to_bs[ue.id]]
+        if bs.role == IAB and not backhaul_pass[bs.id]:
             status.append(2)
         elif not access_pass[ue.id]:
             status.append(1)
@@ -256,13 +327,13 @@ def reference_evaluate(instance: ScenarioInstance,
     """`ScenarioInstance.evaluate` by the per-link path: the reference
     schedule and `evaluate_trial` on the instance's topology and channel,
     with the EIRPs keyed by `gene_ids`."""
-    topo, real, config = (instance.topology, instance.realization,
-                          instance.config)
-    assoc = reference_associate(topo, real)
-    alloc = reference_allocate_rbs(assoc, topo, config)
-    slot_plan = reference_plan_slots(topo, config.slot_mode)
+    nodes, real, config = (nodes_of(instance.topology), instance.realization,
+                           instance.config)
+    assoc = reference_associate(nodes, real)
+    alloc = reference_allocate_rbs(assoc, nodes, config)
+    slot_plan = reference_plan_slots(nodes, config.slot_mode)
     powers = dict(zip(instance.gene_ids, np.asarray(eirp_dbm).tolist()))
-    return evaluate_trial(topo, assoc, alloc, slot_plan, powers, real, config)
+    return evaluate_trial(nodes, assoc, alloc, slot_plan, powers, real, config)
 
 
 def _select_full(pop: np.ndarray, fitness: np.ndarray) -> int:

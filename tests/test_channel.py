@@ -11,7 +11,7 @@ from iabsim.channel import (ChannelRealization, breakpoint_distance,
                             sample_realization, sample_shadowing)
 from iabsim.config import ScenarioConfig
 from iabsim.rng import derive_rng
-from iabsim.topology import NetworkNode, NodeRole, build_topology
+from iabsim.topology import build_topology
 from oracle import (LinkSample, MissingLinkError, achievable_rate,
                     interference_at, link, received_power, sinr)
 
@@ -189,10 +189,7 @@ class TestReceivedPower:
                 pytest.approx(expected, abs=1e-9)
 
 
-def _rx_node():
-    return NetworkNode(99, NodeRole.DONOR, 0, 0.0, 0.0, 25.0)
-
-
+RX = 99  # the victim receiver's node id
 LINK_FIELDS = ("d3d_m", "pathloss_db", "shadowing_db", "fading_db", "rain_db")
 
 
@@ -214,61 +211,54 @@ def _fake_realization(entries):
 class TestInterference:
     def test_no_transmitters_zero(self):
         real = _fake_realization({})
-        assert interference_at(_rx_node(), frozenset({0, 1}), [], real) == 0.0
+        assert interference_at(RX, frozenset({0, 1}), [], real) == 0.0
 
     def test_unit_conversion_minus_90dbm(self):
-        tx = NetworkNode(1, NodeRole.UE, 0, 10.0, 0.0, 1.5)
         # Pathloss chosen so the arriving power is exactly -90 dBm at 0 dBm
         # EIRP with 25 dB receive gain.
         link = LinkSample(1, 99, 10.0, 115.0, 0.0, 0.0, 0.0)
         real = _fake_realization({(1, 99): link})
-        got = interference_at(_rx_node(), frozenset({0, 1}),
-                              [(tx, 0.0, frozenset({0, 1}))], real)
+        got = interference_at(RX, frozenset({0, 1}),
+                              [(1, 0.0, frozenset({0, 1}))], real)
         assert got == pytest.approx(1e-9, rel=1e-12)
 
     def test_two_equal_interferers_double(self):
-        tx1 = NetworkNode(1, NodeRole.UE, 0, 10.0, 0.0, 1.5)
-        tx2 = NetworkNode(2, NodeRole.UE, 0, -10.0, 0.0, 1.5)
         link = lambda i: LinkSample(i, 99, 10.0, 100.0, 0.0, 0.0, 0.0)
         real = _fake_realization({(1, 99): link(1), (2, 99): link(2)})
         rbs = frozenset({0, 1})
-        one = interference_at(_rx_node(), rbs, [(tx1, 20.0, rbs)], real)
-        both = interference_at(_rx_node(), rbs,
-                               [(tx1, 20.0, rbs), (tx2, 20.0, rbs)], real)
+        one = interference_at(RX, rbs, [(1, 20.0, rbs)], real)
+        both = interference_at(RX, rbs,
+                               [(1, 20.0, rbs), (2, 20.0, rbs)], real)
         assert both == pytest.approx(2 * one, rel=1e-12)
 
     def test_partial_overlap_fraction(self):
-        tx = NetworkNode(1, NodeRole.UE, 0, 10.0, 0.0, 1.5)
         link = LinkSample(1, 99, 10.0, 100.0, 0.0, 0.0, 0.0)
         real = _fake_realization({(1, 99): link})
-        full = interference_at(_rx_node(), frozenset({0, 1}),
-                               [(tx, 20.0, frozenset({0, 1}))], real)
-        half = interference_at(_rx_node(), frozenset({0, 1}),
-                               [(tx, 20.0, frozenset({1, 7}))], real)
+        full = interference_at(RX, frozenset({0, 1}),
+                               [(1, 20.0, frozenset({0, 1}))], real)
+        half = interference_at(RX, frozenset({0, 1}),
+                               [(1, 20.0, frozenset({1, 7}))], real)
         assert half == pytest.approx(full / 2, rel=1e-12)
 
     def test_disjoint_additivity(self):
         rng = np.random.default_rng(8)
-        txs = [NetworkNode(i, NodeRole.UE, 0, float(i), 0.0, 1.5)
-               for i in range(1, 7)]
-        entries = {(t.id, 99): LinkSample(t.id, 99, 10.0,
-                                          float(rng.uniform(80, 120)),
-                                          0.0, 0.0, 0.0) for t in txs}
+        txs = range(1, 7)
+        entries = {(t, RX): LinkSample(t, RX, 10.0, float(rng.uniform(80, 120)),
+                                       0.0, 0.0, 0.0) for t in txs}
         real = _fake_realization(entries)
         rbs = frozenset({0, 1, 2})
         group_a = [(t, 25.0, rbs) for t in txs[:3]]
         group_b = [(t, 25.0, rbs) for t in txs[3:]]
-        ia = interference_at(_rx_node(), rbs, group_a, real)
-        ib = interference_at(_rx_node(), rbs, group_b, real)
-        iab = interference_at(_rx_node(), rbs, group_a + group_b, real)
+        ia = interference_at(RX, rbs, group_a, real)
+        ib = interference_at(RX, rbs, group_b, real)
+        iab = interference_at(RX, rbs, group_a + group_b, real)
         assert iab == pytest.approx(ia + ib, rel=1e-12)
 
     def test_missing_link_raises(self):
-        tx = NetworkNode(1, NodeRole.UE, 0, 10.0, 0.0, 1.5)
         real = _fake_realization({})
         with pytest.raises(MissingLinkError):
-            interference_at(_rx_node(), frozenset({0}),
-                            [(tx, 20.0, frozenset({0}))], real)
+            interference_at(RX, frozenset({0}),
+                            [(1, 20.0, frozenset({0}))], real)
 
 
 class TestSinrRate:
@@ -326,11 +316,11 @@ class TestRealization:
         real = sample_realization(topo, CONFIG, 18.0,
                                   shadow_rng=derive_rng(2, "s"),
                                   fading_rng=derive_rng(2, "f"))
-        for tx in topo.transmitters:
-            for rx in topo.receivers:
-                if tx.id == rx.id:
+        for tx in topo.tx.tolist():
+            for rx in topo.rx.tolist():
+                if tx == rx:
                     continue
-                sample = link(real, tx.id, rx.id)
+                sample = link(real, tx, rx)
                 assert math.isfinite(sample.pathloss_db)
                 assert sample.rain_db >= 0.0
                 assert sample.pathloss_db > 0.0

@@ -415,7 +415,8 @@ def _place(key, entry, last=False):
 
 def _outside(key):
     """(label, value) of ``key`` just outside each of its bounds and its
-    choices, of the wrong kind, and of the wrong shape."""
+    choices, of the wrong kind, and of the wrong shape; for a float field,
+    also an int too large for a double."""
     d = DOMAINS[key]
     step = 1 if d.kind is int else None
 
@@ -436,6 +437,8 @@ def _outside(key):
         yield f"le{d.le}", _place(key, above(d.le), last=True)
     if d.choices:
         yield "choice", "bogus" if d.kind is str else max(d.choices) + 1
+    if d.kind is float:
+        yield "int-beyond-double", _place(key, 10**400)
     for wrong in WRONG_KIND[d.kind]:
         yield f"kind-{type(wrong).__name__}", _place(key, wrong)
     if not d.optional:
@@ -499,7 +502,9 @@ class TestRejectedBeforeAnyTrial:
         "sweep_ues = [5, -3]", "powercdf_rates_bps = [64e3, -5]",
         "sweep_backoff_db = []", "sweep_ues = []", "powercdf_rates_bps = []",
         "donor_height_m = -1", "ue_height_m = 0",
-        "iab_height_range_m = [-1, 24]", "fc_ghz = 1" + "0" * 400])
+        "iab_height_range_m = [-1, 24]", "fc_ghz = 1" + "0" * 400,
+        "num_ues = 1000000000", "num_ues = 1" + "0" * 400,
+        "sweep_ues = [5, 1" + "0" * 400 + "]", "trials = 1000000000"])
     def test_config_file_exits_1(self, tmp_path, capsys, monkeypatch, line):
         import iabsim.cli as cli
         runs = []
@@ -514,4 +519,5 @@ class TestRejectedBeforeAnyTrial:
 
     def test_entries_share_the_scalar_domains(self):
         assert DOMAINS["sweep_ues"].ge == DOMAINS["num_ues"].ge == 0
+        assert DOMAINS["sweep_ues"].le == DOMAINS["num_ues"].le
         assert DOMAINS["powercdf_rates_bps"].gt == DOMAINS["min_rate_bps"].gt == 0

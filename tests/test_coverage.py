@@ -8,8 +8,8 @@ import pytest
 from iabsim.config import ScenarioConfig
 from iabsim.coverage import build_instance, monte_carlo_coverage, run_trial
 from iabsim.policies import make_policy, max_power_policy
-from iabsim.topology import NodeRole
-from oracle import (MissingLinkError, covered_share, evaluate_trial,
+from iabsim.topology import DONOR, IAB
+from oracle import (MissingLinkError, covered_share, evaluate_trial, nodes_of,
                     reference_allocate_rbs, reference_associate,
                     reference_evaluate, reference_plan_slots)
 
@@ -79,13 +79,13 @@ class TestEvaluateTrial:
             ue_positions=((9_970.0, 0.0), (10_030.0, 0.0)),
             min_rate_bps=1e6)
         inst = build_instance(cfg, seed=3, trial_index=0)
-        iab = inst.topology.by_role(NodeRole.IAB)[0]
-        assert all(bs == iab.id for bs in ue_servers(inst).values())
-        powers = {n.id: 23.0 for n in inst.topology.ues}
-        powers[iab.id] = 35.0
+        [iab] = np.flatnonzero(inst.topology.role == IAB).tolist()
+        assert all(bs == iab for bs in ue_servers(inst).values())
+        powers = {u: 23.0 for u in inst.ue_ids}
+        powers[iab] = 35.0
         assert inst.evaluate(eirp_of(inst, powers)).tolist() == [2, 2]
         # The same children are fine when the relay transmits at full power.
-        powers[iab.id] = 53.0
+        powers[iab] = 53.0
         assert inst.evaluate(eirp_of(inst, powers)).tolist() == [0, 0]
 
     def test_donor_served_never_backhaul_fail(self):
@@ -96,8 +96,7 @@ class TestEvaluateTrial:
             status = inst.evaluate(inst.upper)
             servers = ue_servers(inst)
             for ue_id, code in zip(inst.ue_ids, status.tolist()):
-                server = inst.topology.node(servers[ue_id])
-                if server.role is NodeRole.DONOR:
+                if inst.topology.role[servers[ue_id]] == DONOR:
                     assert code != 2
 
     def test_coverage_equals_mean_indicator(self):
@@ -113,19 +112,19 @@ class TestEvaluateTrial:
         inst = build_instance(cfg, seed=1, trial_index=0)
         # Drop the first UE's row: its access link is then never sampled.
         full = inst.realization
-        ue = inst.topology.ues[0]
-        keep = full.tx_ids != ue.id
+        keep = full.tx_ids != inst.ue_ids[0]
         from iabsim.channel import ChannelRealization
         real = ChannelRealization(
             tx_ids=full.tx_ids[keep], rx_ids=full.rx_ids,
             **{name: getattr(full, name)[keep] for name in
                ("d3d_m", "pathloss_db", "shadowing_db", "fading_db", "rain_db")},
             rain_rate_mm_h=0.0, rx_gain_db=full.rx_gain_db)
-        assoc = reference_associate(inst.topology, full)
-        alloc = reference_allocate_rbs(assoc, inst.topology, cfg)
-        slot_plan = reference_plan_slots(inst.topology, cfg.slot_mode)
+        nodes = nodes_of(inst.topology)
+        assoc = reference_associate(nodes, full)
+        alloc = reference_allocate_rbs(assoc, nodes, cfg)
+        slot_plan = reference_plan_slots(nodes, cfg.slot_mode)
         with pytest.raises(MissingLinkError):
-            evaluate_trial(inst.topology, assoc, alloc, slot_plan,
+            evaluate_trial(nodes, assoc, alloc, slot_plan,
                            dict(zip(inst.gene_ids, inst.upper)), real, cfg)
 
     def test_raising_rate_never_helps(self):
@@ -145,7 +144,7 @@ class TestEvaluateTrial:
                                    ue_positions=((185.0, 0.0),),
                                    min_rate_bps=60e6)
         inst = build_instance(cfg, seed=1, trial_index=0)
-        ue_id = inst.topology.ues[0].id
+        ue_id = inst.ue_ids[0]
         statuses = []
         for eirp in np.linspace(23.0, 43.0, 41):
             status = inst.evaluate(eirp_of(inst, {ue_id: float(eirp)}))
@@ -177,7 +176,7 @@ class TestFastPathAgreement:
                           (0.0, -60.0)),
             min_rate_bps=1e6)
         inst = build_instance(cfg, seed=3, trial_index=0)
-        iab_id = inst.topology.by_role(NodeRole.IAB)[0].id
+        [iab_id] = np.flatnonzero(inst.topology.role == IAB).tolist()
         iab_gene = inst.gene_ids.index(iab_id)
         rng = np.random.default_rng(4)
         mat = rng.uniform(inst.lower, inst.upper, size=(40, len(inst.gene_ids)))

@@ -10,7 +10,7 @@ from iabsim.coverage import (ScenarioInstance, build_instance,
                              monte_carlo_coverage)
 from iabsim.ga import GaParams, _mutation_deltas, next_population, optimize
 from iabsim.rng import derive_rng
-from iabsim.topology import NodeRole
+from iabsim.topology import IAB
 
 # Gene bounds of two UEs and one relay.
 LOWER = np.array([23.0, 23.0, 35.0])
@@ -205,7 +205,7 @@ class TestOptimize:
         params = GaParams(n_iterations=200)
         res = optimize(inst, params, derive_rng(10, "ga"))
         assert res.queen_fitness == 1.0
-        gene = res.queen[inst.gene_ids.index(inst.topology.ues[0].id)]
+        gene = res.queen[inst.gene_ids.index(inst.ue_ids[0])]
         assert abs(gene - 43.0) <= params.mutation_step_db
         assert gene >= threshold - 0.1  # sweep brackets the true threshold
 
@@ -219,7 +219,7 @@ class TestOptimize:
         res = optimize(inst, params, derive_rng(11, "ga"))
         # with coverage flat at 1.0, the power tie-break walks the gene down
         assert res.queen_fitness == 1.0
-        ue_gene = inst.gene_ids.index(inst.topology.ues[0].id)
+        ue_gene = inst.gene_ids.index(inst.ue_ids[0])
         assert res.queen[ue_gene] == pytest.approx(23.0)
 
     def test_lowest_index_on_full_tie(self):
@@ -257,8 +257,8 @@ class TestOptimize:
         inst = deterministic_instance(
             num_ues=1, num_iab_per_cell=1, cell_radius_m=20_000.0,
             ue_positions=((10_030.0, 0.0),), min_rate_bps=1e6, seed=21)
-        iab_id = inst.topology.by_role(NodeRole.IAB)[0].id
-        ue_gene = inst.gene_ids.index(inst.topology.ues[0].id)
+        [iab_id] = np.flatnonzero(inst.topology.role == IAB).tolist()
+        ue_gene = inst.gene_ids.index(inst.ue_ids[0])
         assert inst.assoc[ue_gene] == iab_id
         ue_grid = np.arange(23.0, 43.1, 1.0)
         iab_grid = np.arange(35.0, 53.1, 1.0)

@@ -1,7 +1,7 @@
-"""Property tests: the array channel, the batched status kernel and the
-block-drawn GA against their scalar, per-link and per-generation references,
-and the shared-build trial runner against one build per policy, over random
-small scenarios."""
+"""Property tests: the array topology, the array channel, the batched status
+kernel and the block-drawn GA against their per-node, scalar, per-link and
+per-generation references, and the shared-build trial runner against one
+build per policy, over random small scenarios."""
 
 import math
 from unittest import mock
@@ -19,15 +19,51 @@ from iabsim.coverage import build_instance, monte_carlo_coverage
 from iabsim.policies import make_policy
 from iabsim.rng import derive_rng
 from iabsim.scheduler import allocate_rbs, associate, plan_slots
-from iabsim.topology import build_topology
-from oracle import (covered_share, distance_3d, link, reference_allocate_rbs,
-                    reference_associate, reference_evaluate,
-                    reference_optimize, reference_plan_slots)
+from iabsim.topology import DONOR, UE, build_topology
+from oracle import (covered_share, distance_3d, link, nodes_of,
+                    reference_allocate_rbs, reference_associate,
+                    reference_evaluate, reference_optimize,
+                    reference_plan_slots, reference_topology)
 
 # Small and deterministic, so Tier-1 stays within a few seconds.
 FAST = settings(max_examples=30, deadline=None, derandomize=True)
 
 seeds = st.integers(0, 2**31 - 1)
+
+
+@FAST
+@given(seed=seeds, num_ues=st.integers(0, 8), num_cells=st.sampled_from((1, 2)),
+       num_iab=st.integers(0, 4), poisson=st.booleans(), fixed=st.booleans(),
+       radius=st.sampled_from((200.0, 2000.0)),
+       spacing=st.sampled_from((None, 700.0)),
+       angle=st.sampled_from((0.0, 30.0)))
+@example(seed=1, num_ues=0, num_cells=2, num_iab=2, poisson=True, fixed=False,
+         radius=200.0, spacing=None, angle=0.0)  # Poisson count 0
+@example(seed=2, num_ues=5, num_cells=2, num_iab=0, poisson=False, fixed=False,
+         radius=200.0, spacing=None, angle=0.0)  # no relays
+@example(seed=3, num_ues=3, num_cells=2, num_iab=1, poisson=False, fixed=True,
+         radius=200.0, spacing=700.0, angle=30.0)  # fixed positions
+def test_topology_matches_reference(seed, num_ues, num_cells, num_iab, poisson,
+                                    fixed, radius, spacing, angle):
+    positions = None
+    if fixed:
+        rng = np.random.default_rng(seed)
+        r = radius * np.sqrt(rng.random(num_ues))
+        a = rng.uniform(0.0, 2.0 * math.pi, num_ues)
+        positions = tuple(zip((r * np.cos(a)).tolist(), (r * np.sin(a)).tolist()))
+    cfg = ScenarioConfig(num_ues=num_ues, num_cells=num_cells,
+                         num_iab_per_cell=num_iab, ue_count_poisson=poisson,
+                         ue_positions=positions, cell_radius_m=radius,
+                         donor_spacing_m=spacing,
+                         iab_ring_angle_offset_deg=angle)
+    topo = build_topology(cfg, derive_rng(seed, "topo"))
+    nodes = reference_topology(cfg, derive_rng(seed, "topo"))
+    assert topo.role.tolist() == [n.role for n in nodes]
+    assert topo.cell.tolist() == [n.cell_id for n in nodes]
+    # Bit for bit: the same doubles, signed zeros included.
+    for name in ("x", "y", "height"):
+        expected = np.array([getattr(n, name) for n in nodes], dtype=float)
+        assert getattr(topo, name).tobytes() == expected.tobytes()
 
 
 @FAST
@@ -43,9 +79,10 @@ def test_realization_matches_scalar_draws(seed, num_ues, num_cells, num_iab,
         topo, cfg, 12.0, derive_rng(seed, "shadow"),
         derive_rng(seed, "fade") if fading else None)
     shadow_rng, fade_rng = derive_rng(seed, "shadow"), derive_rng(seed, "fade")
+    nodes = nodes_of(topo)
     pairs = []
-    for tx in sorted(topo.transmitters, key=lambda node: node.id):
-        for rx in sorted(topo.receivers, key=lambda node: node.id):
+    for tx in (n for n in nodes if n.role != DONOR):
+        for rx in (n for n in nodes if n.role != UE):
             if tx.id == rx.id:
                 continue
             pairs.append([tx.id, rx.id])
@@ -114,15 +151,17 @@ def test_scheduler_matches_reference(seed, num_ues, num_cells, num_iab,
     topo = build_topology(cfg, derive_rng(seed, "topo"))
     real = sample_realization(topo, cfg, 0.0,
                               derive_rng(seed, "shadow"), None)
-    genes = [n.id for n in topo.transmitters]
+    genes = topo.tx.tolist()
+    # The reference schedule runs on the reference nodes of the same draws.
+    nodes = reference_topology(cfg, derive_rng(seed, "topo"))
 
     assoc = associate(topo, real.long_term_loss_db)
-    ref_assoc = reference_associate(topo, real)
+    ref_assoc = reference_associate(nodes, real)
     ref_rx = {**ref_assoc.ue_to_bs, **ref_assoc.iab_to_donor}
     assert assoc.tolist() == [ref_rx[g] for g in genes]
 
     alloc = allocate_rbs(assoc, topo, cfg)
-    ref_alloc = reference_allocate_rbs(ref_assoc, topo, cfg)
+    ref_alloc = reference_allocate_rbs(ref_assoc, nodes, cfg)
     assert alloc.shape == (len(genes), rb_max)
     assert ([frozenset(np.flatnonzero(row).tolist()) for row in alloc]
             == [ref_alloc.rbs_of(g) for g in genes])
@@ -130,7 +169,7 @@ def test_scheduler_matches_reference(seed, num_ues, num_cells, num_iab,
     slots = plan_slots(topo, slot_mode).tolist()
     groups = {frozenset(g for g, s in zip(genes, slots) if s == slot)
               for slot in slots}
-    assert groups == set(reference_plan_slots(topo, slot_mode).slots)
+    assert groups == set(reference_plan_slots(nodes, slot_mode).slots)
 
 
 def _same_result(a, b):

@@ -7,29 +7,34 @@ from iabsim.channel import pathloss_uma, sample_realization
 from iabsim.config import ScenarioConfig
 from iabsim.rng import derive_rng
 from iabsim.scheduler import allocate_rbs, associate, plan_slots
-from iabsim.topology import NetworkNode, NodeRole, Topology, build_topology
-from oracle import distance_3d
+from iabsim.topology import DONOR, IAB, UE, Topology, build_topology
+from oracle import distance_3d, nodes_of
 
 
-def bare_topology(ue_positions, iab_positions=(), radius=200.0):
-    """One cell: donor at origin plus explicit IAB/UE placements."""
-    nodes = [NetworkNode(0, NodeRole.DONOR, 0, 0.0, 0.0, 25.0)]
-    for i, (x, y) in enumerate(iab_positions):
-        nodes.append(NetworkNode(1 + i, NodeRole.IAB, 0, x, y, 22.0))
-    base = 1 + len(iab_positions)
-    for i, (x, y) in enumerate(ue_positions):
-        nodes.append(NetworkNode(base + i, NodeRole.UE, 0, x, y, 1.5))
-    return Topology(nodes=tuple(nodes), cells=((0, radius),))
+def bare_topology(ue_positions, iab_positions=()):
+    """One cell: donor at origin (id 0), then the IAB nodes, then the UEs."""
+    sizes = [1, len(iab_positions), len(ue_positions)]
+    xy = np.array([(0.0, 0.0), *iab_positions, *ue_positions]).reshape(-1, 2)
+    return Topology(role=np.repeat([DONOR, IAB, UE], sizes),
+                    cell=np.zeros(sum(sizes), dtype=int),
+                    x=xy[:, 0], y=xy[:, 1],
+                    height=np.repeat([25.0, 22.0, 1.5], sizes))
 
 
 def pathloss_losses(topo):
     """Long-term losses equal to pathloss, as a (transmitter, receiver)
     array; self pairs hold NaN, as in a channel realization."""
     config = ScenarioConfig()
-    return np.array([[np.nan if tx.id == bs.id else
-                      pathloss_uma(distance_3d(tx, bs), bs.height, tx.height,
-                                   config)
-                      for bs in topo.receivers] for tx in topo.transmitters])
+    nodes = nodes_of(topo)
+    return np.array([[np.nan if tx == bs else
+                      pathloss_uma(distance_3d(nodes[tx], nodes[bs]),
+                                   nodes[bs].height, nodes[tx].height, config)
+                      for bs in topo.rx.tolist()] for tx in topo.tx.tolist()])
+
+
+def tx_positions(topo):
+    """(x, y) of each transmitter row."""
+    return list(zip(topo.x[topo.tx].tolist(), topo.y[topo.tx].tolist()))
 
 
 def rb_set(row):
@@ -64,10 +69,8 @@ class TestAssociate:
         topo_b = bare_topology(list(reversed(positions)), iab_positions=iabs)
         assoc_a = associate(topo_a, pathloss_losses(topo_a))
         assoc_b = associate(topo_b, pathloss_losses(topo_b))
-        servers_a = {(n.x, n.y): bs
-                     for n, bs in zip(topo_a.transmitters, assoc_a.tolist())}
-        servers_b = {(n.x, n.y): bs
-                     for n, bs in zip(topo_b.transmitters, assoc_b.tolist())}
+        servers_a = dict(zip(tx_positions(topo_a), assoc_a.tolist()))
+        servers_b = dict(zip(tx_positions(topo_b), assoc_b.tolist()))
         assert servers_a == servers_b
 
     def test_tie_breaks_to_lowest_id(self):
@@ -86,17 +89,15 @@ class TestAssociate:
         real = sample_realization(topo, ScenarioConfig(), 16.0,
                                   derive_rng(3, "s"), None)
         assoc = associate(topo, real.long_term_loss_db)
-        for node, rx in zip(topo.transmitters, assoc.tolist()):
-            if node.role is NodeRole.IAB:
-                assert rx == topo.cells[node.cell_id][0]
-            # servers always live in the transmitter's own cell
-            assert topo.node(rx).cell_id == node.cell_id
+        iab = topo.role[topo.tx] == IAB
+        assert np.all(topo.role[assoc[iab]] == DONOR)
+        # servers always live in the transmitter's own cell
+        assert np.array_equal(topo.cell[assoc], topo.cell[topo.tx])
 
 
 def simple_assoc(topo, server=0):
     """Every UE served by ``server``, every IAB node by donor 0."""
-    return np.array([server if n.role is NodeRole.UE else 0
-                     for n in topo.transmitters], dtype=int)
+    return np.where(topo.role[topo.tx] == UE, server, 0)
 
 
 class TestAllocateRbs:
@@ -156,11 +157,10 @@ class TestAllocateRbs:
         real = sample_realization(topo, ScenarioConfig(), 16.0,
                                   derive_rng(4, "s"), None)
         alloc = allocate_rbs(associate(topo, real.long_term_loss_db), topo, cfg)
-        rows = list(topo.transmitters)
         for cell in (0, 1):
-            first = next(n for n in rows
-                         if n.role is NodeRole.UE and n.cell_id == cell)
-            assert rb_set(alloc[rows.index(first)]) == {0, 1}
+            first = np.flatnonzero((topo.role[topo.tx] == UE)
+                                   & (topo.cell[topo.tx] == cell))[0]
+            assert rb_set(alloc[first]) == {0, 1}
 
 
 class TestPlanSlots:
@@ -188,7 +188,7 @@ class TestPlanSlots:
         cfg = ScenarioConfig(num_ues=8, num_cells=2, trials=1)
         topo = build_topology(cfg, derive_rng(6))
         slots = plan_slots(topo, "separated")
-        is_ue = np.array([n.role is NodeRole.UE for n in topo.transmitters])
+        is_ue = topo.role[topo.tx] == UE
         for slot in np.unique(slots):
             assert len(set(is_ue[slots == slot].tolist())) == 1
 
