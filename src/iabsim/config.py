@@ -54,7 +54,8 @@ class Domain:
     def check(self, key: str, value: Any) -> None:
         """Raise a ConfigError naming ``key`` unless ``value`` is in the domain."""
         if not ((value is None and self.optional) or self._holds(value)):
-            raise ConfigError(f"{key} must be {self.describe()}, got {value!r}")
+            raise ConfigError(
+                f"{key} must be {self.describe()}, got {_shown(value)}")
 
     def _holds(self, value: Any) -> bool:
         if self.shape == SCALAR:
@@ -97,6 +98,19 @@ class Domain:
                 TUPLE: "a non-empty list, each {}",
                 POINTS: "a list of (x, y) pairs, each {}"}[self.shape].format(what)
         return what + " or none" if self.optional else what
+
+
+def _shown(value: Any) -> str:
+    """``repr(value)``, but an int too long for Python to print (past its
+    int-to-str digit limit) is shown by its digit count, alone or in a list."""
+    try:
+        return repr(value)
+    except ValueError:
+        if isinstance(value, int):
+            n = abs(value)
+            d = int((n.bit_length() - 1) * math.log10(2))  # digits - 1, or - 2
+            return f"an integer of {d + 1 + (n >= 10 ** (d + 1))} digits"
+        return "[" + ", ".join(map(_shown, value)) + "]"
 
 
 def _field(default: Any, kind: type, shape: str = SCALAR, **domain: Any) -> Any:
@@ -200,7 +214,8 @@ class ScenarioConfig:
             domain.check(key, getattr(self, key))
         if self.rbs_per_ue > self.rb_max:
             raise ConfigError(
-                f"rbs_per_ue ({self.rbs_per_ue}) exceeds the RB grid ({self.rb_max})")
+                f"rbs_per_ue ({_shown(self.rbs_per_ue)}) exceeds the RB grid "
+                f"({self.rb_max})")
         if self.rb_max * self.rb_width_hz > self.bw_mhz * 1e6 + 1e-6:
             raise ConfigError(
                 f"rb_max ({self.rb_max}) does not fit in bw_mhz ({self.bw_mhz})")
@@ -216,8 +231,8 @@ class ScenarioConfig:
                         f"ue_positions entry ({x}, {y}) lies outside the cell radius {r}")
         if self.ga_neighborhood >= self.ga_population:
             raise ConfigError(
-                f"ga_neighborhood ({self.ga_neighborhood}) must be smaller than "
-                f"ga_population ({self.ga_population})")
+                f"ga_neighborhood ({_shown(self.ga_neighborhood)}) must be "
+                f"smaller than ga_population ({self.ga_population})")
         if self.rain_k is None or self.rain_gamma is None:
             from .channel import rain_coefficients  # channel imports config
             try:

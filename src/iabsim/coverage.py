@@ -15,11 +15,13 @@ order. The power optimizer scores (K, J) batches of candidates with
 `batch_coverage`. `run_trial` scores the chosen powers with `evaluate`,
 which reads one status code per UE off the same link-pass arrays; the
 trial keeps the codes on `TrialOutcome.status` and reports their covered
-share. The scheduler's gene-indexed arrays (each gene's receiver id, its
-RB occupancy row and its slot id; see `iabsim.scheduler`) are indexed
-directly into the kernel's victim-link arrays. The tests hold this kernel
-against a per-link reference (`tests/oracle.py`) that schedules and
-computes the same link budget one link at a time.
+share. Each gene transmits on exactly one victim link (a UE's access
+link, or an IAB MT's backhaul link), so the kernel's victim rows are the
+gene rows, in gene order, and the scheduler's gene-indexed arrays (each
+gene's receiver id, its RB occupancy row and its slot id; see
+`iabsim.scheduler`) are the victims' arrays with no reordering. The tests
+hold this kernel against a per-link reference (`tests/oracle.py`) that
+schedules and computes the same link budget one link at a time.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .channel import (ChannelRealization, min_sinr, noise_mw,
 from .config import ScenarioConfig
 from .rng import derive_rng
 from .scheduler import allocate_rbs, associate, plan_slots
-from .topology import UE, Topology, build_topology
+from .topology import IAB, UE, Topology, build_topology
 
 
 class ScenarioInstance:
@@ -45,12 +47,14 @@ class ScenarioInstance:
     vectors then reduces to one matrix product. This is what makes the
     optimizer's N*K fitness evaluations cheap.
 
-    Victim rows are the UE access links (rows 0..n_ue-1, in sorted UE id
-    order) followed by one backhaul row per relay (sorted relay id order).
-    ``parent_row[r]`` is the row that UE r's service also depends on: its
-    serving relay's backhaul row when relay-served, and its own access row
-    when donor-served (``x & x == x``). A UE passes when
-    ``link_pass[r] & link_pass[parent_row[r]]``, one gather for the batch.
+    Every gene transmits on exactly one victim link, a UE's access link or
+    an IAB MT's backhaul link, so victim row ``v`` is gene ``v``'s link and
+    the rows are in gene order. A UE's gene row is its access row; its
+    statuses are read at the UE rows, in `ue_ids` order. ``parent_row[r]``
+    is the gene row that the r-th UE's service also depends on: its serving
+    relay's backhaul row when relay-served, and its own access row when
+    donor-served (``x & x == x``). A UE passes when
+    ``link_pass[ue] & link_pass[parent_row]``, one gather for the batch.
     """
 
     def __init__(self, config: ScenarioConfig, topology: Topology,
@@ -63,61 +67,69 @@ class ScenarioInstance:
         self._build_arrays(alloc, slots)
 
     def _build_arrays(self, alloc: np.ndarray, slots: np.ndarray) -> None:
-        real = self.realization
+        config, real, role = self.config, self.realization, self.topology.role
         # Genes are the channel's transmitter rows: UEs and IAB MTs by id.
-        genes = real.tx_ids
+        genes, rx = real.tx_ids, self.assoc
         self.gene_ids: tuple[int, ...] = tuple(genes.tolist())
-        is_ue = self.topology.role[genes] == UE
-        (ue_lo, ue_hi), (iab_lo, iab_hi) = (self.config.ue_eirp_range_dbm,
-                                            self.config.iab_eirp_range_dbm)
+        is_ue = role[genes] == UE
+        (ue_lo, ue_hi), (iab_lo, iab_hi) = (config.ue_eirp_range_dbm,
+                                            config.iab_eirp_range_dbm)
         self.lower = np.where(is_ue, ue_lo, iab_lo)
         self.upper = np.where(is_ue, ue_hi, iab_hi)
 
-        # Victim links: UE access links, then one backhaul link per relay.
+        n_genes = len(genes)
         ue_rows, iab_rows = np.flatnonzero(is_ue), np.flatnonzero(~is_ue)
-        self.tx_index = np.concatenate([ue_rows, iab_rows])
+        self.n_ue = n_ue = len(ue_rows)
         self.ue_ids = tuple(genes[ue_rows].tolist())
-        self.n_ue = len(ue_rows)
-        tx, rx = genes[self.tx_index], self.assoc[self.tx_index]
-        iab_ids, servers = genes[iab_rows], rx[:self.n_ue]
-        serves = servers[:, None] == iab_ids[None, :]  # UE r is relay k's child
-        self.relay_served = serves.any(axis=1)
+        self._ue_rows = ue_rows
+        servers = rx[ue_rows]
+        self.relay_served = role[servers] == IAB
+        # A relay's MT is a gene: its row is where its id sits in ``genes``.
         self.parent_row = np.where(self.relay_served,
-                                   self.n_ue + np.searchsorted(iab_ids, servers),
-                                   np.arange(self.n_ue))
-        n_children = serves.sum(axis=0)
+                                   np.searchsorted(genes, servers), ue_rows)
+        n_children = np.bincount(self.parent_row[self.relay_served],
+                                 minlength=n_genes)
         rx_col = np.searchsorted(real.rx_ids, rx)
 
         # The overlap of victim v with gene j is the share of v's RBs that j
         # also holds.
         occ = alloc.astype(float)
-        n_rb = occ[self.tx_index].sum(axis=1)
-        overlap = (occ[self.tx_index] @ occ.T) / np.maximum(n_rb, 1.0)[:, None]
+        n_rb = occ.sum(axis=1)
+        overlap = (occ @ occ.T) / np.maximum(n_rb, 1.0)[:, None]
 
-        # Co-slot transmitters other than the victim's own and its receiver.
-        interferes = ((slots[None, :] == slots[self.tx_index][:, None])
-                      & (genes[None, :] != tx[:, None])
-                      & (genes[None, :] != rx[:, None]))
+        # Co-slot transmitters other than the victim's own (the diagonal)
+        # and its receiver. Only a UE's receiver can be a gene (an IAB MT's
+        # is a donor): its serving relay, at its parent row.
+        interferes = slots[None, :] == slots[:, None]
+        np.fill_diagonal(interferes, False)
+        interferes[ue_rows[self.relay_served],
+                   self.parent_row[self.relay_served]] = False
 
         # Unit-EIRP received power (linear mW at 0 dBm) per (victim, tx) pair,
         # weighted by RB overlap; the self pairs (NaN) are never gathered.
         unit_mw = 10.0 ** (real.unit_rx_dbm / 10.0)
-        self.sig_lin = unit_mw[self.tx_index, rx_col]
+        self.sig_lin = unit_mw[np.arange(n_genes), rx_col]
         self.interf_lin = np.where(interferes, overlap * unit_mw[:, rx_col].T,
                                    0.0)
 
-        demand = self.config.min_rate_bps * np.concatenate(
-            [np.ones(self.n_ue), n_children])
-        # Victims share few (demand, bandwidth) pairs; the scalar budget of
-        # the reference path runs once per pair, so the thresholds match it
-        # bit for bit.
-        bandwidth = n_rb * self.config.rb_width_hz
-        keys = list(zip(demand.tolist(), bandwidth.tolist()))
-        consts = {key: _link_constants(*key, self.config.nf_db)
-                  for key in set(keys)}
-        self.gamma_min = np.array([consts[key][0] for key in keys])
-        self.noise_mw = np.array([consts[key][1] for key in keys])
-        self.vacuous = demand == 0.0
+        # The thresholds come from the scalar budget of the reference path,
+        # so they match it bit for bit. Every UE holds as many RBs as every
+        # other (`allocate_rbs`), so all UE rows share one demand and
+        # bandwidth; only the relay rows, a few per cell, vary.
+        width, rate, nf = config.rb_width_hz, config.min_rate_bps, config.nf_db
+        gamma_min, noise = np.empty(n_genes), np.empty(n_genes)
+        if n_ue:
+            gamma_min[ue_rows], noise[ue_rows] = _link_constants(
+                rate, float(n_rb[ue_rows[0]]) * width, nf)
+        children = n_children[iab_rows]
+        for row, n, rbs in zip(iab_rows.tolist(), children.tolist(),
+                               n_rb[iab_rows].tolist()):
+            gamma_min[row], noise[row] = _link_constants(rate * n, rbs * width,
+                                                         nf)
+        self.gamma_min, self.noise_mw = gamma_min, noise
+        # A relay with no children carries no demand: its backhaul is vacuous.
+        self.vacuous = np.zeros(n_genes, dtype=bool)
+        self.vacuous[iab_rows] = children == 0
         self._any_vacuous = bool(self.vacuous.any())
 
     def batch_link_sinr(self, eirp_dbm: np.ndarray,
@@ -133,8 +145,7 @@ class ScenarioInstance:
             e = e + offset_db
         a = np.divide(e, 10.0)
         np.power(10.0, a, out=a)  # linear EIRP, mW
-        gamma = a.take(self.tx_index, axis=1)
-        gamma *= self.sig_lin
+        gamma = a * self.sig_lin  # victim row v is gene v's link
         interference = a @ self.interf_lin.T
         interference += self.noise_mw
         gamma /= interference
@@ -154,7 +165,7 @@ class ScenarioInstance:
         if self.n_ue == 0:
             return np.ones(np.atleast_2d(eirp_dbm).shape[0])
         link_pass = self._link_pass(eirp_dbm, offset_db)
-        ue_pass = link_pass[:, :self.n_ue]
+        ue_pass = link_pass.take(self._ue_rows, axis=1)
         ue_pass &= link_pass.take(self.parent_row, axis=1)
         return ue_pass.sum(axis=1) / self.n_ue
 
@@ -168,12 +179,13 @@ class ScenarioInstance:
         """
         link_pass = self._link_pass(eirp_dbm)[0]
         backhaul_fail = self.relay_served & ~link_pass[self.parent_row]
-        return np.where(backhaul_fail, 2, np.where(link_pass[:self.n_ue], 0, 1))
+        return np.where(backhaul_fail, 2,
+                        np.where(link_pass[self._ue_rows], 0, 1))
 
     def access_sinr_db(self, eirp_dbm: np.ndarray,
                        offset_db: float = 0.0) -> np.ndarray:
         """Per-UE access-link SINR in dB for one EIRP vector."""
-        gamma = self.batch_link_sinr(eirp_dbm, offset_db)[0, :self.n_ue]
+        gamma = self.batch_link_sinr(eirp_dbm, offset_db)[0, self._ue_rows]
         return 10.0 * np.log10(gamma)
 
 

@@ -71,8 +71,11 @@ def allocate_rbs(assoc: np.ndarray, topology: Topology,
     cols = (rank[:, None] * per_ue + np.arange(per_ue)) % grid
     occ = np.zeros((len(tx), grid), dtype=bool)
     occ[ue_rows[:, None], cols] = True
-    # A relay also holds the RBs of each UE it serves.
-    child, relay = np.nonzero(assoc[ue_rows][:, None] == tx[None, :])
+    # A relay also holds the RBs of each UE it serves; a relay's MT is a
+    # transmitter, so its row is where its id sits in ``tx``.
+    servers = assoc[ue_rows]
+    child = np.flatnonzero(topology.role[servers] == IAB)
+    relay = np.searchsorted(tx, servers[child])
     occ[relay[:, None], cols[child]] = True
     return occ
 

@@ -9,6 +9,8 @@ A `Topology` is one array per node attribute, in node-id order: node ``i``
 is row ``i`` of the role code, cell id, x, y and antenna height arrays.
 `build_topology` numbers each cell's donor and IAB ring first and the UEs
 after them, so infrastructure ids stay stable as the UE count varies. The
+infrastructure depends only on the config's `Geometry` fields, so it is
+built once per distinct geometry and shared, read-only, by the trials. The
 uplink transmitters (UEs and IAB MTs) and receivers (donors and IAB DUs)
 are the rows ``tx`` and ``rx``, also in id order; the channel, the
 scheduler and the scenario instance index the node arrays with them.
@@ -18,7 +20,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -56,7 +59,29 @@ class Topology:
         return np.rec.fromarrays((self.x[rows], self.y[rows]), names="x,y")
 
 
-def donor_position(config: ScenarioConfig, cell_id: int) -> tuple[float, float]:
+class Geometry(NamedTuple):
+    """The config fields that place the donors and IAB rings. Hashable,
+    unlike `ScenarioConfig`, so it keys the cached infrastructure;
+    `donor_position` and `place_iab_nodes` read these fields of either."""
+    num_cells: int
+    cell_radius_m: float
+    donor_spacing_m: Optional[float]
+    donor_height_m: float
+    num_iab_per_cell: int
+    iab_ring_radius_fraction: float
+    iab_ring_angle_offset_deg: float
+    iab_height_range_m: tuple[float, float]
+
+    @classmethod
+    def of(cls, config: ScenarioConfig) -> "Geometry":
+        values = {name: getattr(config, name) for name in cls._fields}
+        # A pair given from code may be a list, which is unhashable.
+        values["iab_height_range_m"] = tuple(values["iab_height_range_m"])
+        return cls(**values)
+
+
+def donor_position(config: ScenarioConfig | Geometry,
+                   cell_id: int) -> tuple[float, float]:
     """Donor coordinates; adjacent cells sit on the x-axis, tangent disks."""
     spacing = config.donor_spacing_m
     if spacing is None:
@@ -88,7 +113,7 @@ def sample_ues(config: ScenarioConfig, cell_id: int,
     return cx + radii * np.cos(angles), cy + radii * np.sin(angles)
 
 
-def place_iab_nodes(config: ScenarioConfig, cell_id: int
+def place_iab_nodes(config: ScenarioConfig | Geometry, cell_id: int
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Deterministic IAB-node ring as x, y and height arrays.
 
@@ -108,26 +133,42 @@ def place_iab_nodes(config: ScenarioConfig, cell_id: int
             np.linspace(lo, hi, m))
 
 
+@lru_cache(maxsize=64)
+def _infrastructure(geometry: Geometry) -> tuple[np.ndarray, ...]:
+    """Role, cell, x, y and height of each cell's donor and IAB ring, in id
+    order. The arrays are shared by every build of the geometry, so they
+    are read-only."""
+    blocks = []
+    for c in range(geometry.num_cells):
+        cx, cy = donor_position(geometry, c)
+        blocks.append((DONOR, c, [cx], [cy], [geometry.donor_height_m]))
+        blocks.append((IAB, c, *place_iab_nodes(geometry, c)))
+    role, cell, x, y, height = zip(*blocks)
+    sizes = [len(b) for b in x]
+    columns = (np.repeat(role, sizes), np.repeat(cell, sizes),
+               np.concatenate(x), np.concatenate(y), np.concatenate(height))
+    for column in columns:
+        column.setflags(write=False)
+    return columns
+
+
 def build_topology(config: ScenarioConfig,
                    rng: np.random.Generator) -> Topology:
     """Assemble donors, IAB rings, and UE patterns for 1 or 2 cells.
 
     Infrastructure ids come first (stable as the UE count varies), UEs after.
+    Every array is new: writing into one topology changes no other.
     """
     if config.num_cells not in (1, 2):
         raise ValueError(f"num_cells must be 1 or 2, got {config.num_cells}")
-    cells = range(config.num_cells)
-    # (role, cell id, x, y, height) blocks in id order.
-    blocks = []
-    for c in cells:
-        cx, cy = donor_position(config, c)
-        blocks.append((DONOR, c, [cx], [cy], [config.donor_height_m]))
-        blocks.append((IAB, c, *place_iab_nodes(config, c)))
-    for c in cells:
-        xs, ys = sample_ues(config, c, rng)
-        blocks.append((UE, c, xs, ys, np.full(len(xs), config.ue_height_m)))
-    role, cell, x, y, height = zip(*blocks)
-    sizes = [len(b) for b in x]
-    return Topology(role=np.repeat(role, sizes), cell=np.repeat(cell, sizes),
-                    x=np.concatenate(x), y=np.concatenate(y),
-                    height=np.concatenate(height))
+    role, cell, x, y, height = _infrastructure(Geometry.of(config))
+    ues = [sample_ues(config, c, rng) for c in range(config.num_cells)]
+    counts = [len(xs) for xs, _ in ues]
+    n = sum(counts)
+    return Topology(
+        role=np.concatenate([role, np.full(n, UE)]),
+        cell=np.concatenate([cell, np.repeat(np.arange(config.num_cells),
+                                             counts)]),
+        x=np.concatenate([x, *(xs for xs, _ in ues)]),
+        y=np.concatenate([y, *(ys for _, ys in ues)]),
+        height=np.concatenate([height, np.full(n, config.ue_height_m)]))

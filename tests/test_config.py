@@ -521,3 +521,29 @@ class TestRejectedBeforeAnyTrial:
         assert DOMAINS["sweep_ues"].ge == DOMAINS["num_ues"].ge == 0
         assert DOMAINS["sweep_ues"].le == DOMAINS["num_ues"].le
         assert DOMAINS["powercdf_rates_bps"].gt == DOMAINS["min_rate_bps"].gt == 0
+
+
+class TestOversizedInt:
+    """An int given from code that is too long for Python to print (past
+    its 4300-digit int-to-str limit) is rejected by key, shown by its digit
+    count."""
+
+    @pytest.mark.parametrize("key", ["num_ues", "fc_ghz"])
+    def test_scalar_names_the_key(self, key):
+        with pytest.raises(ConfigError,
+                           match=f"^{key} must be .*, got an integer of 5001 digits$"):
+            ScenarioConfig().replace(**{key: 10**5000})
+
+    def test_digit_count_is_exact(self):
+        for value, digits in ((10**5000 - 1, 5000), (-(10**4400), 4401)):
+            with pytest.raises(ConfigError, match=f"of {digits} digits$"):
+                ScenarioConfig().replace(num_ues=value)
+
+    def test_list_entry_and_cross_field_rules(self):
+        with pytest.raises(ConfigError, match=r"^sweep_ues must be .*, got "
+                           r"\[5, an integer of 5001 digits\]$"):
+            ScenarioConfig().replace(sweep_ues=(5, 10**5000))
+        for key in ("rbs_per_ue", "ga_neighborhood"):
+            with pytest.raises(ConfigError,
+                               match=f"^{key} \\(an integer of 5001 digits\\)"):
+                ScenarioConfig().replace(**{key: 10**5000})

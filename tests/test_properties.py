@@ -1,5 +1,6 @@
 """Property tests: the array topology, the array channel, the batched status
-kernel and the block-drawn GA against their per-node, scalar, per-link and
+kernel (also on interleaved node ids) and its thresholds, and the
+block-drawn GA against their per-node, scalar, per-link, per-victim and
 per-generation references, and the shared-build trial runner against one
 build per policy, over random small scenarios."""
 
@@ -15,11 +16,12 @@ import iabsim.ga as ga
 from iabsim.channel import (pathloss_uma, sample_fading, sample_realization,
                             sample_shadowing)
 from iabsim.config import ScenarioConfig
-from iabsim.coverage import build_instance, monte_carlo_coverage
+from iabsim.coverage import (ScenarioInstance, _link_constants, build_instance,
+                             monte_carlo_coverage)
 from iabsim.policies import make_policy
 from iabsim.rng import derive_rng
 from iabsim.scheduler import allocate_rbs, associate, plan_slots
-from iabsim.topology import DONOR, UE, build_topology
+from iabsim.topology import DONOR, UE, Topology, build_topology
 from oracle import (covered_share, distance_3d, link, nodes_of,
                     reference_allocate_rbs, reference_associate,
                     reference_evaluate, reference_optimize,
@@ -125,6 +127,79 @@ def test_batched_status_matches_reference(seed, trial, num_ues, num_cells,
         fast, reference = inst.evaluate(values), reference_evaluate(inst, values)
         assert fast.tolist() == reference.tolist()
         assert inst.batch_coverage(values)[0] == covered_share(reference)
+
+
+@FAST
+@given(seed=seeds, num_ues=st.integers(1, 6), num_cells=st.sampled_from((1, 2)),
+       num_iab=st.integers(1, 3),
+       slot_mode=st.sampled_from(("separated", "simultaneous")),
+       rb_max=st.sampled_from((2, 5, 16)),
+       min_rate=st.sampled_from((64e3, 5e6, 20e6, 80e6)),
+       radius=st.sampled_from((200.0, 2000.0)))
+@example(seed=7, num_ues=3, num_cells=2, num_iab=2, slot_mode="separated",
+         rb_max=16, min_rate=5e6, radius=2000.0)
+def test_interleaved_ue_ids_match_reference(seed, num_ues, num_cells, num_iab,
+                                            slot_mode, rb_max, min_rate,
+                                            radius):
+    # Node ids in a random order: the kernel reads the UE and relay rows by
+    # their gene rows, whatever the layout `build_topology` happens to give.
+    cfg = ScenarioConfig(num_ues=num_ues, num_cells=num_cells,
+                         num_iab_per_cell=num_iab, slot_mode=slot_mode,
+                         rb_max=rb_max, rbs_per_ue=2, min_rate_bps=min_rate,
+                         cell_radius_m=radius, trials=1)
+    built = build_topology(cfg, derive_rng(seed, "topo"))
+    order = np.random.default_rng(seed).permutation(built.role.size)
+    topo = Topology(*(getattr(built, name)[order]
+                      for name in ("role", "cell", "x", "y", "height")))
+    real = sample_realization(topo, cfg, 12.0, derive_rng(seed, "shadow"),
+                              derive_rng(seed, "fade"))
+    assoc = associate(topo, real.long_term_loss_db)
+    inst = ScenarioInstance(cfg, topo, assoc, allocate_rbs(assoc, topo, cfg),
+                            plan_slots(topo, slot_mode), real)
+    rng = np.random.default_rng(seed)
+    vectors = [inst.upper, inst.lower, rng.uniform(inst.lower, inst.upper)]
+    for values in vectors:
+        fast, reference = inst.evaluate(values), reference_evaluate(inst, values)
+        assert fast.tolist() == reference.tolist()
+        assert inst.batch_coverage(values)[0] == covered_share(reference)
+
+
+@FAST
+@given(seed=seeds, trial=st.integers(0, 3), num_ues=st.integers(0, 8),
+       num_cells=st.sampled_from((1, 2)), num_iab=st.integers(0, 4),
+       poisson=st.booleans(), rb_max=st.sampled_from((2, 3, 16, 64)),
+       rbs_per_ue=st.integers(1, 2),
+       min_rate=st.sampled_from((64e3, 5e6, 80e6, 1e13)),
+       radius=st.sampled_from((200.0, 2000.0)))
+@example(seed=5, trial=0, num_ues=0, num_cells=2, num_iab=2, poisson=False,
+         rb_max=16, rbs_per_ue=2, min_rate=64e3, radius=200.0)  # all vacuous
+@example(seed=6, trial=1, num_ues=2, num_cells=2, num_iab=4, poisson=False,
+         rb_max=3, rbs_per_ue=2, min_rate=5e6, radius=200.0)  # some vacuous
+def test_thresholds_match_per_victim_constants(seed, trial, num_ues, num_cells,
+                                               num_iab, poisson, rb_max,
+                                               rbs_per_ue, min_rate, radius):
+    cfg = ScenarioConfig(num_ues=num_ues, num_cells=num_cells,
+                         num_iab_per_cell=num_iab, ue_count_poisson=poisson,
+                         rb_max=rb_max, rbs_per_ue=rbs_per_ue,
+                         min_rate_bps=min_rate, cell_radius_m=radius, trials=1)
+    inst = build_instance(cfg, seed, trial)
+    alloc = allocate_rbs(inst.assoc, inst.topology, cfg)
+    # Victim v is gene v's link: a UE carries the minimum rate, a relay the
+    # sum of its children's, over the RBs the gene holds.
+    gammas, noises, vacuous = [], [], []
+    for v, gene in enumerate(inst.gene_ids):
+        children = 1 if inst.topology.role[gene] == UE else int(
+            np.count_nonzero(inst.assoc == gene))
+        demand = cfg.min_rate_bps * float(children)
+        bandwidth = float(np.count_nonzero(alloc[v])) * cfg.rb_width_hz
+        gamma, noise = _link_constants(demand, bandwidth, cfg.nf_db)
+        gammas.append(gamma)
+        noises.append(noise)
+        vacuous.append(demand == 0.0)
+    # Bit for bit, infinities included.
+    assert inst.gamma_min.tobytes() == np.array(gammas, dtype=float).tobytes()
+    assert inst.noise_mw.tobytes() == np.array(noises, dtype=float).tobytes()
+    assert inst.vacuous.tolist() == vacuous
 
 
 # (rb_max, rbs_per_ue) with rbs_per_ue up to the whole grid.

@@ -152,6 +152,45 @@ class TestBuildTopology:
                           topo.y[d0] - topo.y[d1]) == pytest.approx(1000.0)
 
 
+TOPOLOGY_FIELDS = ("role", "cell", "x", "y", "height")
+
+
+class TestInfrastructureCache:
+    """The donors and IAB rings are built once per distinct geometry."""
+
+    @pytest.mark.parametrize("change", [dict(iab_ring_angle_offset_deg=30.0),
+                                        dict(donor_spacing_m=1000.0)])
+    def test_each_geometry_field_keys_the_infrastructure(self, change):
+        base = make_config(num_cells=2, num_ues=3)
+        other = base.replace(**change)
+        a = build_topology(base, derive_rng(1))
+        b = build_topology(other, derive_rng(1))
+        infra = b.role != UE
+        assert not (np.array_equal(a.x[infra], b.x[infra])
+                    and np.array_equal(a.y[infra], b.y[infra]))
+        for c in (0, 1):
+            xs, ys, _ = place_iab_nodes(other, c)
+            ring = (b.role == IAB) & (b.cell == c)
+            assert b.x[ring].tolist() == xs.tolist()
+            assert b.y[ring].tolist() == ys.tolist()
+
+    @pytest.mark.parametrize("num_ues", [0, 3])
+    def test_writes_do_not_reach_the_next_build(self, num_ues):
+        cfg = make_config(num_cells=2, num_ues=num_ues)
+        first = build_topology(cfg, derive_rng(1))
+        expected = {name: getattr(first, name).copy() for name in TOPOLOGY_FIELDS}
+        for name in TOPOLOGY_FIELDS:
+            getattr(first, name)[:] = -1
+        second = build_topology(cfg, derive_rng(1))
+        for name in TOPOLOGY_FIELDS:
+            assert np.array_equal(getattr(second, name), expected[name])
+
+    def test_height_range_given_as_a_list(self):
+        cfg = make_config(iab_height_range_m=[21.0, 24.0])
+        topo = build_topology(cfg, derive_rng(1))
+        assert topo.height[topo.role == IAB].tolist() == [21.0, 22.0, 23.0, 24.0]
+
+
 class TestDistance3d:
     def _node(self, nid, x, y, h):
         return Node(nid, UE, 0, x, y, h)
