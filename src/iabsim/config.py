@@ -129,7 +129,8 @@ class ScenarioConfig:
     # Nothing reads rb_min. It stays because every CSV header lists every
     # field, so removing it changes every output; it goes with a re-pin.
     rb_min: int = _field(24, int)
-    rb_max: int = _field(270, int, ge=1)
+    # NR's largest resource grid is 275 RBs (3GPP TS 38.211).
+    rb_max: int = _field(270, int, ge=1, le=275)
     alpha: float = _field(4.0, float, ge=2)
     shadow_std_db: float = _field(4.0, float, ge=0)
     nf_db: float = _field(5.0, float)
@@ -196,7 +197,8 @@ class ScenarioConfig:
     sweep_backoff_db: tuple[float, ...] = _field(
         tuple(float(b) for b in range(0, 64, 4)), float, TUPLE)
     powercdf_rates_bps: tuple[float, ...] = _field((64e3, 1e6), float, TUPLE, gt=0)
-    trace_seeds: int = _field(4, int, ge=1)
+    # A GA run and a CSV column per seed: about 0.4 GB at both bounds.
+    trace_seeds: int = _field(4, int, ge=1, le=100)
 
     @property
     def rb_width_hz(self) -> float:

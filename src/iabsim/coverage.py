@@ -10,18 +10,20 @@ its own fresh `policy` stream of the trial; the policies are thus compared
 on common random numbers, a paired comparison.
 
 Every evaluation goes through one batched kernel on a `ScenarioInstance`.
-Powers are float arrays of EIRPs in dBm, one entry per gene in `gene_ids`
-order. The power optimizer scores (K, J) batches of candidates with
-`batch_coverage`. `run_trial` scores the chosen powers with `evaluate`,
-which reads one status code per UE off the same link-pass arrays; the
-trial keeps the codes on `TrialOutcome.status` and reports their covered
-share. Each gene transmits on exactly one victim link (a UE's access
-link, or an IAB MT's backhaul link), so the kernel's victim rows are the
-gene rows, in gene order, and the scheduler's gene-indexed arrays (each
-gene's receiver id, its RB occupancy row and its slot id; see
-`iabsim.scheduler`) are the victims' arrays with no reordering. The tests
-hold this kernel against a per-link reference (`tests/oracle.py`) that
-schedules and computes the same link budget one link at a time.
+Powers are float arrays, one entry per gene in `gene_ids` order: EIRPs in
+dBm at the policy boundary only, and linear mW (`to_mw`, once per batch)
+in the kernel. The optimizer scores (K, J) batches with `batch_coverage`,
+the back-off sweep all back-offs of a trial in one batch. `run_trial`
+scores the chosen dBm powers with `evaluate`, which reads one status code
+per UE off the same link-pass arrays; the trial keeps the codes on
+`TrialOutcome.status` and reports their covered share. Each gene
+transmits on exactly one victim link (a UE's access link, or an IAB MT's
+backhaul link), so the kernel's victim rows are the gene rows, in gene
+order, and the scheduler's gene-indexed arrays (each gene's receiver id,
+its RB occupancy row and its slot id; see `iabsim.scheduler`) are the
+victims' arrays with no reordering. The tests hold this kernel against a
+per-link reference (`tests/oracle.py`) that schedules and computes the
+same link budget one link at a time.
 """
 
 from __future__ import annotations
@@ -44,8 +46,8 @@ class ScenarioInstance:
 
     Received power is linear in transmit power, so per-link unit-EIRP
     constants are precomputed once; evaluating a batch of K candidate power
-    vectors then reduces to one matrix product. This is what makes the
-    optimizer's N*K fitness evaluations cheap.
+    vectors (in mW; only `evaluate` takes dBm) then reduces to one matrix
+    product. This is what makes the optimizer's N*K fitness evaluations cheap.
 
     Every gene transmits on exactly one victim link, a UE's access link or
     an IAB MT's backhaul link, so victim row ``v`` is gene ``v``'s link and
@@ -91,26 +93,26 @@ class ScenarioInstance:
                                  minlength=n_genes)
         rx_col = np.searchsorted(real.rx_ids, rx)
 
-        # The overlap of victim v with gene j is the share of v's RBs that j
-        # also holds.
+        # The C-contiguous (J, V) interference operand: gene j's unit EIRP
+        # at victim v, weighted by the share of v's RBs that j also holds.
         occ = alloc.astype(float)
         n_rb = occ.sum(axis=1)
-        overlap = (occ @ occ.T) / np.maximum(n_rb, 1.0)[:, None]
+        overlap = (occ @ occ.T) / np.maximum(n_rb, 1.0)
 
         # Co-slot transmitters other than the victim's own (the diagonal)
         # and its receiver. Only a UE's receiver can be a gene (an IAB MT's
         # is a donor): its serving relay, at its parent row.
-        interferes = slots[None, :] == slots[:, None]
+        interferes = slots[:, None] == slots[None, :]
         np.fill_diagonal(interferes, False)
-        interferes[ue_rows[self.relay_served],
-                   self.parent_row[self.relay_served]] = False
+        interferes[self.parent_row[self.relay_served],
+                   ue_rows[self.relay_served]] = False
 
-        # Unit-EIRP received power (linear mW at 0 dBm) per (victim, tx) pair,
+        # Unit-EIRP received power (linear mW at 0 dBm) per (tx, victim) pair,
         # weighted by RB overlap; the self pairs (NaN) are never gathered.
         unit_mw = 10.0 ** (real.unit_rx_dbm / 10.0)
         self.sig_lin = unit_mw[np.arange(n_genes), rx_col]
-        self.interf_lin = np.where(interferes, overlap * unit_mw[:, rx_col].T,
-                                   0.0)
+        self._interf = np.where(interferes, overlap * unit_mw[:, rx_col], 0.0)
+        self.interf_lin = self._interf.T  # (V, J) view; perfbench reads it
 
         # The thresholds come from the scalar budget of the reference path,
         # so they match it bit for bit. Every UE holds as many RBs as every
@@ -132,61 +134,53 @@ class ScenarioInstance:
         self.vacuous[iab_rows] = children == 0
         self._any_vacuous = bool(self.vacuous.any())
 
-    def batch_link_sinr(self, eirp_dbm: np.ndarray,
-                        offset_db: float = 0.0) -> np.ndarray:
-        """Linear SINR of every victim link for a (K, J) batch of EIRPs.
-
-        ``offset_db`` shifts every transmit power at evaluation time
-        (used for operating-point sweeps); it may push powers outside the
-        role ranges since it models a network-wide margin, not a policy.
-        """
-        e = np.atleast_2d(np.asarray(eirp_dbm, dtype=float))
-        if offset_db:
-            e = e + offset_db
-        a = np.divide(e, 10.0)
-        np.power(10.0, a, out=a)  # linear EIRP, mW
-        gamma = a * self.sig_lin  # victim row v is gene v's link
-        interference = a @ self.interf_lin.T
+    def batch_link_sinr(self, mw: np.ndarray) -> np.ndarray:
+        """Linear SINR of every victim link for a (K, J) batch in mW."""
+        gamma = mw * self.sig_lin  # victim row v is gene v's link
+        interference = mw @ self._interf
         interference += self.noise_mw
         gamma /= interference
         return gamma
 
-    def _link_pass(self, eirp_dbm: np.ndarray,
-                   offset_db: float = 0.0) -> np.ndarray:
+    def _link_pass(self, mw: np.ndarray) -> np.ndarray:
         """(K, V) mask of the victim links that clear their minimum SINR."""
-        link_pass = self.batch_link_sinr(eirp_dbm, offset_db) >= self.gamma_min
+        link_pass = self.batch_link_sinr(mw) >= self.gamma_min
         if self._any_vacuous:
             link_pass |= self.vacuous
         return link_pass
 
-    def batch_coverage(self, eirp_dbm: np.ndarray,
-                       offset_db: float = 0.0) -> np.ndarray:
-        """Coverage probability for each row of a (K, J) EIRP batch."""
+    def batch_coverage(self, mw: np.ndarray) -> np.ndarray:
+        """Coverage probability for each row of a (K, J) batch in mW."""
         if self.n_ue == 0:
-            return np.ones(np.atleast_2d(eirp_dbm).shape[0])
-        link_pass = self._link_pass(eirp_dbm, offset_db)
+            return np.ones(mw.shape[0])
+        link_pass = self._link_pass(mw)
         ue_pass = link_pass.take(self._ue_rows, axis=1)
         ue_pass &= link_pass.take(self.parent_row, axis=1)
-        return ue_pass.sum(axis=1) / self.n_ue
+        return np.add.reduce(ue_pass, axis=1) / self.n_ue
 
     def evaluate(self, eirp_dbm: np.ndarray) -> np.ndarray:
-        """Per-UE status codes, in `ue_ids` order, of one EIRP vector in
-        `gene_ids` order.
+        """Per-UE status codes, in `ue_ids` order, of one EIRP vector (dBm)
+        in `gene_ids` order.
 
         The codes are 0 covered, 1 access failure and 2 backhaul failure.
         A relay-served UE whose relay's backhaul fails is a backhaul
         failure whatever its access link does.
         """
-        link_pass = self._link_pass(eirp_dbm)[0]
+        link_pass = self._link_pass(to_mw(eirp_dbm))
         backhaul_fail = self.relay_served & ~link_pass[self.parent_row]
         return np.where(backhaul_fail, 2,
                         np.where(link_pass[self._ue_rows], 0, 1))
 
-    def access_sinr_db(self, eirp_dbm: np.ndarray,
-                       offset_db: float = 0.0) -> np.ndarray:
-        """Per-UE access-link SINR in dB for one EIRP vector."""
-        gamma = self.batch_link_sinr(eirp_dbm, offset_db)[0, self._ue_rows]
-        return 10.0 * np.log10(gamma)
+    def access_sinr_db(self, mw: np.ndarray) -> np.ndarray:
+        """(B, n_ue) access-link SINR in dB for a (B, J) batch in mW."""
+        return 10.0 * np.log10(self.batch_link_sinr(mw)[:, self._ue_rows])
+
+
+def to_mw(eirp_dbm: np.ndarray) -> np.ndarray:
+    """Linear power in mW of EIRPs in dBm: ``10 ** (eirp_dbm / 10)``."""
+    mw = np.divide(eirp_dbm, 10.0)
+    np.power(10.0, mw, out=mw)
+    return mw
 
 
 def build_instance(config: ScenarioConfig, seed: int,

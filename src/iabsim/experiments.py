@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .config import ConfigError, ScenarioConfig, config_lines
-from .coverage import build_instance, monte_carlo_coverage
+from .coverage import build_instance, monte_carlo_coverage, to_mw
 from .ga import GaParams, optimize
 from .policies import make_policy
 from .rng import derive_rng
@@ -132,11 +132,9 @@ def run_coverage_vs_sinr(config: ScenarioConfig, out: str) -> list[str]:
         inst_sep = build_instance(cfg_sep, config.seed, trial)
         inst_sim = build_instance(cfg_sim, config.seed, trial)
         arr = policy(inst_sep, derive_rng(config.seed, trial, "policy"))
-        cov_sep = np.array([inst_sep.batch_coverage(arr, -b)[0] for b in backoffs])
-        cov_sim = np.array([inst_sim.batch_coverage(arr, -b)[0] for b in backoffs])
-        sinr_sep = np.array([inst_sep.access_sinr_db(arr, -b) for b in backoffs])
-        sinr_sim = np.array([inst_sim.access_sinr_db(arr, -b) for b in backoffs])
-        return cov_sep, cov_sim, sinr_sep, sinr_sim
+        mw = to_mw(arr - backoffs[:, None])  # one row per back-off
+        return (inst_sep.batch_coverage(mw), inst_sim.batch_coverage(mw),
+                inst_sep.access_sinr_db(mw), inst_sim.access_sinr_db(mw))
 
     results = [one(trial) for trial in range(config.trials)]
     cov_sep = np.mean([r[0] for r in results], axis=0)

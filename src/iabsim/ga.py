@@ -26,6 +26,11 @@ block size does not change the stream. Only the queen depends on earlier
 generations: each block's mutation deltas are built and its immigrants are
 scored in one batched call and ranked once, and each generation then scores
 just the queen and its S mutants.
+
+Genes are EIRPs in dBm. Each batch (the initial population, a block's
+immigrants, a generation's head) is converted to mW once, by `to_mw`, and
+that array feeds both the fitness kernel and the power tie-break (its row
+sums).
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ScenarioConfig
-from .coverage import ScenarioInstance
+from .coverage import ScenarioInstance, to_mw
 
 # Uniforms drawn per block of generations, in doubles. It bounds a block's
 # memory; the stream is the same whatever its value.
@@ -74,11 +79,6 @@ class GaResult:
     n_evaluations: int
 
 
-def _total_mw(eirp_dbm: np.ndarray) -> np.ndarray:
-    """Total linear transmit power of each row."""
-    return (10.0 ** (eirp_dbm / 10.0)).sum(axis=-1)
-
-
 def _mutation_deltas(u: np.ndarray, params: GaParams,
                      n_genes: int) -> np.ndarray:
     """The (G, S, J) mutation steps of G generations, zero where a gene
@@ -109,23 +109,24 @@ def next_population(queen: np.ndarray, deltas: np.ndarray, lower: np.ndarray,
     return head
 
 
-def _select(pop: np.ndarray, fitness: np.ndarray) -> tuple[int, float]:
-    """Best index and its total linear power: max fitness, then min total
-    linear power, then min index.
+def _select(mw: np.ndarray, fitness: np.ndarray) -> tuple[int, float]:
+    """Best index and its total linear power, given the rows' linear powers
+    in mW: max fitness, then min total linear power, then min index.
 
     The power sum is taken only over the rows tied at max fitness.
     """
     values = fitness.tolist()
     top = max(values)
     tied = [i for i, f in enumerate(values) if f == top]
-    totals = _total_mw(pop.take(tied, axis=0)).tolist()
+    totals = np.add.reduce(mw.take(tied, axis=0), axis=1).tolist()
     k = totals.index(min(totals))
     return tied[k], totals[k]
 
 
-def _rank(pop: np.ndarray, fitness: np.ndarray
+def _rank(mw: np.ndarray, fitness: np.ndarray
           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`_select` for each generation of a (G, V, J) block of populations.
+    """`_select` for each generation of a (G, V, J) block of populations,
+    given as linear powers in mW.
 
     Returns each generation's best index, its fitness and its total linear
     power, as (G,) arrays.
@@ -133,7 +134,7 @@ def _rank(pop: np.ndarray, fitness: np.ndarray
     top = fitness.max(axis=1)
     tied = fitness == top[:, None]
     total = np.full(fitness.shape, np.inf)
-    total[tied] = _total_mw(pop[tied])
+    total[tied] = np.add.reduce(mw[tied], axis=1)
     best = total.argmin(axis=1)
     return best, top, total[np.arange(best.size), best]
 
@@ -145,7 +146,8 @@ def optimize(instance: ScenarioInstance, params: GaParams,
     The initial population is scored in its own call to the instance's
     batched coverage evaluator; then each block of generations scores its
     immigrants in one call, and each generation its queen and mutants in
-    one call: exactly K + N*K fitness evaluations in all.
+    one call: exactly K + N*K fitness evaluations in all. Each batch is
+    converted to mW once, for its fitness call and its tie-break alike.
     """
     lower, upper = instance.lower, instance.upper
     span = upper - lower
@@ -153,9 +155,10 @@ def optimize(instance: ScenarioInstance, params: GaParams,
     n_genes, s, v = lower.size, params.neighborhood, params.immigrants
 
     pop = lower + span * rng.random((params.population, n_genes))
-    fit = evaluate(pop)
+    pop_mw = to_mw(pop)
+    fit = evaluate(pop_mw)
     n_evaluations = fit.size
-    best, _ = _select(pop, fit)
+    best, _ = _select(pop_mw, fit)
     queen, queen_fitness = pop[best], float(fit[best])
 
     trace = np.empty(params.n_iterations)
@@ -169,20 +172,22 @@ def optimize(instance: ScenarioInstance, params: GaParams,
         if v:
             immigrants = lower + span * u[:, mutation_draws:].reshape(
                 g, v, n_genes)
-            imm_fit = evaluate(immigrants.reshape(g * v, n_genes))
+            imm_mw = to_mw(immigrants)
+            imm_fit = evaluate(imm_mw.reshape(g * v, n_genes))
             n_evaluations += imm_fit.size
-            imm_best, imm_top, imm_mw = (
-                a.tolist() for a in _rank(immigrants, imm_fit.reshape(g, v)))
+            imm_best, imm_top, imm_total = (
+                a.tolist() for a in _rank(imm_mw, imm_fit.reshape(g, v)))
         for t in range(g):
             head = next_population(queen, deltas[t], lower, upper)
-            fit = evaluate(head)
+            head_mw = to_mw(head)
+            fit = evaluate(head_mw)
             n_evaluations += fit.size
-            best, queen_mw = _select(head, fit)
+            best, queen_total = _select(head_mw, fit)
             queen, queen_fitness = head[best], float(fit[best])
             # Immigrants rank after the head: one wins only strictly.
             if v and (imm_top[t] > queen_fitness
                       or (imm_top[t] == queen_fitness
-                          and imm_mw[t] < queen_mw)):
+                          and imm_total[t] < queen_total)):
                 queen, queen_fitness = immigrants[t, imm_best[t]], imm_top[t]
             trace[start + t] = queen_fitness
 

@@ -9,7 +9,9 @@ frozensets keyed by node id; `iabsim.scheduler`'s gene-indexed arrays must
 agree with them. The per-link evaluator computes the link budget of one
 trial one link at a time on those references, with powers as a
 ``{node_id: EIRP in dBm}`` mapping; the batched kernel of
-`iabsim.coverage.ScenarioInstance` must agree with it.
+`iabsim.coverage.ScenarioInstance` must agree with it. That kernel takes
+linear powers in mW; `linear_mw` converts with its own expression, so no
+reference shares the production conversion.
 """
 
 import math
@@ -317,6 +319,11 @@ def evaluate_trial(nodes: tuple[Node, ...], assoc: Association,
     return np.array(status, dtype=int)
 
 
+def linear_mw(eirp_dbm) -> np.ndarray:
+    """EIRPs in dBm as the linear powers in mW that the batched kernel takes."""
+    return 10.0 ** (np.asarray(eirp_dbm, dtype=float) / 10.0)
+
+
 def covered_share(status: np.ndarray) -> float:
     """The share of status codes that are 0 (covered); 1.0 with no UEs."""
     return np.count_nonzero(status == 0) / status.size if status.size else 1.0
@@ -339,7 +346,7 @@ def reference_evaluate(instance: ScenarioInstance,
 def _select_full(pop: np.ndarray, fitness: np.ndarray) -> int:
     """Best index over a whole population: max fitness, then min total
     linear power, then min index."""
-    total_mw = (10.0 ** (pop / 10.0)).sum(axis=1)
+    total_mw = linear_mw(pop).sum(axis=1)
     return int(np.lexsort((np.arange(pop.shape[0]), total_mw, -fitness))[0])
 
 
@@ -357,7 +364,7 @@ def reference_optimize(instance: ScenarioInstance, params: GaParams,
     step = params.mutation_step_db
 
     pop = lower + (upper - lower) * rng.random((k, j))
-    fitness = instance.batch_coverage(pop)
+    fitness = instance.batch_coverage(linear_mw(pop))
     n_evaluations = k
     best = _select_full(pop, fitness)
     queen, queen_fitness = pop[best].copy(), float(fitness[best])
@@ -378,7 +385,7 @@ def reference_optimize(instance: ScenarioInstance, params: GaParams,
                                  lower, upper)
         for i in range(v):
             pop[1 + s + i] = lower + (upper - lower) * immigrant_u[i * j:(i + 1) * j]
-        fitness = instance.batch_coverage(pop)
+        fitness = instance.batch_coverage(linear_mw(pop))
         n_evaluations += k
         best = _select_full(pop, fitness)
         queen, queen_fitness = pop[best].copy(), float(fitness[best])

@@ -528,7 +528,8 @@ class TestOversizedInt:
     its 4300-digit int-to-str limit) is rejected by key, shown by its digit
     count."""
 
-    @pytest.mark.parametrize("key", ["num_ues", "fc_ghz"])
+    @pytest.mark.parametrize("key", ["num_ues", "fc_ghz", "rb_max",
+                                     "trace_seeds"])
     def test_scalar_names_the_key(self, key):
         with pytest.raises(ConfigError,
                            match=f"^{key} must be .*, got an integer of 5001 digits$"):

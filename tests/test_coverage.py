@@ -9,9 +9,10 @@ from iabsim.config import ScenarioConfig
 from iabsim.coverage import build_instance, monte_carlo_coverage, run_trial
 from iabsim.policies import make_policy, max_power_policy
 from iabsim.topology import DONOR, IAB
-from oracle import (MissingLinkError, covered_share, evaluate_trial, nodes_of,
-                    reference_allocate_rbs, reference_associate,
-                    reference_evaluate, reference_plan_slots)
+from oracle import (MissingLinkError, covered_share, evaluate_trial,
+                    linear_mw, nodes_of, reference_allocate_rbs,
+                    reference_associate, reference_evaluate,
+                    reference_plan_slots)
 
 
 def deterministic_config(**kw):
@@ -163,7 +164,7 @@ class TestFastPathAgreement:
         rng = np.random.default_rng(0)
         for _ in range(20):
             vec = rng.uniform(inst.lower, inst.upper)
-            fast = inst.batch_coverage(vec)[0]
+            fast = inst.batch_coverage(linear_mw(vec[None, :]))[0]
             slow = covered_share(reference_evaluate(inst, vec))
             assert fast == pytest.approx(slow, abs=1e-12)
 
@@ -181,7 +182,7 @@ class TestFastPathAgreement:
         rng = np.random.default_rng(4)
         mat = rng.uniform(inst.lower, inst.upper, size=(40, len(inst.gene_ids)))
         mat[:20, iab_gene] = np.linspace(35.0, 53.0, 20)
-        batch = inst.batch_coverage(mat)
+        batch = inst.batch_coverage(linear_mw(mat))
         statuses = []
         for row, fast in zip(mat, batch):
             status = reference_evaluate(inst, row)
@@ -201,7 +202,8 @@ class TestFastPathAgreement:
                              min_rate_bps=1e6, trials=1)
         inst = build_instance(cfg, seed=2, trial_index=0)
         rng = np.random.default_rng(1)
-        mat = rng.uniform(inst.lower, inst.upper, size=(6, len(inst.gene_ids)))
+        mat = linear_mw(rng.uniform(inst.lower, inst.upper,
+                                    size=(6, len(inst.gene_ids))))
         batch = inst.batch_coverage(mat)
         singles = [inst.batch_coverage(row[None, :])[0] for row in mat]
         assert np.allclose(batch, singles, atol=0)

@@ -11,6 +11,7 @@ from iabsim.coverage import (ScenarioInstance, build_instance,
 from iabsim.ga import GaParams, _mutation_deltas, next_population, optimize
 from iabsim.rng import derive_rng
 from iabsim.topology import IAB
+from oracle import linear_mw
 
 # Gene bounds of two UEs and one relay.
 LOWER = np.array([23.0, 23.0, 35.0])
@@ -38,7 +39,7 @@ class TestGaParams:
 
 def recorded_batches(inst):
     """Wrap the instance's batched fitness; returns the list of the (K, J)
-    batches it is called with."""
+    batches of linear powers in mW it is called with."""
     batches = []
 
     def recording(mat):
@@ -74,15 +75,17 @@ class TestInitPopulation:
         params = GaParams(population=20, n_iterations=1)
         pop = initial_population(inst, params, derive_rng(1, "init"))
         assert pop.shape == (20, len(inst.gene_ids))
-        assert np.all(pop >= inst.lower) and np.all(pop <= inst.upper)
+        lower, upper = linear_mw(inst.lower), linear_mw(inst.upper)
+        assert np.all(pop >= lower) and np.all(pop <= upper)
 
     def test_bounds_over_many_draws(self):
         inst = deterministic_instance(num_ues=2, num_iab_per_cell=1)
         params = GaParams(population=100, neighborhood=1, n_iterations=1)
         rng = derive_rng(2, "init")
+        lower, upper = linear_mw(inst.lower), linear_mw(inst.upper)
         for _ in range(100):
             pop = initial_population(inst, params, rng)
-            assert np.all(pop >= inst.lower) and np.all(pop <= inst.upper)
+            assert np.all(pop >= lower) and np.all(pop <= upper)
 
     def test_fixed_seed_identical(self):
         inst = deterministic_instance(num_ues=2, num_iab_per_cell=1)
@@ -199,7 +202,8 @@ class TestOptimize:
                                       ue_positions=((190.0, 0.0),),
                                       min_rate_bps=67e6)
         grid = np.arange(23.0, 43.0001, 0.1)
-        cov = np.array([inst.batch_coverage(np.array([[p]]))[0] for p in grid])
+        cov = np.array([inst.batch_coverage(linear_mw([[p]]))[0]
+                        for p in grid])
         threshold = grid[int(np.argmax(cov >= 1.0))]
         assert 40.0 < threshold < 43.0
         params = GaParams(n_iterations=200)
@@ -247,8 +251,8 @@ class TestOptimize:
         params = GaParams(n_iterations=15, population=8, neighborhood=3)
         optimize(inst, params, derive_rng(13, "ga"))
         seen = np.concatenate(batches)
-        assert np.all(seen >= inst.lower - 1e-9)
-        assert np.all(seen <= inst.upper + 1e-9)
+        assert np.all(seen >= linear_mw(inst.lower - 1e-9))
+        assert np.all(seen <= linear_mw(inst.upper + 1e-9))
 
     def test_matches_exhaustive_grid_search(self):
         # Two genes (one UE, one relay 10 km out): the relay power decides
@@ -265,7 +269,7 @@ class TestOptimize:
         combos = np.array(list(itertools.product(ue_grid, iab_grid)))
         # gene order is sorted ids: (iab, ue); combos are (ue, iab)
         mat = combos[:, ::-1] if inst.gene_ids[0] == iab_id else combos
-        best_grid = float(inst.batch_coverage(mat).max())
+        best_grid = float(inst.batch_coverage(linear_mw(mat)).max())
         params = GaParams(n_iterations=500)
         res = optimize(inst, params, derive_rng(14, "ga"))
         assert abs(res.queen_fitness - best_grid) <= 0.01

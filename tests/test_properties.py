@@ -1,8 +1,10 @@
 """Property tests: the array topology, the array channel, the batched status
 kernel (also on interleaved node ids) and its thresholds, and the
 block-drawn GA against their per-node, scalar, per-link, per-victim and
-per-generation references, and the shared-build trial runner against one
-build per policy, over random small scenarios."""
+per-generation references; the shared-build trial runner against one
+build per policy; the dBm-to-mW conversion against its formula; and the
+batched back-off sweep against one call per back-off, over random small
+scenarios."""
 
 import math
 from unittest import mock
@@ -17,12 +19,12 @@ from iabsim.channel import (pathloss_uma, sample_fading, sample_realization,
                             sample_shadowing)
 from iabsim.config import ScenarioConfig
 from iabsim.coverage import (ScenarioInstance, _link_constants, build_instance,
-                             monte_carlo_coverage)
+                             monte_carlo_coverage, to_mw)
 from iabsim.policies import make_policy
 from iabsim.rng import derive_rng
 from iabsim.scheduler import allocate_rbs, associate, plan_slots
 from iabsim.topology import DONOR, UE, Topology, build_topology
-from oracle import (covered_share, distance_3d, link, nodes_of,
+from oracle import (covered_share, distance_3d, linear_mw, link, nodes_of,
                     reference_allocate_rbs, reference_associate,
                     reference_evaluate, reference_optimize,
                     reference_plan_slots, reference_topology)
@@ -126,7 +128,8 @@ def test_batched_status_matches_reference(seed, trial, num_ues, num_cells,
     for values in vectors:
         fast, reference = inst.evaluate(values), reference_evaluate(inst, values)
         assert fast.tolist() == reference.tolist()
-        assert inst.batch_coverage(values)[0] == covered_share(reference)
+        assert (inst.batch_coverage(linear_mw(values[None, :]))[0]
+                == covered_share(reference))
 
 
 @FAST
@@ -161,7 +164,8 @@ def test_interleaved_ue_ids_match_reference(seed, num_ues, num_cells, num_iab,
     for values in vectors:
         fast, reference = inst.evaluate(values), reference_evaluate(inst, values)
         assert fast.tolist() == reference.tolist()
-        assert inst.batch_coverage(values)[0] == covered_share(reference)
+        assert (inst.batch_coverage(linear_mw(values[None, :]))[0]
+                == covered_share(reference))
 
 
 @FAST
@@ -245,6 +249,56 @@ def test_scheduler_matches_reference(seed, num_ues, num_cells, num_iab,
     groups = {frozenset(g for g, s in zip(genes, slots) if s == slot)
               for slot in slots}
     assert groups == set(reference_plan_slots(nodes, slot_mode).slots)
+
+
+@FAST
+@given(values=st.lists(st.floats(-300.0, 300.0), min_size=1, max_size=12),
+       rows=st.integers(1, 3))
+@example(values=[-120.0, -3.5, -0.0, 0.0, 0.1, 23.0, 43.0, 50.0, 53.0, 57.3,
+                 299.9], rows=2)
+def test_to_mw_is_the_db_formula(values, rows):
+    x = np.tile(values, (rows, 1))
+    assert to_mw(x).tobytes() == (10.0 ** (x / 10.0)).tobytes()
+
+
+@FAST
+@given(seed=seeds, trial=st.integers(0, 3), num_ues=st.integers(0, 7),
+       num_cells=st.sampled_from((1, 2)), num_iab=st.integers(0, 4),
+       slot_mode=st.sampled_from(("separated", "simultaneous")),
+       rb_max=st.sampled_from((3, 16, 64)),
+       min_rate=st.sampled_from((64e3, 5e6, 20e6, 80e6)),
+       backoffs=st.lists(st.sampled_from((0.0, -0.0, 0.5, 4.0, 12.0, 63.0,
+                                          -3.0)), min_size=1, max_size=8))
+@example(seed=6, trial=1, num_ues=2, num_cells=2, num_iab=4,
+         slot_mode="separated", rb_max=3, min_rate=5e6,
+         backoffs=[0.0, 4.0, 8.0])  # four relays with no children
+@example(seed=6, trial=1, num_ues=2, num_cells=1, num_iab=4,
+         slot_mode="simultaneous", rb_max=16, min_rate=5e6,
+         backoffs=[0.0, 12.0])  # childless relays in one slot
+def test_backoff_batch_matches_one_call_per_backoff(seed, trial, num_ues,
+                                                    num_cells, num_iab,
+                                                    slot_mode, rb_max,
+                                                    min_rate, backoffs):
+    cfg = ScenarioConfig(num_ues=num_ues, num_cells=num_cells,
+                         num_iab_per_cell=num_iab, slot_mode=slot_mode,
+                         rb_max=rb_max, min_rate_bps=min_rate, trials=1)
+    inst = build_instance(cfg, seed, trial)
+    arr = np.random.default_rng(seed).uniform(inst.lower, inst.upper)
+    b = np.array(backoffs)
+    batch = to_mw(arr - b[:, None])
+    # One row per back-off, as a one-back-off call shifts the powers: the
+    # offset -b added to the EIRPs, and no add at 0 dB.
+    rows = [linear_mw((arr + (-x) if x else arr)[None, :]) for x in backoffs]
+    assert batch.tobytes() == np.concatenate(rows).tobytes()
+    coverage = np.concatenate([inst.batch_coverage(r) for r in rows])
+    assert inst.batch_coverage(batch).tobytes() == coverage.tobytes()
+    sinr = inst.access_sinr_db(batch)
+    assert sinr.shape == (len(backoffs), inst.n_ue)
+    # The (B, J) interference product runs BLAS's matrix-matrix kernel and a
+    # one-row call its matrix-vector kernel, which may round the sums
+    # differently: by up to about 3e-14 of the SINR in dB, in measurements.
+    singles = np.concatenate([inst.access_sinr_db(r) for r in rows])
+    assert np.allclose(sinr, singles, rtol=0.0, atol=1e-9)
 
 
 def _same_result(a, b):
