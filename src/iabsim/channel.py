@@ -16,7 +16,8 @@ Rows are the transmitters (UEs and IAB nodes) and columns the receivers
 (donors and IAB nodes), each in ascending node id: the topology's ``tx``
 and ``rx`` rows, whose coordinates are gathered from its per-node arrays.
 The self pair of an IAB node (its MT row against its own DU column) is not
-a link: it holds NaN.
+a link: it holds NaN. The link mask and the squared height differences
+are built once per layout (`iabsim.topology.Layout.derived`).
 ``links`` lists the other pairs as ``(tx_id, rx_id)`` rows in row-major
 order. Shadowing is one ``normal(0, sigma, n)`` draw and fading one
 ``exponential(1, n)`` draw, each filling the ``n`` links in that order. A
@@ -31,14 +32,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
 from typing import Optional
 
 import numpy as np
 
 from .config import ScenarioConfig
-from .topology import Topology
+from .topology import Layout, Topology
 
 SPEED_OF_LIGHT = 3e8  # m/s
 THERMAL_NOISE_DBM_HZ = -174.0
@@ -159,10 +160,9 @@ class ChannelRealization:
     """Per-trial sampled losses, one ``(n_tx, n_rx)`` array per budget term.
 
     ``tx_ids`` and ``rx_ids`` label the rows and columns in ascending id;
-    self pairs hold NaN. Two fields are derived: ``unit_rx_dbm``, the
-    received power in dBm of a 0 dBm transmission over each link, and
-    ``links``, the ``(n_links, 2)`` array of ``(tx_id, rx_id)`` pairs in the
-    row-major order the random terms are drawn in.
+    self pairs hold NaN. ``unit_rx_dbm`` is derived: the received power in
+    dBm of a 0 dBm transmission over each link. No trial reads ``links``,
+    so it is computed on its first read.
     """
     tx_ids: np.ndarray
     rx_ids: np.ndarray
@@ -174,20 +174,37 @@ class ChannelRealization:
     rain_rate_mm_h: float
     rx_gain_db: float
     unit_rx_dbm: np.ndarray = field(init=False, repr=False)
-    links: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "unit_rx_dbm",
                            0.0 + self.rx_gain_db - self.pathloss_db
                            - self.shadowing_db - self.rain_db - self.fading_db)
+
+    @cached_property
+    def links(self) -> np.ndarray:
+        """The ``(n_links, 2)`` array of ``(tx_id, rx_id)`` pairs, in the
+        row-major order the random terms are drawn in."""
         rows, cols = np.nonzero(self.tx_ids[:, None] != self.rx_ids[None, :])
-        object.__setattr__(self, "links", np.column_stack(
-            (self.tx_ids[rows], self.rx_ids[cols])))
+        return np.column_stack((self.tx_ids[rows], self.rx_ids[cols]))
 
     @property
     def long_term_loss_db(self) -> np.ndarray:
         """Pathloss + shadowing; the association metric (no fading, no rain)."""
         return self.pathloss_db + self.shadowing_db
+
+
+def _link_layout(layout: Layout) -> tuple:
+    """The layout constants of a channel: the ``(n_tx, n_rx)`` mask of the
+    links (all pairs but an IAB node's self pair) and their count, the
+    squared height difference of each pair, the receiver and transmitter
+    heights as a row and a column, and the fading of a trial without it
+    (0 on each link, NaN elsewhere)."""
+    tx, rx, height = layout.tx, layout.rx, layout.height
+    linked = tx[:, None] != rx[None, :]
+    dh = height[tx][:, None] - height[rx][None, :]
+    return (linked, int(np.count_nonzero(linked)), dh ** 2,
+            height[rx][None, :], height[tx][:, None],
+            np.where(linked, 0.0, np.nan))
 
 
 def sample_realization(topology: Topology, config: ScenarioConfig,
@@ -200,17 +217,18 @@ def sample_realization(topology: Topology, config: ScenarioConfig,
     (donor or IAB node), both cells included, so interference toward any
     victim receiver is always available. ``fading_rng=None`` disables fading.
     """
-    tx_ids, rx_ids = topology.tx, topology.rx
-    xyz = np.stack((topology.x, topology.y, topology.height))
-    dx, dy, dh = xyz[:, tx_ids, None] - xyz[:, None, rx_ids]
-    linked = tx_ids[:, None] != rx_ids[None, :]
-    n_links = int(np.count_nonzero(linked))
-    d3d = np.where(linked, np.sqrt(dx ** 2 + dy ** 2 + dh ** 2), np.nan)
-    pathloss = pathloss_uma(d3d, topology.height[rx_ids][None, :],
-                            topology.height[tx_ids][:, None], config)
+    layout = topology.layout
+    tx_ids, rx_ids = layout.tx, layout.rx
+    linked, n_links, dh2, h_rx, h_tx, no_fading = layout.derived(_link_layout)
+    x, y = topology.x, topology.y
+    d2 = np.square(x[tx_ids][:, None] - x[rx_ids])
+    d2 += np.square(y[tx_ids][:, None] - y[rx_ids])
+    d2 += dh2
+    d3d = np.where(linked, np.sqrt(d2), np.nan)
+    pathloss = pathloss_uma(d3d, h_rx, h_tx, config)
     shadowing = np.full(d3d.shape, np.nan)
     shadowing[linked] = sample_shadowing(shadow_rng, config, n_links)
-    fading = np.where(linked, 0.0, np.nan)
+    fading = no_fading.copy()
     if fading_rng is not None:
         fading[linked] = sample_fading(fading_rng, n_links)
     rain = rain_attenuation(rain_rate_mm_h, d3d / 1e3, config)

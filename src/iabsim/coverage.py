@@ -24,6 +24,14 @@ its RB occupancy row and its slot id; see `iabsim.scheduler`) are the
 victims' arrays with no reordering. The tests hold this kernel against a
 per-link reference (`tests/oracle.py`) that schedules and computes the
 same link budget one link at a time.
+
+A trial's build keeps per trial only what its draws decide: positions,
+losses, the association, the relays' RB rows, link constants and
+``parent_row``, each UE's serving-relay exclusion and the interference
+operand. The rest (gene and UE ids and rows, EIRP bounds, the co-slot mask
+less its diagonal, the UE rows' minimum SINR and noise: `_gene_constants`)
+is read, read-only, from the topology's `iabsim.topology.Layout`; what a
+trial writes into is a copy.
 """
 
 from __future__ import annotations
@@ -38,7 +46,7 @@ from .channel import (ChannelRealization, min_sinr, noise_mw,
 from .config import ScenarioConfig
 from .rng import derive_rng
 from .scheduler import allocate_rbs, associate, plan_slots
-from .topology import IAB, UE, Topology, build_topology
+from .topology import IAB, UE, Layout, Topology, build_topology
 
 
 class ScenarioInstance:
@@ -69,23 +77,23 @@ class ScenarioInstance:
         self._build_arrays(alloc, slots)
 
     def _build_arrays(self, alloc: np.ndarray, slots: np.ndarray) -> None:
-        config, real, role = self.config, self.realization, self.topology.role
+        config, real, layout = self.config, self.realization, self.topology.layout
+        width, rate, nf = config.rb_width_hz, config.min_rate_bps, config.nf_db
         # Genes are the channel's transmitter rows: UEs and IAB MTs by id.
-        genes, rx = real.tx_ids, self.assoc
-        self.gene_ids: tuple[int, ...] = tuple(genes.tolist())
-        is_ue = role[genes] == UE
-        (ue_lo, ue_hi), (iab_lo, iab_hi) = (config.ue_eirp_range_dbm,
-                                            config.iab_eirp_range_dbm)
-        self.lower = np.where(is_ue, ue_lo, iab_lo)
-        self.upper = np.where(is_ue, ue_hi, iab_hi)
-
+        # Every UE holds as many RBs as every other (`allocate_rbs`), so all
+        # UE rows share one demand and bandwidth.
+        (self.gene_ids, ue_rows, iab_rows, self.ue_ids, self.lower,
+         self.upper, co_slot, gamma_min, noise) = layout.derived(
+            _gene_constants, tuple(config.ue_eirp_range_dbm),
+            tuple(config.iab_eirp_range_dbm),
+            np.asarray(slots, dtype=np.int64).tobytes(), rate,
+            config.rbs_per_ue * width, nf)
+        genes, rx = layout.tx, self.assoc
         n_genes = len(genes)
-        ue_rows, iab_rows = np.flatnonzero(is_ue), np.flatnonzero(~is_ue)
-        self.n_ue = n_ue = len(ue_rows)
-        self.ue_ids = tuple(genes[ue_rows].tolist())
+        self.n_ue = len(ue_rows)
         self._ue_rows = ue_rows
         servers = rx[ue_rows]
-        self.relay_served = role[servers] == IAB
+        self.relay_served = layout.role[servers] == IAB
         # A relay's MT is a gene: its row is where its id sits in ``genes``.
         self.parent_row = np.where(self.relay_served,
                                    np.searchsorted(genes, servers), ue_rows)
@@ -95,15 +103,18 @@ class ScenarioInstance:
 
         # The C-contiguous (J, V) interference operand: gene j's unit EIRP
         # at victim v, weighted by the share of v's RBs that j also holds.
-        occ = alloc.astype(float)
-        n_rb = occ.sum(axis=1)
-        overlap = (occ @ occ.T) / np.maximum(n_rb, 1.0)
+        # The RB counts are sums of 0/1 products, exact in float32 up to
+        # 2**24 (``rb_max`` is at most 275), so the shares equal those of a
+        # float64 product bit for bit.
+        occ = alloc.astype(np.float32)
+        shared = occ @ occ.T
+        n_rb = shared.diagonal().astype(float)
+        overlap = shared / np.maximum(n_rb, 1.0)
 
         # Co-slot transmitters other than the victim's own (the diagonal)
         # and its receiver. Only a UE's receiver can be a gene (an IAB MT's
         # is a donor): its serving relay, at its parent row.
-        interferes = slots[:, None] == slots[None, :]
-        np.fill_diagonal(interferes, False)
+        interferes = co_slot.copy()
         interferes[self.parent_row[self.relay_served],
                    ue_rows[self.relay_served]] = False
 
@@ -115,14 +126,9 @@ class ScenarioInstance:
         self.interf_lin = self._interf.T  # (V, J) view; perfbench reads it
 
         # The thresholds come from the scalar budget of the reference path,
-        # so they match it bit for bit. Every UE holds as many RBs as every
-        # other (`allocate_rbs`), so all UE rows share one demand and
-        # bandwidth; only the relay rows, a few per cell, vary.
-        width, rate, nf = config.rb_width_hz, config.min_rate_bps, config.nf_db
-        gamma_min, noise = np.empty(n_genes), np.empty(n_genes)
-        if n_ue:
-            gamma_min[ue_rows], noise[ue_rows] = _link_constants(
-                rate, float(n_rb[ue_rows[0]]) * width, nf)
+        # so they match it bit for bit. The UE rows are the layout's; only
+        # the relay rows, a few per cell, vary.
+        gamma_min, noise = gamma_min.copy(), noise.copy()
         children = n_children[iab_rows]
         for row, n, rbs in zip(iab_rows.tolist(), children.tolist(),
                                n_rb[iab_rows].tolist()):
@@ -216,6 +222,28 @@ def _link_constants(demand_bps: float, bandwidth_hz: float,
         return 0.0, 1.0
     return (min_sinr(demand_bps, bandwidth_hz),
             noise_mw(bandwidth_hz, noise_figure_db))
+
+
+def _gene_constants(layout: Layout, ue_range: tuple[float, float],
+                    iab_range: tuple[float, float], slots: bytes,
+                    rate: float, ue_bandwidth: float, nf: float) -> tuple:
+    """What a scenario instance takes from its layout: the gene ids, the UE
+    and IAB gene rows, the UE ids, each gene's lower and upper EIRP bound,
+    the (J, V) mask of the transmitters that share a victim's slot (its own
+    gene aside), and each gene's minimum linear SINR and noise in mW with
+    the UE rows set; a trial sets the relay rows."""
+    genes = layout.tx
+    is_ue = layout.role[genes] == UE
+    (ue_lo, ue_hi), (iab_lo, iab_hi) = ue_range, iab_range
+    ids = np.frombuffer(slots, dtype=np.int64)
+    co_slot = ids[:, None] == ids[None, :]
+    np.fill_diagonal(co_slot, False)
+    gamma_min, noise = np.zeros(genes.size), np.ones(genes.size)
+    gamma_min[is_ue], noise[is_ue] = _link_constants(rate, ue_bandwidth, nf)
+    return (tuple(genes.tolist()), np.flatnonzero(is_ue),
+            np.flatnonzero(~is_ue), tuple(genes[is_ue].tolist()),
+            np.where(is_ue, ue_lo, iab_lo), np.where(is_ue, ue_hi, iab_hi),
+            co_slot, gamma_min, noise)
 
 
 # A policy returns EIRPs in dBm in the instance's `gene_ids` order.

@@ -9,19 +9,28 @@ A `Topology` is one array per node attribute, in node-id order: node ``i``
 is row ``i`` of the role code, cell id, x, y and antenna height arrays.
 `build_topology` numbers each cell's donor and IAB ring first and the UEs
 after them, so infrastructure ids stay stable as the UE count varies. The
-infrastructure depends only on the config's `Geometry` fields, so it is
-built once per distinct geometry and shared, read-only, by the trials. The
 uplink transmitters (UEs and IAB MTs) and receivers (donors and IAB DUs)
 are the rows ``tx`` and ``rx``, also in id order; the channel, the
 scheduler and the scenario instance index the node arrays with them.
+
+Layout constants. Trials that draw the same per-cell UE counts share a
+`Layout`: the role, cell and height arrays, the ``tx`` and ``rx`` rows, the
+donor and IAB positions, and what the channel, the scheduler and the
+scenario instance build from these and a few config scalars
+(`Layout.derived`). One bounded `lru_cache`, `_layout`, holds them, keyed
+by value, never by identity: a `Deployment` (geometry, UE height, per-cell
+UE counts, known once the UEs are drawn) for `build_topology`, a
+`NodeTable` (the node arrays' bytes) for a topology built any other way.
+Layout arrays are shared, so they are read-only; a topology's own arrays,
+and whatever a trial writes into, are copies.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from typing import NamedTuple, Optional
+from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import Callable, Hashable, NamedTuple, Optional
 
 import numpy as np
 
@@ -39,18 +48,24 @@ class Topology:
     x: np.ndarray  # (n,) m
     y: np.ndarray  # (n,) m
     height: np.ndarray  # (n,) antenna height, m
+    # `build_topology` passes its deployment's layout; a topology built any
+    # other way looks its layout up by the values of its node arrays.
+    layout: Optional[Layout] = field(default=None, repr=False)
 
-    # A topology is frozen and each view is read several times per trial,
-    # so each is computed once.
-    @cached_property
+    def __post_init__(self) -> None:
+        if self.layout is None:
+            object.__setattr__(self, "layout", _layout(
+                NodeTable.of(self.role, self.cell, self.height)))
+
+    @property
     def tx(self) -> np.ndarray:
         """Rows of the uplink transmitters: all UEs and all IAB nodes."""
-        return np.flatnonzero(self.role != DONOR)
+        return self.layout.tx
 
-    @cached_property
+    @property
     def rx(self) -> np.ndarray:
         """Rows of the possible uplink receivers: donors and IAB nodes."""
-        return np.flatnonzero(self.role != UE)
+        return self.layout.rx
 
     @property
     def ues(self) -> np.recarray:
@@ -133,11 +148,93 @@ def place_iab_nodes(config: ScenarioConfig | Geometry, cell_id: int
             np.linspace(lo, hi, m))
 
 
+def _freeze(value):
+    """``value``, with it or each array item of it (a tuple) read-only."""
+    for item in value if isinstance(value, tuple) else (value,):
+        if isinstance(item, np.ndarray):
+            item.setflags(write=False)
+    return value
+
+
+class Layout:
+    """What a trial's draws do not decide about its node table: each
+    node's role code, cell and antenna height, the ``tx`` and ``rx`` rows,
+    and the x and y of the nodes placed without a draw (rows ``0 ..
+    len(placed_x) - 1``; a `Deployment`'s donors and IAB rings, none of a
+    `NodeTable`'s). All its arrays are read-only."""
+
+    def __init__(self, role: np.ndarray, cell: np.ndarray, height: np.ndarray,
+                 placed_x: np.ndarray, placed_y: np.ndarray):
+        self.role, self.cell, self.height = role, cell, height
+        self.placed_x, self.placed_y = placed_x, placed_y
+        self.tx = np.flatnonzero(role != DONOR)
+        self.rx = np.flatnonzero(role != UE)
+        _freeze((role, cell, height, placed_x, placed_y, self.tx, self.rx))
+        self._derived: dict[tuple, object] = {}
+
+    def derived(self, build: Callable, *params: Hashable):
+        """``build(self, *params)``, built on the first call with these
+        ``params`` and shared by every later one; its arrays are read-only.
+        A caller that writes into one works on a copy."""
+        key = (build.__module__, build.__qualname__, *params)
+        value = self._derived.get(key)
+        if value is None:
+            value = self._derived[key] = _freeze(build(self, *params))
+        return value
+
+
+class Deployment(NamedTuple):
+    """A layout by the fields that build it. The deployment with no UEs is
+    the infrastructure that the others of its geometry extend."""
+    geometry: Geometry
+    ue_height_m: float
+    ue_counts: tuple[int, ...]
+
+    def nodes(self) -> tuple[np.ndarray, ...]:
+        """Role, cell and height of each node, and x and y of the placed
+        ones: each cell's donor and IAB ring, then each cell's UEs."""
+        counts = self.ue_counts
+        if not any(counts):
+            return _place_infrastructure(self.geometry)
+        infra = _layout(Deployment(self.geometry, self.ue_height_m,
+                                   (0,) * len(counts)))
+        n = sum(counts)
+        return (np.concatenate([infra.role, np.full(n, UE)]),
+                np.concatenate([infra.cell,
+                                np.repeat(np.arange(len(counts)), counts)]),
+                np.concatenate([infra.height, np.full(n, self.ue_height_m)]),
+                infra.placed_x, infra.placed_y)
+
+
+class NodeTable(NamedTuple):
+    """A layout by the values of a topology's role, cell and height
+    arrays, for a topology that `build_topology` did not build."""
+    role: bytes
+    cell: bytes
+    height: bytes
+
+    @classmethod
+    def of(cls, role: np.ndarray, cell: np.ndarray,
+           height: np.ndarray) -> "NodeTable":
+        return cls(np.asarray(role, dtype=np.int64).tobytes(),
+                   np.asarray(cell, dtype=np.int64).tobytes(),
+                   np.asarray(height, dtype=float).tobytes())
+
+    def nodes(self) -> tuple[np.ndarray, ...]:
+        return (np.frombuffer(self.role, dtype=np.int64),
+                np.frombuffer(self.cell, dtype=np.int64),
+                np.frombuffer(self.height), np.empty(0), np.empty(0))
+
+
 @lru_cache(maxsize=64)
-def _infrastructure(geometry: Geometry) -> tuple[np.ndarray, ...]:
-    """Role, cell, x, y and height of each cell's donor and IAB ring, in id
-    order. The arrays are shared by every build of the geometry, so they
-    are read-only."""
+def _layout(key: Deployment | NodeTable) -> Layout:
+    """The one layout of each key, shared by every trial that has it."""
+    return Layout(*key.nodes())
+
+
+def _place_infrastructure(geometry: Geometry) -> tuple[np.ndarray, ...]:
+    """Role, cell and height of each cell's donor and IAB ring in id order,
+    and their x and y."""
     blocks = []
     for c in range(geometry.num_cells):
         cx, cy = donor_position(geometry, c)
@@ -145,11 +242,8 @@ def _infrastructure(geometry: Geometry) -> tuple[np.ndarray, ...]:
         blocks.append((IAB, c, *place_iab_nodes(geometry, c)))
     role, cell, x, y, height = zip(*blocks)
     sizes = [len(b) for b in x]
-    columns = (np.repeat(role, sizes), np.repeat(cell, sizes),
-               np.concatenate(x), np.concatenate(y), np.concatenate(height))
-    for column in columns:
-        column.setflags(write=False)
-    return columns
+    return (np.repeat(role, sizes), np.repeat(cell, sizes),
+            np.concatenate(height), np.concatenate(x), np.concatenate(y))
 
 
 def build_topology(config: ScenarioConfig,
@@ -161,14 +255,11 @@ def build_topology(config: ScenarioConfig,
     """
     if config.num_cells not in (1, 2):
         raise ValueError(f"num_cells must be 1 or 2, got {config.num_cells}")
-    role, cell, x, y, height = _infrastructure(Geometry.of(config))
     ues = [sample_ues(config, c, rng) for c in range(config.num_cells)]
-    counts = [len(xs) for xs, _ in ues]
-    n = sum(counts)
+    layout = _layout(Deployment(Geometry.of(config), config.ue_height_m,
+                                tuple(len(xs) for xs, _ in ues)))
     return Topology(
-        role=np.concatenate([role, np.full(n, UE)]),
-        cell=np.concatenate([cell, np.repeat(np.arange(config.num_cells),
-                                             counts)]),
-        x=np.concatenate([x, *(xs for xs, _ in ues)]),
-        y=np.concatenate([y, *(ys for _, ys in ues)]),
-        height=np.concatenate([height, np.full(n, config.ue_height_m)]))
+        role=layout.role.copy(), cell=layout.cell.copy(),
+        x=np.concatenate([layout.placed_x, *(xs for xs, _ in ues)]),
+        y=np.concatenate([layout.placed_y, *(ys for _, ys in ues)]),
+        height=layout.height.copy(), layout=layout)

@@ -3,13 +3,16 @@ kernel (also on interleaved node ids) and its thresholds, and the
 block-drawn GA against their per-node, scalar, per-link, per-victim and
 per-generation references; the shared-build trial runner against one
 build per policy; the dBm-to-mW conversion against its formula; and the
-batched back-off sweep against one call per back-off, over random small
-scenarios."""
+batched back-off sweep against one call per back-off; and the per-layout
+cache (a warm build against a cold one, a layout built again after
+another, read-only cached arrays, and one trial's writes against the next
+trial's build), over random small scenarios."""
 
 import math
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -23,7 +26,8 @@ from iabsim.coverage import (ScenarioInstance, _link_constants, build_instance,
 from iabsim.policies import make_policy
 from iabsim.rng import derive_rng
 from iabsim.scheduler import allocate_rbs, associate, plan_slots
-from iabsim.topology import DONOR, UE, Topology, build_topology
+from iabsim.topology import (DONOR, UE, Deployment, Geometry, Layout,
+                             Topology, _layout, build_topology)
 from oracle import (covered_share, distance_3d, linear_mw, link, nodes_of,
                     reference_allocate_rbs, reference_associate,
                     reference_evaluate, reference_optimize,
@@ -388,3 +392,149 @@ def test_shared_build_matches_one_build_per_policy(seed, num_ues, num_cells,
                 assert np.array_equal(outcome.status, status)
                 assert outcome.coverage == covered_share(status)
                 assert res.per_trial[t] == outcome.coverage
+
+
+def _snapshot(inst: ScenarioInstance) -> dict:
+    """Every array, tuple and scalar an instance, its channel and its
+    topology hold, arrays as (dtype, shape, bytes): equal means bit for
+    bit, NaNs included."""
+    inst.realization.links  # computed on first read
+    out = {}
+    for owner in (inst, inst.realization, inst.topology):
+        for name, value in vars(owner).items():
+            key = f"{type(owner).__name__}.{name}"
+            if isinstance(value, np.ndarray):
+                out[key] = (value.dtype.str, value.shape, value.tobytes())
+            elif isinstance(value, (tuple, int, float)):
+                out[key] = value
+    return out
+
+
+def _layout_arrays(layout: Layout) -> list[np.ndarray]:
+    """Every array a layout holds, its derived entries' included."""
+    arrays = [layout.role, layout.cell, layout.height, layout.placed_x,
+              layout.placed_y, layout.tx, layout.rx]
+    for value in layout._derived.values():
+        items = value if isinstance(value, tuple) else (value,)
+        arrays += [a for a in items if isinstance(a, np.ndarray)]
+    return arrays
+
+
+LAYOUT_CASES = dict(
+    seed=seeds, trial=st.integers(0, 3), num_ues=st.integers(0, 6),
+    num_cells=st.sampled_from((1, 2)), num_iab=st.integers(0, 3),
+    poisson=st.booleans(), slot_mode=st.sampled_from(("separated",
+                                                      "simultaneous")),
+    rb_max=st.sampled_from((2, 3, 16)), rbs_per_ue=st.integers(1, 2))
+
+
+def _layout_config(num_ues, num_cells, num_iab, poisson, slot_mode, rb_max,
+                   rbs_per_ue):
+    return ScenarioConfig(num_ues=num_ues, num_cells=num_cells,
+                          num_iab_per_cell=num_iab, ue_count_poisson=poisson,
+                          slot_mode=slot_mode, rb_max=rb_max,
+                          rbs_per_ue=rbs_per_ue, min_rate_bps=5e6, trials=1)
+
+
+@FAST
+@given(**LAYOUT_CASES)
+@example(seed=29, trial=0, num_ues=2, num_cells=2, num_iab=2, poisson=True,
+         slot_mode="separated", rb_max=3, rbs_per_ue=2)  # 0 and 4 UEs, wraps
+@example(seed=1, trial=0, num_ues=0, num_cells=2, num_iab=2, poisson=True,
+         slot_mode="simultaneous", rb_max=16, rbs_per_ue=1)  # no UE at all
+def test_warm_layout_build_equals_cold_build(seed, trial, num_ues, num_cells,
+                                             num_iab, poisson, slot_mode,
+                                             rb_max, rbs_per_ue):
+    cfg = _layout_config(num_ues, num_cells, num_iab, poisson, slot_mode,
+                         rb_max, rbs_per_ue)
+    _layout.cache_clear()
+    cold = _snapshot(build_instance(cfg, seed, trial))
+    hits = _layout.cache_info().hits
+    warm = build_instance(cfg, seed, trial)
+    assert _layout.cache_info().hits > hits
+    assert _snapshot(warm) == cold
+    # A topology built by hand looks its layout up by value, through the
+    # same cache, and gets the same instance.
+    topo = warm.topology
+    by_hand = Topology(topo.role.copy(), topo.cell.copy(), topo.x, topo.y,
+                       topo.height.copy())
+    assert by_hand.layout is not topo.layout
+    real = sample_realization(by_hand, cfg, warm.realization.rain_rate_mm_h,
+                              derive_rng(seed, trial, "shadowing"),
+                              derive_rng(seed, trial, "fading"))
+    assoc = associate(by_hand, real.long_term_loss_db)
+    again = ScenarioInstance(cfg, by_hand, assoc,
+                             allocate_rbs(assoc, by_hand, cfg),
+                             plan_slots(by_hand, slot_mode), real)
+    assert ({k: v for k, v in _snapshot(again).items()
+             if not k.startswith("Topology.")}
+            == {k: v for k, v in cold.items() if not k.startswith("Topology.")})
+
+
+@FAST
+@given(**LAYOUT_CASES, other_ues=st.integers(0, 6))
+def test_layout_a_after_b_is_unchanged(seed, trial, num_ues, num_cells,
+                                       num_iab, poisson, slot_mode, rb_max,
+                                       rbs_per_ue, other_ues):
+    a = _layout_config(num_ues, num_cells, num_iab, poisson, slot_mode,
+                       rb_max, rbs_per_ue)
+    b = a.replace(num_ues=other_ues, num_cells=3 - num_cells,
+                  slot_mode="simultaneous", rb_max=16)
+    _layout.cache_clear()
+    first = _snapshot(build_instance(a, seed, trial))
+    build_instance(b, seed, trial)
+    assert _snapshot(build_instance(a, seed, trial)) == first
+
+
+@FAST
+@given(**LAYOUT_CASES)
+def test_cached_layout_arrays_refuse_writes(seed, trial, num_ues, num_cells,
+                                            num_iab, poisson, slot_mode,
+                                            rb_max, rbs_per_ue):
+    cfg = _layout_config(num_ues, num_cells, num_iab, poisson, slot_mode,
+                         rb_max, rbs_per_ue)
+    _layout.cache_clear()
+    inst = build_instance(cfg, seed, trial)
+    layout = inst.topology.layout
+    infra = _layout(Deployment(Geometry.of(cfg), cfg.ue_height_m,
+                               (0,) * num_cells))
+    # Each builder has run: the channel, the scheduler and the instance's.
+    assert len(layout._derived) == 5
+    cached = _layout_arrays(layout) + _layout_arrays(infra)
+    cached += [inst.lower, inst.upper, inst._ue_rows,
+               plan_slots(inst.topology, slot_mode)]
+    for array in cached:
+        assert not array.flags.writeable
+        if array.size:
+            with pytest.raises(ValueError, match="read-only"):
+                array.flat[0] = array.flat[0]
+
+
+@FAST
+@given(**LAYOUT_CASES)
+@example(seed=29, trial=0, num_ues=2, num_cells=2, num_iab=2, poisson=False,
+         slot_mode="separated", rb_max=3, rbs_per_ue=2)
+@example(seed=1, trial=0, num_ues=3, num_cells=2, num_iab=2, poisson=False,
+         slot_mode="simultaneous", rb_max=2,
+         rbs_per_ue=2)  # trial 1 has other relay-served UEs than trial 0
+def test_trial_writes_do_not_reach_the_next_trial(seed, trial, num_ues,
+                                                  num_cells, num_iab, poisson,
+                                                  slot_mode, rb_max,
+                                                  rbs_per_ue):
+    # Fixed counts: every trial of the config has the same layout.
+    cfg = _layout_config(num_ues, num_cells, num_iab, False, slot_mode,
+                         rb_max, rbs_per_ue)
+    _layout.cache_clear()
+    expected = _snapshot(build_instance(cfg, seed, trial + 1))
+    _layout.cache_clear()
+    inst = build_instance(cfg, seed, trial)
+    topo, real = inst.topology, inst.realization
+    occ = allocate_rbs(inst.assoc, topo, cfg)
+    writable = [occ, *(value for owner in (inst, real, topo)
+                       for value in vars(owner).values()
+                       if isinstance(value, np.ndarray)
+                       and value.flags.writeable)]
+    assert any(a is inst.gamma_min for a in writable)
+    for array in writable:
+        array[...] = 7 if array.dtype != bool else ~array
+    assert _snapshot(build_instance(cfg, seed, trial + 1)) == expected
