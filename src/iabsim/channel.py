@@ -26,6 +26,15 @@ match the link-by-link order. The budget terms are combined once into
 ``unit_rx_dbm``, the received power of a 0 dBm transmission, in the order
 the budget above is written. SINR and coverage are computed from these
 arrays by ``iabsim.coverage.ScenarioInstance``.
+
+The trial axis. `sample_realization` also samples a stack of T trials
+that share a layout in one pass (`iabsim.coverage.build_trials`): node
+coordinates of shape ``(T, n)``, one rain rate and one generator per draw
+and trial. Each trial draws from its own generators, exactly as alone;
+the arithmetic runs once over ``(T, n_tx, n_rx)`` arrays, elementwise, so
+each trial's numbers are those of its one-trial call bit for bit.
+`ChannelRealization.trial` takes one trial's arrays out of the stack, as
+views.
 """
 
 from __future__ import annotations
@@ -34,9 +43,10 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from importlib import resources
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
+from numpy.random import Generator
 
 from .config import ScenarioConfig
 from .topology import Layout, Topology
@@ -96,13 +106,15 @@ def pathloss_uma(d3d_m: float | np.ndarray, h_bs_m: float | np.ndarray,
     its log10 (a dimensionally-broken variant kept for comparison only).
     """
     d = np.asarray(d3d_m, dtype=float)
-    if np.any(d <= 0):
+    if np.fmin.reduce(d, axis=None, initial=np.inf) <= 0:  # NaN passes
         raise ValueError(f"d3d_m must be > 0, got {d[d <= 0].flat[0]}")
-    d = np.maximum(d, 1.0)
     d_bp = breakpoint_distance(config)
     bp_term = d_bp ** 2 + np.square(np.subtract(h_bs_m, h_ue_m))
-    loss = 32.4 + 10.0 * config.alpha * np.log10(d) \
-        + 20.0 * math.log10(config.fc_ghz)
+    # 32.4 + 10*alpha*log10(d) + 20*log10(fc), in that order.
+    loss = np.log10(np.maximum(d, 1.0))
+    loss *= 10.0 * config.alpha
+    loss += 32.4
+    loss += 20.0 * math.log10(config.fc_ghz)
     if config.pathloss_literal:
         return loss - 10.0 * bp_term
     return loss - 10.0 * np.log10(bp_term)
@@ -119,7 +131,7 @@ def rain_attenuation(rain_rate_mm_h: float, path_km: float | np.ndarray,
     if rain_rate_mm_h < 0:
         raise ValueError(f"rain_rate_mm_h must be >= 0, got {rain_rate_mm_h}")
     path = np.asarray(path_km)
-    if np.any(path < 0):
+    if (path < 0).any():
         raise ValueError(f"path_km must be >= 0, got {path[path < 0].flat[0]}")
     k, gamma = config.rain_k, config.rain_gamma
     if k is None or gamma is None:
@@ -162,7 +174,9 @@ class ChannelRealization:
     ``tx_ids`` and ``rx_ids`` label the rows and columns in ascending id;
     self pairs hold NaN. ``unit_rx_dbm`` is derived: the received power in
     dBm of a 0 dBm transmission over each link. No trial reads ``links``,
-    so it is computed on its first read.
+    so it is computed on its first read. A stack of trials (see the module
+    docstring) has a leading trial axis on every array and one rain rate
+    per trial.
     """
     tx_ids: np.ndarray
     rx_ids: np.ndarray
@@ -171,7 +185,7 @@ class ChannelRealization:
     shadowing_db: np.ndarray
     fading_db: np.ndarray
     rain_db: np.ndarray
-    rain_rate_mm_h: float
+    rain_rate_mm_h: float | tuple[float, ...]
     rx_gain_db: float
     unit_rx_dbm: np.ndarray = field(init=False, repr=False)
 
@@ -179,6 +193,14 @@ class ChannelRealization:
         object.__setattr__(self, "unit_rx_dbm",
                            0.0 + self.rx_gain_db - self.pathloss_db
                            - self.shadowing_db - self.rain_db - self.fading_db)
+
+    def trial(self, i: int) -> "ChannelRealization":
+        """Trial ``i`` of a stack, its budget terms views into the
+        stack's."""
+        return ChannelRealization(
+            self.tx_ids, self.rx_ids, self.d3d_m[i], self.pathloss_db[i],
+            self.shadowing_db[i], self.fading_db[i], self.rain_db[i],
+            self.rain_rate_mm_h[i], self.rx_gain_db)
 
     @cached_property
     def links(self) -> np.ndarray:
@@ -196,47 +218,63 @@ class ChannelRealization:
 def _link_layout(layout: Layout) -> tuple:
     """The layout constants of a channel: the ``(n_tx, n_rx)`` mask of the
     links (all pairs but an IAB node's self pair) and their count, the
-    squared height difference of each pair, the receiver and transmitter
-    heights as a row and a column, and the fading of a trial without it
-    (0 on each link, NaN elsewhere)."""
-    tx, rx, height = layout.tx, layout.rx, layout.height
+    squared height difference of each link (NaN on a self pair, so the
+    distance is NaN there), the receiver and transmitter heights as a row
+    and a column, and the fading of a trial without it (0 on each link,
+    NaN elsewhere)."""
+    tx, rx = layout.tx, layout.rx
     linked = tx[:, None] != rx[None, :]
-    dh = height[tx][:, None] - height[rx][None, :]
-    return (linked, int(np.count_nonzero(linked)), dh ** 2,
-            height[rx][None, :], height[tx][:, None],
-            np.where(linked, 0.0, np.nan))
+    h_tx, h_rx = layout.height[tx][:, None], layout.height[rx][None, :]
+    no_fading = np.where(linked, 0.0, np.nan)
+    return (linked, int(np.count_nonzero(linked)),
+            np.square(h_tx - h_rx) + no_fading, h_rx, h_tx, no_fading)
 
 
 def sample_realization(topology: Topology, config: ScenarioConfig,
-                       rain_rate_mm_h: float,
-                       shadow_rng: np.random.Generator,
-                       fading_rng: Optional[np.random.Generator]) -> ChannelRealization:
+                       rain_rate_mm_h: float | Sequence[float],
+                       shadow_rng: Generator | Sequence[Generator],
+                       fading_rng: Optional[Generator | Sequence[Generator]]
+                       ) -> ChannelRealization:
     """Sample every uplink-relevant link of a topology, in a fixed order.
 
     Links run from every transmitter (UE or IAB node) to every receiver
     (donor or IAB node), both cells included, so interference toward any
     victim receiver is always available. ``fading_rng=None`` disables fading.
+    A topology whose x and y have shape ``(T, n)`` is a stack of T trials:
+    the rain rates and the generators are then sequences, one per trial,
+    and the realization carries the trial axis (see the module docstring).
     """
     layout = topology.layout
     tx_ids, rx_ids = layout.tx, layout.rx
     linked, n_links, dh2, h_rx, h_tx, no_fading = layout.derived(_link_layout)
     x, y = topology.x, topology.y
-    d2 = np.square(x[tx_ids][:, None] - x[rx_ids])
-    d2 += np.square(y[tx_ids][:, None] - y[rx_ids])
+    d2 = np.square(x.take(tx_ids, axis=-1)[..., :, None]
+                   - x.take(rx_ids, axis=-1)[..., None, :])
+    d2 += np.square(y.take(tx_ids, axis=-1)[..., :, None]
+                    - y.take(rx_ids, axis=-1)[..., None, :])
     d2 += dh2
-    d3d = np.where(linked, np.sqrt(d2), np.nan)
+    d3d = np.sqrt(d2, out=d2)
     pathloss = pathloss_uma(d3d, h_rx, h_tx, config)
     shadowing = np.full(d3d.shape, np.nan)
-    shadowing[linked] = sample_shadowing(shadow_rng, config, n_links)
-    fading = no_fading.copy()
-    if fading_rng is not None:
-        fading[linked] = sample_fading(fading_rng, n_links)
-    rain = rain_attenuation(rain_rate_mm_h, d3d / 1e3, config)
-    return ChannelRealization(tx_ids=tx_ids, rx_ids=rx_ids, d3d_m=d3d,
-                              pathloss_db=pathloss, shadowing_db=shadowing,
-                              fading_db=fading, rain_db=rain,
-                              rain_rate_mm_h=rain_rate_mm_h,
-                              rx_gain_db=config.rx_gain_db)
+    fading = np.empty(d3d.shape)
+    fading[...] = no_fading
+    rain = d3d / 1e3
+    stacked = x.ndim > 1
+    if not stacked:
+        rain_rate_mm_h, shadow_rng = (rain_rate_mm_h,), (shadow_rng,)
+        fading_rng = None if fading_rng is None else (fading_rng,)
+    for i, rate in enumerate(rain_rate_mm_h):
+        trial = (i,) if stacked else ()
+        shadowing[trial][linked] = sample_shadowing(shadow_rng[i], config,
+                                                    n_links)
+        if fading_rng is not None:
+            fading[trial][linked] = sample_fading(fading_rng[i], n_links)
+        # k * R^gamma over 1 km, times each path in km.
+        rain[trial] *= rain_attenuation(rate, 1.0, config)
+    return ChannelRealization(
+        tx_ids, rx_ids, d3d, pathloss, shadowing, fading, rain,
+        tuple(rain_rate_mm_h) if stacked else rain_rate_mm_h[0],
+        config.rx_gain_db)
 
 
 def min_sinr(rate_bps: float, bw_hz: float) -> float:

@@ -28,16 +28,43 @@ same link budget one link at a time.
 A trial's build keeps per trial only what its draws decide: positions,
 losses, the association, the relays' RB rows, link constants and
 ``parent_row``, each UE's serving-relay exclusion and the interference
-operand. The rest (gene and UE ids and rows, EIRP bounds, the co-slot mask
-less its diagonal, the UE rows' minimum SINR and noise: `_gene_constants`)
-is read, read-only, from the topology's `iabsim.topology.Layout`; what a
-trial writes into is a copy.
+operand. The rest (gene and UE ids and rows, EIRP bounds, the UE rows'
+minimum SINR and noise, and the operand's entries that may be nonzero:
+`_gene_constants`) is read, read-only, from the topology's
+`iabsim.topology.Layout`; what a trial writes into is its own.
+
+The trial axis. `build_trials` builds the trials of a sweep point
+stacked: each trial draws its topology, rain, shadowing and fading from
+its own streams, exactly as alone, and the trials that drew the same
+layout then go through the channel, the scheduler and the instance
+arithmetic as one block, one pass over ``(T, J, R)`` arrays (T trials,
+J genes, R receivers); a block of one trial makes the same calls on that
+trial's own arrays. Every stacked operation is elementwise, a gather, or
+a product of 0/1 RB rows, exact in float32, so each trial's arrays equal
+those of its one-trial build (`build_instance`) bit for bit; no product
+that decides a threshold is stacked. A block's stacked arrays hold at
+most `_BLOCK_DOUBLES` entries: a trial counts J * max(R, rb_max), its
+channel and RB-occupancy arrays.
+
+The ``(J, V)`` interference operand is scattered, not multiplied out. The
+entries that may be nonzero are fixed by the layout: the pairs of
+distinct genes in one slot that are two UEs whose RB blocks overlap, or
+that include a relay. Each UE's RB block is fixed by its rank in its cell,
+so the RBs two UEs share are a layout constant too (`_block_overlap`); a
+relay's depend on the UEs it serves, and come per trial from a ``(T,
+n_iab, rb_max) @ (T, rb_max, J)`` RB product. Only the received powers of
+the entries, and of each gene's own link, are gathered and converted to
+mW. `build_trials` makes each instance, and its operand, as it yields it,
+so a caller that drops an instance once scored holds one operand at a
+time.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from functools import cached_property, lru_cache, partial
+from typing import Callable, Hashable, Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -45,8 +72,12 @@ from .channel import (ChannelRealization, min_sinr, noise_mw,
                       sample_realization)
 from .config import ScenarioConfig
 from .rng import derive_rng
-from .scheduler import allocate_rbs, associate, plan_slots
-from .topology import IAB, UE, Layout, Topology, build_topology
+from .scheduler import _ue_blocks, allocate_rbs, associate, plan_slots
+from .topology import IAB, Layout, Topology, build_topology
+
+# Entries a block's stacked arrays may hold (see the module docstring): it
+# bounds a block's memory, and the arrays are the same whatever its value.
+_BLOCK_DOUBLES = 1 << 16
 
 
 class ScenarioInstance:
@@ -65,80 +96,61 @@ class ScenarioInstance:
     relay's backhaul row when relay-served, and its own access row when
     donor-served (``x & x == x``). A UE passes when
     ``link_pass[ue] & link_pass[parent_row]``, one gather for the batch.
+
+    Built from one trial's parts, or by `build_trials` as trial ``i`` of a
+    block, whose arrays it then holds as views.
     """
 
     def __init__(self, config: ScenarioConfig, topology: Topology,
                  assoc: np.ndarray, alloc: np.ndarray, slots: np.ndarray,
                  realization: ChannelRealization):
+        block = _trial_arrays(config, topology.layout, assoc[None],
+                              alloc[None], slots,
+                              realization.unit_rx_dbm[None])
+        self._take(config, topology, block, 0)
+        self.realization = realization
+
+    @classmethod
+    def _of_block(cls, config: ScenarioConfig, topology: Topology,
+                  realizations: ChannelRealization, block: _Block,
+                  i: int) -> "ScenarioInstance":
+        self = cls.__new__(cls)
+        self._take(config, topology, block, i)
+        # The trial's channel, taken out of the block's on its first read.
+        self._realization = partial(realizations.trial, i)
+        return self
+
+    @cached_property
+    def realization(self) -> ChannelRealization:
+        """The trial's channel: views of its block's stacked arrays."""
+        return self._realization()
+
+    def _take(self, config: ScenarioConfig, topology: Topology,
+              block: _Block, i: int) -> None:
+        """Trial ``i`` of a block: the layout's constants, views of the
+        block's per-trial arrays, and the trial's interference operand."""
+        c = block.constants
         self.config = config
         self.topology = topology
-        self.assoc = assoc  # receiver id per gene
-        self.realization = realization
-        self._build_arrays(alloc, slots)
-
-    def _build_arrays(self, alloc: np.ndarray, slots: np.ndarray) -> None:
-        config, real, layout = self.config, self.realization, self.topology.layout
-        width, rate, nf = config.rb_width_hz, config.min_rate_bps, config.nf_db
-        # Genes are the channel's transmitter rows: UEs and IAB MTs by id.
-        # Every UE holds as many RBs as every other (`allocate_rbs`), so all
-        # UE rows share one demand and bandwidth.
-        (self.gene_ids, ue_rows, iab_rows, self.ue_ids, self.lower,
-         self.upper, co_slot, gamma_min, noise) = layout.derived(
-            _gene_constants, tuple(config.ue_eirp_range_dbm),
-            tuple(config.iab_eirp_range_dbm),
-            np.asarray(slots, dtype=np.int64).tobytes(), rate,
-            config.rbs_per_ue * width, nf)
-        genes, rx = layout.tx, self.assoc
-        n_genes = len(genes)
-        self.n_ue = len(ue_rows)
-        self._ue_rows = ue_rows
-        servers = rx[ue_rows]
-        self.relay_served = layout.role[servers] == IAB
-        # A relay's MT is a gene: its row is where its id sits in ``genes``.
-        self.parent_row = np.where(self.relay_served,
-                                   np.searchsorted(genes, servers), ue_rows)
-        n_children = np.bincount(self.parent_row[self.relay_served],
-                                 minlength=n_genes)
-        rx_col = np.searchsorted(real.rx_ids, rx)
-
+        self.gene_ids, self.ue_ids = c.gene_ids, c.ue_ids
+        self.lower, self.upper = c.lower, c.upper
+        self._ue_rows = c.ue_rows
+        self.n_ue = len(c.ue_rows)
+        self.assoc = block.assoc[i]  # receiver id per gene
+        self.relay_served = block.relay_served[i]
+        self.parent_row = block.parent_row[i]
+        self.sig_lin = block.sig_lin[i]
+        self.gamma_min = block.gamma_min[i]
+        self.noise_mw = block.noise_mw[i]
+        self.vacuous = block.vacuous[i]
+        self._any_vacuous = bool(block.any_vacuous[i])
         # The C-contiguous (J, V) interference operand: gene j's unit EIRP
-        # at victim v, weighted by the share of v's RBs that j also holds.
-        # The RB counts are sums of 0/1 products, exact in float32 up to
-        # 2**24 (``rb_max`` is at most 275), so the shares equal those of a
-        # float64 product bit for bit.
-        occ = alloc.astype(np.float32)
-        shared = occ @ occ.T
-        n_rb = shared.diagonal().astype(float)
-        overlap = shared / np.maximum(n_rb, 1.0)
-
-        # Co-slot transmitters other than the victim's own (the diagonal)
-        # and its receiver. Only a UE's receiver can be a gene (an IAB MT's
-        # is a donor): its serving relay, at its parent row.
-        interferes = co_slot.copy()
-        interferes[self.parent_row[self.relay_served],
-                   ue_rows[self.relay_served]] = False
-
-        # Unit-EIRP received power (linear mW at 0 dBm) per (tx, victim) pair,
-        # weighted by RB overlap; the self pairs (NaN) are never gathered.
-        unit_mw = 10.0 ** (real.unit_rx_dbm / 10.0)
-        self.sig_lin = unit_mw[np.arange(n_genes), rx_col]
-        self._interf = np.where(interferes, overlap * unit_mw[:, rx_col], 0.0)
+        # at victim v, weighted by the share of v's RBs that j also holds;
+        # 0 where j does not interfere at v.
+        n_genes = len(c.gene_ids)
+        self._interf = np.zeros((n_genes, n_genes))
+        self._interf.reshape(-1)[c.operand_at] = block.operand[i]
         self.interf_lin = self._interf.T  # (V, J) view; perfbench reads it
-
-        # The thresholds come from the scalar budget of the reference path,
-        # so they match it bit for bit. The UE rows are the layout's; only
-        # the relay rows, a few per cell, vary.
-        gamma_min, noise = gamma_min.copy(), noise.copy()
-        children = n_children[iab_rows]
-        for row, n, rbs in zip(iab_rows.tolist(), children.tolist(),
-                               n_rb[iab_rows].tolist()):
-            gamma_min[row], noise[row] = _link_constants(rate * n, rbs * width,
-                                                         nf)
-        self.gamma_min, self.noise_mw = gamma_min, noise
-        # A relay with no children carries no demand: its backhaul is vacuous.
-        self.vacuous = np.zeros(n_genes, dtype=bool)
-        self.vacuous[iab_rows] = children == 0
-        self._any_vacuous = bool(self.vacuous.any())
 
     def batch_link_sinr(self, mw: np.ndarray) -> np.ndarray:
         """Linear SINR of every victim link for a (K, J) batch in mW."""
@@ -189,35 +201,206 @@ def to_mw(eirp_dbm: np.ndarray) -> np.ndarray:
     return mw
 
 
-def build_instance(config: ScenarioConfig, seed: int,
-                   trial_index: int) -> ScenarioInstance:
-    """Assemble one trial: geometry, channel, association, allocation, slots.
+def build_trials(config: ScenarioConfig, seed: int, trials: Iterable[int]
+                 ) -> Iterator[tuple[int, ScenarioInstance]]:
+    """Build the given trials stacked, yielding ``(trial index, instance)``.
 
     Every random draw comes from a stream keyed by (seed, trial, purpose);
-    trials are independent and reproducible in any execution order.
+    trials are independent and reproducible in any execution order. The
+    topologies are drawn first, one per trial; the trials that drew the
+    same layout (equal by value, `iabsim.topology.Layout.key`) are then
+    built together, in blocks bounded by `_BLOCK_DOUBLES`, layout by layout
+    in the order each first appears, so the order depends on the draws
+    alone. Only the current block's arrays are kept alive.
     """
-    topo_rng = derive_rng(seed, trial_index, "ue-positions")
-    topology = build_topology(config, topo_rng)
+    groups: dict[Hashable, tuple[Layout, list[tuple[int, Topology]]]] = {}
+    for t in trials:
+        topology = build_topology(config, derive_rng(seed, t, "ue-positions"))
+        layout = topology.layout
+        groups.setdefault(layout.key, (layout, []))[1].append((t, topology))
+    for layout, members in groups.values():
+        per_trial = len(layout.tx) * max(len(layout.rx), config.rb_max)
+        size = max(1, _BLOCK_DOUBLES // max(per_trial, 1))
+        for start in range(0, len(members), size):
+            yield from _build_block(config, seed, layout,
+                                    members[start:start + size])
+
+
+def _build_block(config: ScenarioConfig, seed: int, layout: Layout,
+                 members: list[tuple[int, Topology]]
+                 ) -> Iterator[tuple[int, ScenarioInstance]]:
+    """The trials of one layout in one pass: channel, association,
+    allocation, slots, then the instance arrays. A block of one trial runs
+    on that trial's own topology (the one-trial calls of the same code); a
+    larger block on stacks of the trials' coordinates."""
     lo, hi = config.rain_range_mm_h
-    if hi > lo:
-        rain_rate = float(derive_rng(seed, trial_index, "rain").uniform(lo, hi))
+    rain = [float(derive_rng(seed, t, "rain").uniform(lo, hi)) if hi > lo
+            else float(lo) for t, _ in members]
+    shadow = [derive_rng(seed, t, "shadowing") for t, _ in members]
+    fading = ([derive_rng(seed, t, "fading") for t, _ in members]
+              if config.fading_enabled else None)
+    if len(members) == 1:
+        [(t, stack)] = members
+        rain, shadow, fading = rain[0], shadow[0], fading and fading[0]
     else:
-        rain_rate = float(lo)
-    fading_rng = derive_rng(seed, trial_index, "fading") if config.fading_enabled else None
-    realization = sample_realization(
-        topology, config, rain_rate,
-        shadow_rng=derive_rng(seed, trial_index, "shadowing"),
-        fading_rng=fading_rng)
-    assoc = associate(topology, realization.long_term_loss_db)
-    alloc = allocate_rbs(assoc, topology, config)
-    slots = plan_slots(topology, config.slot_mode)
-    return ScenarioInstance(config, topology, assoc, alloc, slots, realization)
+        stack = Topology(layout.role, layout.cell,
+                         np.array([topology.x for _, topology in members]),
+                         np.array([topology.y for _, topology in members]),
+                         layout.height, layout)
+    realization = sample_realization(stack, config, rain, shadow_rng=shadow,
+                                     fading_rng=fading)
+    assoc = associate(stack, realization.long_term_loss_db)
+    alloc = allocate_rbs(assoc, stack, config)
+    slots = plan_slots(stack, config.slot_mode)
+    if len(members) == 1:
+        yield t, ScenarioInstance(config, stack, assoc, alloc, slots,
+                                  realization)
+        return
+    block = _trial_arrays(config, layout, assoc, alloc, slots,
+                          realization.unit_rx_dbm)
+    for i, (t, topology) in enumerate(members):
+        yield t, ScenarioInstance._of_block(config, topology, realization,
+                                            block, i)
 
 
+def build_instance(config: ScenarioConfig, seed: int,
+                   trial_index: int) -> ScenarioInstance:
+    """Assemble one trial: geometry, channel, association, allocation,
+    slots; the block of one trial that `build_trials` builds for it."""
+    topology = build_topology(config,
+                              derive_rng(seed, trial_index, "ue-positions"))
+    [(_, instance)] = _build_block(config, seed, topology.layout,
+                                   [(trial_index, topology)])
+    return instance
+
+
+# What a scenario instance takes from its layout: see `_gene_constants`.
+_GeneConstants = namedtuple("_GeneConstants", (
+    "gene_ids", "ue_ids", "ue_rows", "iab_rows", "lower", "upper",
+    "gamma_min", "noise_mw", "operand_at", "entry_v", "gather_v",
+    "gather_at", "with_relay", "relay_at", "ue_shared"))
+
+# The arrays of a block of T trials of one layout: its `_GeneConstants`,
+# the per-trial instance arrays, each (T, ...) (``any_vacuous`` is (T,)),
+# and the (T, K) operand entries that may be nonzero, at
+# `_GeneConstants.operand_at`.
+_Block = namedtuple("_Block", (
+    "constants", "assoc", "relay_served", "parent_row", "sig_lin",
+    "gamma_min", "noise_mw", "vacuous", "any_vacuous", "operand"))
+
+
+def _trial_arrays(config: ScenarioConfig, layout: Layout, assoc: np.ndarray,
+                  alloc: np.ndarray, slots: np.ndarray,
+                  unit_rx_dbm: np.ndarray) -> _Block:
+    """The arrays of a block of T trials of one layout: ``assoc`` is
+    (T, J), ``alloc`` (T, J, rb_max), ``unit_rx_dbm`` (T, J, R); ``slots``
+    is the layout's (J,) slot ids."""
+    width, rate, nf = config.rb_width_hz, config.min_rate_bps, config.nf_db
+    c = layout.derived(
+        _gene_constants, tuple(config.ue_eirp_range_dbm),
+        tuple(config.iab_eirp_range_dbm),
+        np.asarray(slots, dtype=np.int64).tobytes(), rate,
+        config.rbs_per_ue, config.rb_max, width, nf)
+    iab_rows = c.iab_rows
+    n_trials, n_genes = assoc.shape
+    servers = assoc.take(c.ue_rows, axis=1)
+    relay_served = layout.role.take(servers) == IAB
+    # A relay's MT is a gene: its row is where its id sits in ``tx``.
+    parent_row = np.where(relay_served, layout.tx.searchsorted(servers),
+                          c.ue_rows)
+    # Flat indices into the block's (T, J) and (T, J, R) arrays: ``rows``
+    # of each UE's parent row and of each relay, ``at`` of (t, 0, each
+    # gene's receiver column).
+    rows, relay_rows = parent_row, iab_rows
+    at = layout.rx.searchsorted(assoc)
+    if n_trials > 1:
+        trial_at = np.arange(n_trials)[:, None]
+        rows = parent_row + trial_at * n_genes
+        relay_rows = (iab_rows + trial_at * n_genes).ravel()
+        at += trial_at * unit_rx_dbm[0].size
+    # A relay's children are the UEs whose parent row is its own.
+    children = np.bincount(rows.ravel(), minlength=n_trials * n_genes).take(
+        relay_rows).reshape(n_trials, -1)
+
+    # How many RBs each gene holds, and each relay shares with each gene:
+    # sums of 0/1 values, exact in float32 up to 2**24 (``rb_max`` is at
+    # most 275), so their float64 quotients equal those of a float64
+    # product bit for bit.
+    occ = alloc.astype(np.float32)
+    shared = occ.take(iab_rows, axis=1) @ occ.swapaxes(1, 2)
+    rbs = np.add.reduce(occ, axis=2)
+
+    # Unit-EIRP received power (linear mW at 0 dBm) of the links the
+    # instance reads, gathered in dBm by flat index and then converted:
+    # each gene at its own receiver, then each operand entry's interferer
+    # at its victim's receiver.
+    at = at.take(c.gather_v, axis=1)
+    at += c.gather_at
+    unit_mw = unit_rx_dbm.take(at)
+    unit_mw /= 10.0
+    np.power(10.0, unit_mw, out=unit_mw)
+    # The only self pair (NaN) gathered is a relay at the UEs it serves,
+    # where it does not interfere: 0.
+    np.fmax(unit_mw, 0.0, out=unit_mw)
+    # Each entry weighted by the share of its victim's RBs its interferer
+    # also holds: a UE pair's shared count is the layout's, a pair with a
+    # relay's the trial's.
+    counts = c.ue_shared
+    if iab_rows.size:
+        counts = np.where(c.with_relay, shared.reshape(n_trials, -1).take(
+            c.relay_at, axis=1), counts)
+    operand = np.divide(counts, np.maximum(rbs, 1.0).take(c.entry_v, axis=1),
+                        dtype=float)
+    operand *= unit_mw[:, n_genes:]
+
+    # The thresholds come from the scalar budget of the reference path,
+    # so they match it bit for bit. The UE rows are the layout's; only
+    # the relay rows, a few per cell, vary. A relay with no children
+    # carries no demand: its backhaul is vacuous.
+    gamma_min = _stacked(c.gamma_min, n_trials)
+    noise = _stacked(c.noise_mw, n_trials)
+    vacuous = np.zeros(assoc.shape, dtype=bool)
+    flat_gamma, flat_noise = gamma_min.reshape(-1), noise.reshape(-1)
+    flat_vacuous = vacuous.reshape(-1)
+    for row, n, n_rb in zip(relay_rows.tolist(), children.ravel().tolist(),
+                            rbs.take(iab_rows, axis=1).ravel().tolist()):
+        flat_gamma[row], flat_noise[row] = _link_constants(
+            rate * n, n_rb * width, nf)
+        flat_vacuous[row] = not n
+    return _Block(c, assoc, relay_served, parent_row, unit_mw[:, :n_genes],
+                  gamma_min, noise, vacuous,
+                  np.logical_or.reduce(vacuous, axis=1), operand)
+
+
+def _stacked(row: np.ndarray, n: int) -> np.ndarray:
+    """``n`` copies of ``row`` along a new leading axis."""
+    out = np.empty((n, *row.shape), dtype=row.dtype)
+    out[...] = row
+    return out
+
+
+@lru_cache(maxsize=16)
+def _block_overlap(per_ue: int, grid: int) -> np.ndarray:
+    """How many RBs two UEs' blocks (see `iabsim.scheduler.allocate_rbs`)
+    share, by the blocks' first RBs: a (grid + 1, grid + 1) table whose
+    last row and column, for a gene that is not a UE, whose RBs a trial
+    decides, are NaN. The counts are sums of 0/1 products, exact in
+    float32."""
+    occ = np.zeros((grid + 1, grid), dtype=np.float32)
+    first = np.arange(grid)[:, None]
+    occ[first, (first + np.arange(per_ue)) % grid] = 1.0
+    table = occ @ occ.T
+    table[grid] = table[:, grid] = np.nan
+    table.setflags(write=False)
+    return table
+
+
+@lru_cache(maxsize=4096)
 def _link_constants(demand_bps: float, bandwidth_hz: float,
                     noise_figure_db: float) -> tuple[float, float]:
     """(minimum linear SINR, noise in mW) of a victim link; a relay with no
-    children carries no demand and its backhaul is vacuous."""
+    children carries no demand and its backhaul is vacuous. Memoised: every
+    relay of every trial looks its pair up."""
     if demand_bps == 0.0:
         return 0.0, 1.0
     return (min_sinr(demand_bps, bandwidth_hz),
@@ -226,24 +409,67 @@ def _link_constants(demand_bps: float, bandwidth_hz: float,
 
 def _gene_constants(layout: Layout, ue_range: tuple[float, float],
                     iab_range: tuple[float, float], slots: bytes,
-                    rate: float, ue_bandwidth: float, nf: float) -> tuple:
-    """What a scenario instance takes from its layout: the gene ids, the UE
-    and IAB gene rows, the UE ids, each gene's lower and upper EIRP bound,
-    the (J, V) mask of the transmitters that share a victim's slot (its own
-    gene aside), and each gene's minimum linear SINR and noise in mW with
-    the UE rows set; a trial sets the relay rows."""
+                    rate: float, per_ue: int, grid: int, width: float,
+                    nf: float) -> _GeneConstants:
+    """The `_GeneConstants` of a layout, its slot ids and a few config
+    scalars: the gene and UE ids; the UE and IAB MT rows among the genes;
+    each gene's EIRP bounds in dBm; each gene's minimum linear SINR and
+    noise in mW, the UE rows set (a trial sets the relays'); and the
+    operand's entries that may be nonzero, in row-major order.
+
+    An entry is an (interferer j, victim v) pair of distinct genes that
+    share a slot and may share RBs: two UEs whose RB blocks, fixed by
+    their ranks in their cells, overlap, or any pair with a relay, whose
+    RBs a trial decides. For each: ``operand_at``, its index in a
+    flattened (J, V) operand; ``entry_v``, v's row; ``with_relay``; for a
+    UE pair, the RB count both hold (``ue_shared``, NaN for a pair with a
+    relay); for a pair with a relay, where in a trial's flattened (n_iab,
+    J) RB product its count is (``relay_at``: the relay's index, the other
+    gene's row). ``gather_v``
+    and ``gather_at`` list the (J, R) channel entries a trial reads, each
+    gene at its own receiver and then each entry: the victim's row and the
+    interferer's row offset."""
     genes = layout.tx
-    is_ue = layout.role[genes] == UE
+    n_genes, n_rx = genes.size, len(layout.rx)
+    ue_rows, cols, _ = layout.derived(_ue_blocks, per_ue, grid)
+    is_relay = np.ones(n_genes, dtype=bool)
+    is_relay[ue_rows] = False
+    iab_rows = np.flatnonzero(is_relay)
     (ue_lo, ue_hi), (iab_lo, iab_hi) = ue_range, iab_range
     ids = np.frombuffer(slots, dtype=np.int64)
-    co_slot = ids[:, None] == ids[None, :]
-    np.fill_diagonal(co_slot, False)
-    gamma_min, noise = np.zeros(genes.size), np.ones(genes.size)
-    gamma_min[is_ue], noise[is_ue] = _link_constants(rate, ue_bandwidth, nf)
-    return (tuple(genes.tolist()), np.flatnonzero(is_ue),
-            np.flatnonzero(~is_ue), tuple(genes[is_ue].tolist()),
-            np.where(is_ue, ue_lo, iab_lo), np.where(is_ue, ue_hi, iab_hi),
-            co_slot, gamma_min, noise)
+    # The RB counts UE pairs share, by their blocks' first RBs; a pair
+    # with a relay may share RBs.
+    first = np.full(n_genes, grid)
+    first[ue_rows] = cols[:, 0]
+    shared = _block_overlap(per_ue, grid).take(first, axis=0).take(first,
+                                                                   axis=1)
+    entries = shared != 0
+    if ids.size and (ids != ids[0]).any():  # not every gene in one slot
+        entries &= ids[:, None] == ids
+    entries.flat[::n_genes + 1] = False
+    operand_at = np.flatnonzero(entries)
+    j = operand_at // max(n_genes, 1)
+    v = operand_at - j * n_genes
+    relay_j = is_relay.take(j)
+    with_relay = relay_j | is_relay.take(v)
+    # The relay's index times J, plus the other gene's row.
+    iab_at = np.zeros(n_genes, dtype=np.int64)
+    iab_at[iab_rows] = np.arange(0, iab_rows.size * n_genes, max(n_genes, 1))
+    relay_at = np.where(relay_j, iab_at.take(j) + v, iab_at.take(v) + j)
+    gamma_min, noise = np.zeros(n_genes), np.ones(n_genes)
+    gamma_min[ue_rows], noise[ue_rows] = _link_constants(rate, per_ue * width,
+                                                         nf)
+    rows = np.arange(n_genes)
+    return _GeneConstants(
+        gene_ids=tuple(genes.tolist()),
+        ue_ids=tuple(genes.take(ue_rows).tolist()),
+        ue_rows=ue_rows, iab_rows=iab_rows,
+        lower=np.where(is_relay, iab_lo, ue_lo),
+        upper=np.where(is_relay, iab_hi, ue_hi),
+        gamma_min=gamma_min, noise_mw=noise, operand_at=operand_at,
+        entry_v=v, gather_v=np.concatenate((rows, v)),
+        gather_at=np.concatenate((rows, j)) * n_rx, with_relay=with_relay,
+        relay_at=relay_at, ue_shared=shared.take(operand_at))
 
 
 # A policy returns EIRPs in dBm in the instance's `gene_ids` order.
@@ -268,16 +494,16 @@ class MonteCarloResult:
     outcomes: tuple[TrialOutcome, ...]
 
 
-def run_trial(config: ScenarioConfig, policies: Sequence[PowersPolicy],
+def run_trial(instance: ScenarioInstance, policies: Sequence[PowersPolicy],
               seed: int, trial_index: int) -> list[TrialOutcome]:
-    """One Monte-Carlo trial, built once and scored under every policy.
+    """One Monte-Carlo trial, built once (``instance``, trial
+    ``trial_index`` of ``seed``) and scored under every policy.
 
     Each policy gets a fresh `policy` stream of this trial, so its outcome
     does not depend on which other policies run or in what order: the
     policies are compared on common random numbers. A policy must not
     mutate the instance.
     """
-    instance = build_instance(config, seed, trial_index)
     outcomes = []
     for policy in policies:
         powers = policy(instance, derive_rng(seed, trial_index, "policy"))
@@ -299,19 +525,21 @@ def monte_carlo_coverage(config: ScenarioConfig,
     Each trial redraws the UE pattern and the channel, re-associates and
     re-allocates once, then applies and evaluates every policy on that one
     instance, each with its own `policy` stream: a paired comparison on
-    common random numbers (see `run_trial`). A policy is a callable (instance, rng) ->
-    EIRP array or one of "max" | "random" | "ga". One result is returned
-    per policy, in the order given.
+    common random numbers (see `run_trial`). The trials are built stacked
+    (`build_trials`) and scored one at a time. A policy is a callable
+    (instance, rng) -> EIRP array or one of "max" | "random" | "ga". One
+    result is returned per policy, in the order given.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     from .policies import make_policy
     policies = [make_policy(p, config) if isinstance(p, str) else p
                 for p in policies]
-    per_policy = zip(*(run_trial(config, policies, seed, t)
-                       for t in range(trials)))
+    per_trial_outcomes: list[list[TrialOutcome]] = [[] for _ in range(trials)]
+    for t, instance in build_trials(config, seed, range(trials)):
+        per_trial_outcomes[t] = run_trial(instance, policies, seed, t)
     results = []
-    for outcomes in per_policy:
+    for outcomes in zip(*per_trial_outcomes):
         per_trial = np.array([o.coverage for o in outcomes])
         results.append(MonteCarloResult(mean_coverage=float(per_trial.mean()),
                                         per_trial=per_trial, outcomes=outcomes))

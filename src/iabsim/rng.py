@@ -61,4 +61,7 @@ def derive_rng(seed: int, *tags: str | int) -> np.random.Generator:
     for tag in tags:
         words.extend(_tag_words(tag))
     entropy = np.array(words, dtype=np.uint32)
-    return np.random.default_rng(np.random.SeedSequence(entropy))
+    # `default_rng` of a SeedSequence is this Generator, less its argument
+    # checks.
+    return np.random.Generator(
+        np.random.PCG64(np.random.SeedSequence(entropy)))

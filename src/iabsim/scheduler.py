@@ -18,6 +18,12 @@ wrap around once the grid is exhausted; both cells reuse the same grid.
 The association mask, the UEs' RB blocks and the slot ids are built once
 per layout (`iabsim.topology.Layout.derived`) and are read-only; a trial
 computes the argmin and the relays' RB rows, on a copy.
+
+The trial axis. `associate` and `allocate_rbs` also take a stack of T
+trials that share a layout (`iabsim.coverage.build_trials`): losses of
+shape ``(T, J, R)`` give ``(T, J)`` receivers, and those give a
+``(T, J, rb_max)`` occupancy. The argmin and the relays' RB rows run once
+over the stack; each trial's rows are those of its one-trial call.
 """
 
 from __future__ import annotations
@@ -40,19 +46,19 @@ def associate(topology: Topology, long_term_loss: np.ndarray) -> np.ndarray:
     """Each transmitter's receiver: a UE's minimum long-term-loss station
     of its own cell, an IAB node's own cell's donor.
 
-    ``long_term_loss[j, b]`` is the dB loss from the j-th transmitter to
-    the b-th receiver (donor or IAB node), both in ascending id order. One
-    masked argmin per row picks among the allowed receivers; ties break
-    toward the lowest station id.
+    ``long_term_loss[..., j, b]`` is the dB loss from the j-th transmitter
+    to the b-th receiver (donor or IAB node), both in ascending id order,
+    after any leading trial axis. One masked argmin per row picks among the
+    allowed receivers; ties break toward the lowest station id.
     """
     layout = topology.layout
     allowed = layout.derived(_allowed)
     loss = np.asarray(long_term_loss, dtype=float)
-    if loss.shape != allowed.shape:
+    if loss.shape[-2:] != allowed.shape:
         raise ValueError(f"long_term_loss has shape {loss.shape}, expected "
                          f"{allowed.shape} (transmitters, receivers)")
-    best = np.where(allowed, loss, np.inf).argmin(axis=1)
-    return layout.rx[best]
+    best = np.where(allowed, loss, np.inf).argmin(axis=-1)
+    return layout.rx.take(best)
 
 
 def _ue_blocks(layout: Layout, per_ue: int, grid: int) -> tuple:
@@ -64,10 +70,10 @@ def _ue_blocks(layout: Layout, per_ue: int, grid: int) -> tuple:
     # Each UE's rank among its cell's UEs: its position in a stable sort by
     # cell, less the position of its cell's first UE there.
     cell = layout.cell[tx[ue_rows]]
-    order = np.argsort(cell, kind="stable")
+    order = cell.argsort(kind="stable")
+    by_cell = cell[order]
     rank = np.empty(len(cell), dtype=int)
-    rank[order] = np.arange(len(cell)) - np.searchsorted(cell[order],
-                                                         cell[order])
+    rank[order] = np.arange(len(cell)) - by_cell.searchsorted(by_cell)
     cols = (rank[:, None] * per_ue + np.arange(per_ue)) % grid
     occ = np.zeros((len(tx), grid), dtype=bool)
     occ[ue_rows[:, None], cols] = True
@@ -82,7 +88,8 @@ def allocate_rbs(assoc: np.ndarray, topology: Topology,
     UE id). Once cumulative demand exceeds the grid, indices wrap to 0 and
     co-channel reuse begins within the cell. Both cells allocate over the
     same grid. A relay's row is the OR of its children's rows, the children
-    being the UEs that ``assoc`` serves from it.
+    being the UEs that ``assoc`` serves from it. ``assoc`` may carry a
+    leading trial axis, and the occupancy then does too.
     """
     per_ue = config.rbs_per_ue
     grid = config.rb_max
@@ -90,13 +97,14 @@ def allocate_rbs(assoc: np.ndarray, topology: Topology,
         raise ValueError(f"rbs_per_ue ({per_ue}) exceeds the RB grid ({grid})")
     layout = topology.layout
     ue_rows, cols, ue_occ = layout.derived(_ue_blocks, per_ue, grid)
-    occ = ue_occ.copy()
+    occ = np.empty((*assoc.shape, grid), dtype=bool)
+    occ[...] = ue_occ
     # A relay also holds the RBs of each UE it serves; a relay's MT is a
     # transmitter, so its row is where its id sits in ``tx``.
-    servers = assoc[ue_rows]
-    child = np.flatnonzero(layout.role[servers] == IAB)
-    relay = np.searchsorted(layout.tx, servers[child])
-    occ[relay[:, None], cols[child]] = True
+    servers = assoc.take(ue_rows, axis=-1)
+    *trial, child = (layout.role.take(servers) == IAB).nonzero()
+    relay = layout.tx.searchsorted(servers[(*trial, child)])
+    occ[(*(i[:, None] for i in trial), relay[:, None], cols[child])] = True
     return occ
 
 

@@ -28,6 +28,7 @@ and whatever a trial writes into, are copies.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Hashable, NamedTuple, Optional
@@ -45,8 +46,8 @@ ROLE_NAMES = ("donor", "iab", "ue")
 class Topology:
     role: np.ndarray  # (n,) role code
     cell: np.ndarray  # (n,) cell id
-    x: np.ndarray  # (n,) m
-    y: np.ndarray  # (n,) m
+    x: np.ndarray  # (n,) m; (T, n) for a stack of T trials of one layout
+    y: np.ndarray  # (n,) m; likewise
     height: np.ndarray  # (n,) antenna height, m
     # `build_topology` passes its deployment's layout; a topology built any
     # other way looks its layout up by the values of its node arrays.
@@ -89,10 +90,14 @@ class Geometry(NamedTuple):
 
     @classmethod
     def of(cls, config: ScenarioConfig) -> "Geometry":
-        values = {name: getattr(config, name) for name in cls._fields}
+        *values, heights = _geometry_fields(config)
         # A pair given from code may be a list, which is unhashable.
-        values["iab_height_range_m"] = tuple(values["iab_height_range_m"])
-        return cls(**values)
+        return cls._make((*values, tuple(heights)))
+
+
+# Every trial reads its geometry's fields off the config, the height range
+# (a pair) last.
+_geometry_fields = operator.attrgetter(*Geometry._fields)
 
 
 def donor_position(config: ScenarioConfig | Geometry,
@@ -161,10 +166,13 @@ class Layout:
     node's role code, cell and antenna height, the ``tx`` and ``rx`` rows,
     and the x and y of the nodes placed without a draw (rows ``0 ..
     len(placed_x) - 1``; a `Deployment`'s donors and IAB rings, none of a
-    `NodeTable`'s). All its arrays are read-only."""
+    `NodeTable`'s), and ``key``, the `Deployment` or `NodeTable` it is
+    built from: layouts with equal keys are equal. All its arrays are
+    read-only."""
 
-    def __init__(self, role: np.ndarray, cell: np.ndarray, height: np.ndarray,
-                 placed_x: np.ndarray, placed_y: np.ndarray):
+    def __init__(self, key: Deployment | NodeTable):
+        self.key = key
+        role, cell, height, placed_x, placed_y = key.nodes()
         self.role, self.cell, self.height = role, cell, height
         self.placed_x, self.placed_y = placed_x, placed_y
         self.tx = np.flatnonzero(role != DONOR)
@@ -176,7 +184,7 @@ class Layout:
         """``build(self, *params)``, built on the first call with these
         ``params`` and shared by every later one; its arrays are read-only.
         A caller that writes into one works on a copy."""
-        key = (build.__module__, build.__qualname__, *params)
+        key = (build, *params)
         value = self._derived.get(key)
         if value is None:
             value = self._derived[key] = _freeze(build(self, *params))
@@ -229,7 +237,7 @@ class NodeTable(NamedTuple):
 @lru_cache(maxsize=64)
 def _layout(key: Deployment | NodeTable) -> Layout:
     """The one layout of each key, shared by every trial that has it."""
-    return Layout(*key.nodes())
+    return Layout(key)
 
 
 def _place_infrastructure(geometry: Geometry) -> tuple[np.ndarray, ...]:

@@ -12,9 +12,11 @@ import dataclasses
 import importlib.util
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
+import iabsim.coverage as coverage
 from iabsim.experiments import ExperimentSpec, run_experiment
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -40,6 +42,34 @@ TINY = {
     for name, w in workloads.WORKLOADS.items()}
 
 
+def _counting(build_trials, built):
+    """`build_trials`, appending to ``built`` each call's config and the
+    index and layout of each trial it yields."""
+    def counted(config, *args, **kwargs):
+        yielded = []
+        built.append((config, yielded))
+        for t, instance in build_trials(config, *args, **kwargs):
+            yielded.append((t, instance.topology.layout))
+            yield t, instance
+    return counted
+
+
+def _blocks(built):
+    """How many stacked blocks `build_trials` builds for the trials it
+    yielded: per call, per layout, its trials over the trials a block of
+    that layout holds."""
+    blocks = 0
+    for config, yielded in built:
+        counts: dict = {}
+        for _, layout in yielded:
+            per_trial = len(layout.tx) * max(len(layout.rx), config.rb_max)
+            size = max(1, coverage._BLOCK_DOUBLES // max(per_trial, 1))
+            counts[layout.key] = (counts.get(layout.key, (0, size))[0] + 1,
+                                  size)
+        blocks += sum(-(-n // size) for n, size in counts.values())
+    return blocks
+
+
 @pytest.fixture(scope="module", params=sorted(TINY))
 def traced_run(request, tmp_path_factory):
     w = TINY[request.param]
@@ -47,25 +77,28 @@ def traced_run(request, tmp_path_factory):
     spec = ExperimentSpec(w.experiment, str(out),
                           rbs_values=workloads.RBS_VALUES)
     tracer = tracing.Tracer()
-    with tracing.Hooks(tracer) as hooks:
+    built: list = []
+    with mock.patch.object(coverage, "build_trials",
+                           _counting(coverage.build_trials, built)), \
+            tracing.Hooks(tracer) as hooks:
         files = run_experiment(spec, w.build_config(7))
     csv_bytes = sum(Path(f).stat().st_size for f in files)
-    return w, tracer.spans, hooks.measured, csv_bytes
+    return w, tracer.spans, hooks.measured, csv_bytes, built
 
 
 def test_every_hook_site_resolves(traced_run):
-    _, _, measured, _ = traced_run
+    _, _, measured, _, _ = traced_run
     assert measured == list(tracing.HOOKS)
 
 
 def test_ga_checks_pass(traced_run):
-    _, spans, measured, _ = traced_run
+    _, spans, measured, _, _ = traced_run
     _, failed = tracing.ga_checks(spans, measured)
     assert failed == 0
 
 
 def test_every_layer_metric_reported(traced_run):
-    _, spans, measured, csv_bytes = traced_run
+    _, spans, measured, csv_bytes, _ = traced_run
     metrics = tracing.layer_metrics(spans, measured, csv_bytes)
     # trace.overhead_share needs an untraced run beside the traced one.
     assert sorted(metrics) == sorted(set(tracing.PER_LAYER)
@@ -73,7 +106,7 @@ def test_every_layer_metric_reported(traced_run):
 
 
 def test_final_evaluation_once_per_trial(traced_run):
-    w, spans, measured, csv_bytes = traced_run
+    w, spans, measured, csv_bytes, _ = traced_run
     metrics = tracing.layer_metrics(spans, measured, csv_bytes)
     assert metrics["coverage.evaluate.calls"] == (
         w.trials * len(w.sweep) * w.runs_per_point)
@@ -85,8 +118,17 @@ CONFIGS_PER_POINT = {"coverage-vs-ues": 1, "intercell": 2}
 
 
 def test_one_build_per_trial_and_config(traced_run):
-    w, spans, measured, csv_bytes = traced_run
+    # The experiments build their trials stacked, through `build_trials`:
+    # each trial's topology is drawn once and the trial is built once; the
+    # channel and the scheduler run once per block of trials that share a
+    # layout (`associate`, `allocate_rbs` and `plan_slots`: three calls).
+    w, spans, measured, csv_bytes, built = traced_run
     metrics = tracing.layer_metrics(spans, measured, csv_bytes)
     builds = w.trials * len(w.sweep) * CONFIGS_PER_POINT[w.experiment]
-    for layer in ("coverage.build", "topology", "channel"):
-        assert metrics[f"{layer}.calls"] == builds, layer
+    assert metrics["topology.calls"] == builds
+    assert sorted(t for _, yielded in built for t, _ in yielded) == sorted(
+        t for _ in range(len(w.sweep) * CONFIGS_PER_POINT[w.experiment])
+        for t in range(w.trials))
+    blocks = _blocks(built)
+    assert metrics["channel.calls"] == blocks
+    assert metrics["scheduler.calls"] == 3 * blocks

@@ -1,12 +1,16 @@
 """Coverage evaluation tests: micro-oracles, monotonicity, determinism."""
 
+import functools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import iabsim.topology as topology
 from iabsim.config import ScenarioConfig
-from iabsim.coverage import build_instance, monte_carlo_coverage, run_trial
+from iabsim.coverage import (build_instance, build_trials,
+                             monte_carlo_coverage, run_trial)
 from iabsim.policies import make_policy, max_power_policy
 from iabsim.topology import DONOR, IAB
 from oracle import (MissingLinkError, covered_share, evaluate_trial,
@@ -67,7 +71,7 @@ class TestEvaluateTrial:
         cfg = deterministic_config(num_ues=0)
         inst = build_instance(cfg, seed=1, trial_index=0)
         assert inst.evaluate(inst.upper).shape == (0,)
-        [outcome] = run_trial(cfg, [max_power_policy], seed=1, trial_index=0)
+        [outcome] = run_trial(inst, [max_power_policy], seed=1, trial_index=0)
         assert outcome.coverage == 1.0
         assert outcome.status.shape == (0,)
 
@@ -103,7 +107,8 @@ class TestEvaluateTrial:
     def test_coverage_equals_mean_indicator(self):
         cfg = ScenarioConfig(num_ues=25, num_cells=2, rb_max=16,
                              min_rate_bps=1e6, trials=1)
-        [outcome] = run_trial(cfg, [max_power_policy], seed=8, trial_index=0)
+        [outcome] = run_trial(build_instance(cfg, seed=8, trial_index=0),
+                              [max_power_policy], seed=8, trial_index=0)
         indicator = [1 if code == 0 else 0 for code in outcome.status]
         assert outcome.coverage == pytest.approx(np.mean(indicator))
         assert 0.0 <= outcome.coverage <= 1.0
@@ -229,13 +234,33 @@ class TestMonteCarlo:
                              min_rate_bps=1e6, trials=1)
         [in_order] = monte_carlo_coverage(cfg, ["random"], trials=10, seed=2)
         policy = make_policy("random", cfg)
-        reversed_order = [run_trial(cfg, [policy], 2, t)[0]
+        reversed_order = [run_trial(build_instance(cfg, 2, t), [policy], 2, t)[0]
                           for t in reversed(range(10))][::-1]
         assert np.array_equal(in_order.per_trial,
                               [o.coverage for o in reversed_order])
         for a, b in zip(in_order.outcomes, reversed_order):
             assert a.gene_ids == b.gene_ids
             assert np.array_equal(a.powers, b.powers)
+
+    def test_stacked_order_does_not_depend_on_the_layout_cache(self):
+        # Poisson counts of about one UE per cell repeat layouts across the
+        # trials. With a layout cache of one entry a repeated layout is
+        # evicted and rebuilt in between; `build_trials` must group and
+        # order the trials by the layouts' values all the same, so that two
+        # runs over the same draws yield the trials in the same order.
+        cfg = ScenarioConfig(num_ues=1, num_cells=2, rb_max=16,
+                             min_rate_bps=1e6, trials=1,
+                             ue_count_poisson=True)
+        cached = [t for t, _ in build_trials(cfg, 4, range(16))]
+        one_entry = functools.lru_cache(maxsize=1)(
+            topology._layout.__wrapped__)
+        with mock.patch.object(topology, "_layout", one_entry):
+            evicted = [t for t, _ in build_trials(cfg, 4, range(16))]
+        assert one_entry.cache_info().misses > len(set(
+            build_instance(cfg, 4, t).topology.layout.key
+            for t in range(16)))
+        assert evicted == cached
+        assert cached != sorted(cached)  # the trials are grouped
 
     def test_micro_oracle_exact(self):
         [res] = monte_carlo_coverage(MICRO, ["max"], trials=4, seed=9)

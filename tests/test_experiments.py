@@ -1,17 +1,23 @@
 """Experiment harness tests: CSV outputs, determinism, summaries, CLI."""
 
+import functools
 import hashlib
 import os
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import iabsim.experiments as experiments
+import iabsim.topology as topology
 from iabsim.cli import main
 from iabsim.config import ScenarioConfig, config_lines, load_config
+from iabsim.coverage import build_instance, to_mw
 from iabsim.experiments import (ExperimentSpec, crossing_point, read_csv,
                                 run_experiment, summarize)
+from iabsim.policies import make_policy
+from iabsim.rng import derive_rng
 
 
 def tiny_config(**kw):
@@ -70,6 +76,46 @@ class TestCoverageVsSinr:
         sep = data[:, columns.index("sep_coverage")]
         sim = data[:, columns.index("sim_coverage")]
         assert np.all(sep >= sim)  # same powers, superset interferers
+
+    def test_matches_one_build_per_trial_when_layouts_are_evicted(
+            self, tmp_path):
+        # Poisson counts draw many layouts; with a layout cache of two, the
+        # separated-slot and the simultaneous-slot runs evict and rebuild
+        # them as they go. The two runs must still pair each trial with
+        # itself, as one build per trial and slot mode does.
+        cfg = tiny_config(num_ues=2, num_cells=2, ue_count_poisson=True,
+                          power_policy="max", trials=12,
+                          sweep_backoff_db=(0.0, 10.0, 20.0))
+        rows = {}
+        small_cache = functools.lru_cache(maxsize=2)(
+            topology._layout.__wrapped__)
+        with mock.patch.object(topology, "_layout", small_cache), \
+                mock.patch.object(experiments, "_write_csv",
+                                  lambda *args: rows.setdefault("rows",
+                                                                args[4])):
+            run(tmp_path, "coverage-vs-sinr", cfg)
+        assert small_cache.cache_info().misses > 12
+
+        backoffs = np.asarray(cfg.sweep_backoff_db)
+        policy = make_policy("max", cfg)
+        per_trial = []
+        for t in range(cfg.trials):
+            sep = build_instance(cfg.replace(slot_mode="separated"),
+                                 cfg.seed, t)
+            sim = build_instance(cfg.replace(slot_mode="simultaneous"),
+                                 cfg.seed, t)
+            mw = to_mw(policy(sep, derive_rng(cfg.seed, t, "policy"))
+                       - backoffs[:, None])
+            per_trial.append((sep.batch_coverage(mw), sim.batch_coverage(mw),
+                              sep.access_sinr_db(mw), sim.access_sinr_db(mw)))
+        cov_sep, cov_sim = (np.mean([r[k] for r in per_trial], axis=0)
+                            for k in (0, 1))
+        sinr_sep, sinr_sim = (
+            np.median(np.concatenate([r[k] for r in per_trial], axis=1),
+                      axis=1) for k in (2, 3))
+        expected = [[backoffs[i], sinr_sep[i], cov_sep[i], sinr_sim[i],
+                     cov_sim[i]] for i in range(len(backoffs))]
+        assert np.array_equal(np.array(rows["rows"]), np.array(expected))
 
 
 class TestIntercell:
@@ -218,6 +264,23 @@ class TestSummarize:
                 [30, 0.60, 0.30, 0.25]]
         report = summarize(self._fixture(tmp_path, rows))
         assert "positive gain at 70%" in report
+
+    def test_sinr_curve_above_target_says_so(self, tmp_path):
+        # Coverage at or above 70% at every back-off: no crossing to report,
+        # and the report says why rather than that the curve never crosses.
+        path = str(tmp_path / "sinr.csv")
+        experiments._write_csv(path, tiny_config(), "coverage-vs-sinr",
+                               ["backoff_db", "sep_median_sinr_db",
+                                "sep_coverage", "sim_median_sinr_db",
+                                "sim_coverage"],
+                               [[0.0, 20.0, 1.0, 18.0, 0.7],
+                                [6.0, 14.0, 1.0, 12.0, 0.7],
+                                [12.0, 8.0, 1.0, 6.0, 0.4]])
+        report = summarize(path).splitlines()
+        assert ("  sep: coverage stays at or above 70% at every swept back-off"
+                in report)
+        assert report[2].startswith("  sim: median access SINR at 70% coverage")
+        assert not any("never crosses" in line for line in report)
 
     def test_identical_cell_columns_zero_delta(self, tmp_path):
         path = str(tmp_path / "ic.csv")

@@ -3,10 +3,12 @@ kernel (also on interleaved node ids) and its thresholds, and the
 block-drawn GA against their per-node, scalar, per-link, per-victim and
 per-generation references; the shared-build trial runner against one
 build per policy; the dBm-to-mW conversion against its formula; and the
-batched back-off sweep against one call per back-off; and the per-layout
+batched back-off sweep against one call per back-off; the per-layout
 cache (a warm build against a cold one, a layout built again after
 another, read-only cached arrays, and one trial's writes against the next
-trial's build), over random small scenarios."""
+trial's build); and the stacked build of many trials against one build per
+trial, and one trial's writes against the next trial of its block, over
+random small scenarios."""
 
 import math
 from unittest import mock
@@ -16,12 +18,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import iabsim.coverage as coverage
 import iabsim.ga as ga
 
 from iabsim.channel import (pathloss_uma, sample_fading, sample_realization,
                             sample_shadowing)
 from iabsim.config import ScenarioConfig
-from iabsim.coverage import (ScenarioInstance, _link_constants, build_instance,
+from iabsim.coverage import (ScenarioInstance, _block_overlap,
+                             _link_constants, build_instance, build_trials,
                              monte_carlo_coverage, to_mw)
 from iabsim.policies import make_policy
 from iabsim.rng import derive_rng
@@ -538,3 +542,79 @@ def test_trial_writes_do_not_reach_the_next_trial(seed, trial, num_ues,
     for array in writable:
         array[...] = 7 if array.dtype != bool else ~array
     assert _snapshot(build_instance(cfg, seed, trial + 1)) == expected
+
+
+STACK_CASES = dict(
+    seed=seeds, trials=st.integers(1, 5), num_ues=st.integers(0, 5),
+    num_cells=st.sampled_from((1, 2)), num_iab=st.integers(0, 3),
+    poisson=st.booleans(), slot_mode=st.sampled_from(("separated",
+                                                      "simultaneous")),
+    rb_max=st.sampled_from((2, 3, 16)), rbs_per_ue=st.integers(1, 2))
+
+
+@FAST
+@given(**STACK_CASES)
+@example(seed=1, trials=5, num_ues=1, num_cells=2, num_iab=2, poisson=True,
+         slot_mode="separated", rb_max=3, rbs_per_ue=2)  # layouts repeat
+@example(seed=2, trials=3, num_ues=0, num_cells=2, num_iab=2, poisson=True,
+         slot_mode="simultaneous", rb_max=16, rbs_per_ue=1)  # counts of 0
+@example(seed=3, trials=4, num_ues=5, num_cells=2, num_iab=3, poisson=False,
+         slot_mode="simultaneous", rb_max=3, rbs_per_ue=2)  # RB wrap-around
+@example(seed=4, trials=4, num_ues=4, num_cells=1, num_iab=0, poisson=False,
+         slot_mode="separated", rb_max=2, rbs_per_ue=2)  # no relays, wraps
+def test_stacked_build_matches_one_trial_builds(seed, trials, num_ues,
+                                                num_cells, num_iab, poisson,
+                                                slot_mode, rb_max, rbs_per_ue):
+    cfg = _layout_config(num_ues, num_cells, num_iab, poisson, slot_mode,
+                         rb_max, rbs_per_ue)
+    one = {}
+    for t in range(trials):
+        inst = build_instance(cfg, seed, t)
+        one[t] = (_snapshot(inst), inst.evaluate(inst.upper).tolist())
+    # Blocks of one trial, of two (of the first trial's layout; others may
+    # differ with Poisson counts) and of every trial of a layout.
+    layout = build_instance(cfg, seed, 0).topology.layout
+    per_trial = len(layout.tx) * max(len(layout.rx), cfg.rb_max)
+    for budget in (1, 2 * per_trial, 10**9):
+        with mock.patch.object(coverage, "_BLOCK_DOUBLES", budget):
+            built = [(t, _snapshot(inst), inst.evaluate(inst.upper).tolist())
+                     for t, inst in build_trials(cfg, seed, range(trials))]
+        assert sorted(t for t, _, _ in built) == list(range(trials))
+        for t, snapshot, status in built:
+            assert (snapshot, status) == one[t]
+
+
+@FAST
+@given(**STACK_CASES)
+def test_stacked_trials_do_not_share_writes(seed, trials, num_ues, num_cells,
+                                            num_iab, poisson, slot_mode,
+                                            rb_max, rbs_per_ue):
+    # Fixed counts: every trial is in one block.
+    cfg = _layout_config(num_ues, num_cells, num_iab, False, slot_mode,
+                         rb_max, rbs_per_ue)
+    n = trials + 1
+    expected = _snapshot(build_instance(cfg, seed, n - 1))
+    block = dict(build_trials(cfg, seed, range(n)))
+    last = block.pop(n - 1)
+    for inst in block.values():
+        assert inst.gamma_min.base is last.gamma_min.base  # one block
+        writable = [value for owner in (inst, inst.realization, inst.topology)
+                    for value in vars(owner).values()
+                    if isinstance(value, np.ndarray) and value.flags.writeable]
+        assert any(a is inst.gamma_min for a in writable)
+        for array in writable:
+            array[...] = 7 if array.dtype != bool else ~array
+    assert _snapshot(last) == expected
+
+
+@FAST
+@given(grid=st.integers(1, 40), data=st.data())
+def test_block_overlap_counts_the_rbs_two_blocks_share(grid, data):
+    # A UE's block is ``per_ue`` RBs from its first, wrapping at the grid.
+    per_ue = data.draw(st.integers(1, grid))
+    table = _block_overlap(per_ue, grid)
+    blocks = [{(first + k) % grid for k in range(per_ue)}
+              for first in range(grid)]
+    assert table[:grid, :grid].tolist() == [[len(a & b) for b in blocks]
+                                            for a in blocks]
+    assert np.isnan(table[grid]).all() and np.isnan(table[:, grid]).all()
