@@ -11,30 +11,26 @@ from the ``ScenarioConfig``, whose ``validate`` checks them at config load.
 The noise floor is ``noise_mw``: thermal noise over the link bandwidth plus
 the receiver noise figure.
 
-A trial's channel is one ``ChannelRealization`` of ``(n_tx, n_rx)`` arrays.
+The channels of a stack of T trials that share a layout are one
+``ChannelRealization`` of ``(T, n_tx, n_rx)`` arrays, sampled in one pass
+(`iabsim.coverage.build_trials`; a trial built alone is a stack of one).
 Rows are the transmitters (UEs and IAB nodes) and columns the receivers
 (donors and IAB nodes), each in ascending node id: the topology's ``tx``
-and ``rx`` rows, whose coordinates are gathered from its per-node arrays.
-The self pair of an IAB node (its MT row against its own DU column) is not
-a link: it holds NaN. The link mask and the squared height differences
-are built once per layout (`iabsim.topology.Layout.derived`).
-``links`` lists the other pairs as ``(tx_id, rx_id)`` rows in row-major
-order. Shadowing is one ``normal(0, sigma, n)`` draw and fading one
-``exponential(1, n)`` draw, each filling the ``n`` links in that order. A
-vector draw yields the same numbers as ``n`` scalar draws, so the streams
-match the link-by-link order. The budget terms are combined once into
-``unit_rx_dbm``, the received power of a 0 dBm transmission, in the order
-the budget above is written. SINR and coverage are computed from these
-arrays by ``iabsim.coverage.ScenarioInstance``.
-
-The trial axis. `sample_realization` also samples a stack of T trials
-that share a layout in one pass (`iabsim.coverage.build_trials`): node
-coordinates of shape ``(T, n)``, one rain rate and one generator per draw
-and trial. Each trial draws from its own generators, exactly as alone;
-the arithmetic runs once over ``(T, n_tx, n_rx)`` arrays, elementwise, so
-each trial's numbers are those of its one-trial call bit for bit.
-`ChannelRealization.trial` takes one trial's arrays out of the stack, as
-views.
+and ``rx`` rows, whose ``(T, n)`` coordinates are gathered from its
+per-node arrays. The self pair of an IAB node (its MT row against its own
+DU column) is not a link: it holds NaN. The link mask and the squared
+height differences are built once per layout
+(`iabsim.topology.Layout.derived`). ``links`` lists the other pairs as
+``(tx_id, rx_id)`` rows in row-major order. Each trial has one rain rate
+and its own generators: its shadowing is one ``normal(0, sigma, n)`` draw
+and its fading one ``exponential(1, n)`` draw, each filling its ``n``
+links in that order. A vector draw yields the same numbers as ``n``
+scalar draws, so the streams match the link-by-link order. The budget
+terms are combined once into ``unit_rx_dbm``, the received power of a
+0 dBm transmission, in the order the budget above is written. The
+arithmetic is elementwise, so a trial's numbers are the same bit for bit
+whichever trials share its stack. SINR and coverage are computed from
+these arrays by ``iabsim.coverage.ScenarioInstance``.
 """
 
 from __future__ import annotations
@@ -169,14 +165,13 @@ def noise_mw(bandwidth_hz: float, noise_figure_db: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class ChannelRealization:
-    """Per-trial sampled losses, one ``(n_tx, n_rx)`` array per budget term.
+    """Sampled losses of a stack of trials, one ``(T, n_tx, n_rx)`` array
+    per budget term, and one rain rate per trial.
 
     ``tx_ids`` and ``rx_ids`` label the rows and columns in ascending id;
     self pairs hold NaN. ``unit_rx_dbm`` is derived: the received power in
     dBm of a 0 dBm transmission over each link. No trial reads ``links``,
-    so it is computed on its first read. A stack of trials (see the module
-    docstring) has a leading trial axis on every array and one rain rate
-    per trial.
+    so it is computed on its first read.
     """
     tx_ids: np.ndarray
     rx_ids: np.ndarray
@@ -185,7 +180,7 @@ class ChannelRealization:
     shadowing_db: np.ndarray
     fading_db: np.ndarray
     rain_db: np.ndarray
-    rain_rate_mm_h: float | tuple[float, ...]
+    rain_rate_mm_h: tuple[float, ...]
     rx_gain_db: float
     unit_rx_dbm: np.ndarray = field(init=False, repr=False)
 
@@ -193,14 +188,6 @@ class ChannelRealization:
         object.__setattr__(self, "unit_rx_dbm",
                            0.0 + self.rx_gain_db - self.pathloss_db
                            - self.shadowing_db - self.rain_db - self.fading_db)
-
-    def trial(self, i: int) -> "ChannelRealization":
-        """Trial ``i`` of a stack, its budget terms views into the
-        stack's."""
-        return ChannelRealization(
-            self.tx_ids, self.rx_ids, self.d3d_m[i], self.pathloss_db[i],
-            self.shadowing_db[i], self.fading_db[i], self.rain_db[i],
-            self.rain_rate_mm_h[i], self.rx_gain_db)
 
     @cached_property
     def links(self) -> np.ndarray:
@@ -231,27 +218,27 @@ def _link_layout(layout: Layout) -> tuple:
 
 
 def sample_realization(topology: Topology, config: ScenarioConfig,
-                       rain_rate_mm_h: float | Sequence[float],
-                       shadow_rng: Generator | Sequence[Generator],
-                       fading_rng: Optional[Generator | Sequence[Generator]]
+                       rain_rate_mm_h: Sequence[float],
+                       shadow_rng: Sequence[Generator],
+                       fading_rng: Optional[Sequence[Generator]]
                        ) -> ChannelRealization:
-    """Sample every uplink-relevant link of a topology, in a fixed order.
+    """Sample every uplink-relevant link of a stack of T trials, in a fixed
+    order.
 
-    Links run from every transmitter (UE or IAB node) to every receiver
-    (donor or IAB node), both cells included, so interference toward any
-    victim receiver is always available. ``fading_rng=None`` disables fading.
-    A topology whose x and y have shape ``(T, n)`` is a stack of T trials:
-    the rain rates and the generators are then sequences, one per trial,
-    and the realization carries the trial axis (see the module docstring).
+    The topology's x and y have shape ``(T, n)``; the rain rates and the
+    generators hold one entry per trial (see the module docstring). Links
+    run from every transmitter (UE or IAB node) to every receiver (donor or
+    IAB node), both cells included, so interference toward any victim
+    receiver is always available. ``fading_rng=None`` disables fading.
     """
     layout = topology.layout
     tx_ids, rx_ids = layout.tx, layout.rx
     linked, n_links, dh2, h_rx, h_tx, no_fading = layout.derived(_link_layout)
     x, y = topology.x, topology.y
-    d2 = np.square(x.take(tx_ids, axis=-1)[..., :, None]
-                   - x.take(rx_ids, axis=-1)[..., None, :])
-    d2 += np.square(y.take(tx_ids, axis=-1)[..., :, None]
-                    - y.take(rx_ids, axis=-1)[..., None, :])
+    d2 = np.square(x.take(tx_ids, axis=1)[:, :, None]
+                   - x.take(rx_ids, axis=1)[:, None, :])
+    d2 += np.square(y.take(tx_ids, axis=1)[:, :, None]
+                    - y.take(rx_ids, axis=1)[:, None, :])
     d2 += dh2
     d3d = np.sqrt(d2, out=d2)
     pathloss = pathloss_uma(d3d, h_rx, h_tx, config)
@@ -259,22 +246,15 @@ def sample_realization(topology: Topology, config: ScenarioConfig,
     fading = np.empty(d3d.shape)
     fading[...] = no_fading
     rain = d3d / 1e3
-    stacked = x.ndim > 1
-    if not stacked:
-        rain_rate_mm_h, shadow_rng = (rain_rate_mm_h,), (shadow_rng,)
-        fading_rng = None if fading_rng is None else (fading_rng,)
     for i, rate in enumerate(rain_rate_mm_h):
-        trial = (i,) if stacked else ()
-        shadowing[trial][linked] = sample_shadowing(shadow_rng[i], config,
-                                                    n_links)
+        shadowing[i][linked] = sample_shadowing(shadow_rng[i], config, n_links)
         if fading_rng is not None:
-            fading[trial][linked] = sample_fading(fading_rng[i], n_links)
+            fading[i][linked] = sample_fading(fading_rng[i], n_links)
         # k * R^gamma over 1 km, times each path in km.
-        rain[trial] *= rain_attenuation(rate, 1.0, config)
-    return ChannelRealization(
-        tx_ids, rx_ids, d3d, pathloss, shadowing, fading, rain,
-        tuple(rain_rate_mm_h) if stacked else rain_rate_mm_h[0],
-        config.rx_gain_db)
+        rain[i] *= rain_attenuation(rate, 1.0, config)
+    return ChannelRealization(tx_ids, rx_ids, d3d, pathloss, shadowing,
+                              fading, rain, tuple(rain_rate_mm_h),
+                              config.rx_gain_db)
 
 
 def min_sinr(rate_bps: float, bw_hz: float) -> float:

@@ -33,18 +33,17 @@ minimum SINR and noise, and the operand's entries that may be nonzero:
 `_gene_constants`) is read, read-only, from the topology's
 `iabsim.topology.Layout`; what a trial writes into is its own.
 
-The trial axis. `build_trials` builds the trials of a sweep point
-stacked: each trial draws its topology, rain, shadowing and fading from
-its own streams, exactly as alone, and the trials that drew the same
-layout then go through the channel, the scheduler and the instance
-arithmetic as one block, one pass over ``(T, J, R)`` arrays (T trials,
-J genes, R receivers); a block of one trial makes the same calls on that
-trial's own arrays. Every stacked operation is elementwise, a gather, or
-a product of 0/1 RB rows, exact in float32, so each trial's arrays equal
-those of its one-trial build (`build_instance`) bit for bit; no product
-that decides a threshold is stacked. A block's stacked arrays hold at
-most `_BLOCK_DOUBLES` entries: a trial counts J * max(R, rb_max), its
-channel and RB-occupancy arrays.
+The trial axis. Every trial is built in a block of T trials that drew
+the same layout, T = 1 included (`build_trials`; `build_instance` builds
+a block of one). Each trial draws its topology, rain, shadowing and
+fading from its own streams; the block then goes through the channel,
+the scheduler and the instance arithmetic as one pass over ``(T, J, R)``
+arrays (J genes, R receivers). Every stacked operation is elementwise, a
+gather, or a product of 0/1 RB rows, exact in float32, so a trial's
+arrays are the same bit for bit whichever trials share its block; no
+product that decides a threshold is stacked. A block's stacked arrays
+hold at most `_BLOCK_DOUBLES` entries: a trial counts J * max(R,
+rb_max), its channel and RB-occupancy arrays.
 
 The ``(J, V)`` interference operand is scattered, not multiplied out. The
 entries that may be nonzero are fixed by the layout: the pairs of
@@ -63,13 +62,12 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache
 from typing import Callable, Hashable, Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
-from .channel import (ChannelRealization, min_sinr, noise_mw,
-                      sample_realization)
+from .channel import min_sinr, noise_mw, sample_realization
 from .config import ScenarioConfig
 from .rng import derive_rng
 from .scheduler import _ue_blocks, allocate_rbs, associate, plan_slots
@@ -97,38 +95,13 @@ class ScenarioInstance:
     donor-served (``x & x == x``). A UE passes when
     ``link_pass[ue] & link_pass[parent_row]``, one gather for the batch.
 
-    Built from one trial's parts, or by `build_trials` as trial ``i`` of a
-    block, whose arrays it then holds as views.
+    Trial ``i`` of a block of trials of one layout (`build_trials`): it
+    holds the layout's constants, views of the block's per-trial arrays,
+    and its own interference operand.
     """
 
     def __init__(self, config: ScenarioConfig, topology: Topology,
-                 assoc: np.ndarray, alloc: np.ndarray, slots: np.ndarray,
-                 realization: ChannelRealization):
-        block = _trial_arrays(config, topology.layout, assoc[None],
-                              alloc[None], slots,
-                              realization.unit_rx_dbm[None])
-        self._take(config, topology, block, 0)
-        self.realization = realization
-
-    @classmethod
-    def _of_block(cls, config: ScenarioConfig, topology: Topology,
-                  realizations: ChannelRealization, block: _Block,
-                  i: int) -> "ScenarioInstance":
-        self = cls.__new__(cls)
-        self._take(config, topology, block, i)
-        # The trial's channel, taken out of the block's on its first read.
-        self._realization = partial(realizations.trial, i)
-        return self
-
-    @cached_property
-    def realization(self) -> ChannelRealization:
-        """The trial's channel: views of its block's stacked arrays."""
-        return self._realization()
-
-    def _take(self, config: ScenarioConfig, topology: Topology,
-              block: _Block, i: int) -> None:
-        """Trial ``i`` of a block: the layout's constants, views of the
-        block's per-trial arrays, and the trial's interference operand."""
+                 block: _Block, i: int):
         c = block.constants
         self.config = config
         self.topology = topology
@@ -229,48 +202,34 @@ def build_trials(config: ScenarioConfig, seed: int, trials: Iterable[int]
 def _build_block(config: ScenarioConfig, seed: int, layout: Layout,
                  members: list[tuple[int, Topology]]
                  ) -> Iterator[tuple[int, ScenarioInstance]]:
-    """The trials of one layout in one pass: channel, association,
-    allocation, slots, then the instance arrays. A block of one trial runs
-    on that trial's own topology (the one-trial calls of the same code); a
-    larger block on stacks of the trials' coordinates."""
+    """The trials of one layout in one pass, on a stack of their
+    coordinates: channel, association, allocation, slots, then the
+    instance arrays."""
     lo, hi = config.rain_range_mm_h
     rain = [float(derive_rng(seed, t, "rain").uniform(lo, hi)) if hi > lo
             else float(lo) for t, _ in members]
     shadow = [derive_rng(seed, t, "shadowing") for t, _ in members]
     fading = ([derive_rng(seed, t, "fading") for t, _ in members]
               if config.fading_enabled else None)
-    if len(members) == 1:
-        [(t, stack)] = members
-        rain, shadow, fading = rain[0], shadow[0], fading and fading[0]
-    else:
-        stack = Topology(layout.role, layout.cell,
-                         np.array([topology.x for _, topology in members]),
-                         np.array([topology.y for _, topology in members]),
-                         layout.height, layout)
-    realization = sample_realization(stack, config, rain, shadow_rng=shadow,
-                                     fading_rng=fading)
+    stack = Topology(layout.role, layout.cell,
+                     np.array([topology.x for _, topology in members]),
+                     np.array([topology.y for _, topology in members]),
+                     layout.height, layout)
+    realization = sample_realization(stack, config, rain, shadow, fading)
     assoc = associate(stack, realization.long_term_loss_db)
     alloc = allocate_rbs(assoc, stack, config)
     slots = plan_slots(stack, config.slot_mode)
-    if len(members) == 1:
-        yield t, ScenarioInstance(config, stack, assoc, alloc, slots,
-                                  realization)
-        return
     block = _trial_arrays(config, layout, assoc, alloc, slots,
                           realization.unit_rx_dbm)
     for i, (t, topology) in enumerate(members):
-        yield t, ScenarioInstance._of_block(config, topology, realization,
-                                            block, i)
+        yield t, ScenarioInstance(config, topology, block, i)
 
 
 def build_instance(config: ScenarioConfig, seed: int,
                    trial_index: int) -> ScenarioInstance:
     """Assemble one trial: geometry, channel, association, allocation,
-    slots; the block of one trial that `build_trials` builds for it."""
-    topology = build_topology(config,
-                              derive_rng(seed, trial_index, "ue-positions"))
-    [(_, instance)] = _build_block(config, seed, topology.layout,
-                                   [(trial_index, topology)])
+    slots; `build_trials` of that trial alone, a block of one."""
+    [(_, instance)] = build_trials(config, seed, (trial_index,))
     return instance
 
 
@@ -309,15 +268,13 @@ def _trial_arrays(config: ScenarioConfig, layout: Layout, assoc: np.ndarray,
     parent_row = np.where(relay_served, layout.tx.searchsorted(servers),
                           c.ue_rows)
     # Flat indices into the block's (T, J) and (T, J, R) arrays: ``rows``
-    # of each UE's parent row and of each relay, ``at`` of (t, 0, each
-    # gene's receiver column).
-    rows, relay_rows = parent_row, iab_rows
+    # of each UE's parent row and of each relay, ``at`` of each gene's
+    # receiver column. Trial t's rows start at t * J.
+    gene_at = np.arange(n_trials)[:, None] * n_genes
+    rows = parent_row + gene_at
+    relay_rows = (iab_rows + gene_at).ravel()
     at = layout.rx.searchsorted(assoc)
-    if n_trials > 1:
-        trial_at = np.arange(n_trials)[:, None]
-        rows = parent_row + trial_at * n_genes
-        relay_rows = (iab_rows + trial_at * n_genes).ravel()
-        at += trial_at * unit_rx_dbm[0].size
+    at += gene_at * len(layout.rx)
     # A relay's children are the UEs whose parent row is its own.
     children = np.bincount(rows.ravel(), minlength=n_trials * n_genes).take(
         relay_rows).reshape(n_trials, -1)

@@ -77,7 +77,7 @@ def _write_csv(path: str, config: ScenarioConfig, experiment: str,
 # Individual experiments
 # ---------------------------------------------------------------------------
 
-def run_ga_trace(config: ScenarioConfig, out: str) -> list[str]:
+def run_ga_trace(config: ScenarioConfig, spec: ExperimentSpec) -> list[str]:
     """Optimizer convergence: one best-coverage column per seed."""
     params = GaParams.from_config(config)
     seeds = [config.seed + k for k in range(config.trace_seeds)]
@@ -91,15 +91,16 @@ def run_ga_trace(config: ScenarioConfig, out: str) -> list[str]:
     columns = ["iteration"] + [f"best_coverage_s{s}" for s in seeds]
     rows = [[it + 1] + [t[it] for t in traces]
             for it in range(params.n_iterations)]
-    _write_csv(out, config, "ga-trace", columns, rows)
-    return [out]
+    _write_csv(spec.out, config, "ga-trace", columns, rows)
+    return [spec.out]
 
 
-def run_coverage_vs_ues(config: ScenarioConfig, out: str,
-                        rbs_values: tuple[int, ...] = (2, 4)) -> list[str]:
-    """Coverage vs UE count for the optimized and baseline power policies."""
-    written = []
-    for rbs in rbs_values:
+def run_coverage_vs_ues(config: ScenarioConfig,
+                        spec: ExperimentSpec) -> list[str]:
+    """Coverage vs UE count for the optimized and baseline power policies,
+    one file per RBs-per-UE value (`_outputs`)."""
+    paths = _outputs(spec)
+    for rbs, path in zip(spec.rbs_values, paths):
         cfg_rb = config.replace(rbs_per_ue=rbs)
         rows = []
         for num_ues in config.sweep_ues:
@@ -107,15 +108,14 @@ def run_coverage_vs_ues(config: ScenarioConfig, out: str,
             results = monte_carlo_coverage(cfg, ("ga", "max", "random"),
                                            cfg.trials, cfg.seed)
             rows.append([num_ues] + [r.mean_coverage for r in results])
-        path = _suffixed(out, f"_rb{rbs}") if len(rbs_values) > 1 else out
         _write_csv(path, cfg_rb, "coverage-vs-ues",
                    ["num_ues", "coverage_optimized", "coverage_max_power",
                     "coverage_random_power"], rows)
-        written.append(path)
-    return written
+    return paths
 
 
-def run_coverage_vs_sinr(config: ScenarioConfig, out: str) -> list[str]:
+def run_coverage_vs_sinr(config: ScenarioConfig,
+                         spec: ExperimentSpec) -> list[str]:
     """Coverage vs median access SINR, separated vs simultaneous slots.
 
     Powers are selected per trial under separated operation (via the
@@ -148,13 +148,13 @@ def run_coverage_vs_sinr(config: ScenarioConfig, out: str) -> list[str]:
     sinr_sim = np.median(np.concatenate([r[3] for r in results], axis=1), axis=1)
     rows = [[backoffs[i], sinr_sep[i], cov_sep[i], sinr_sim[i], cov_sim[i]]
             for i in range(len(backoffs))]
-    _write_csv(out, config, "coverage-vs-sinr",
+    _write_csv(spec.out, config, "coverage-vs-sinr",
                ["backoff_db", "sep_median_sinr_db", "sep_coverage",
                 "sim_median_sinr_db", "sim_coverage"], rows)
-    return [out]
+    return [spec.out]
 
 
-def run_intercell(config: ScenarioConfig, out: str) -> list[str]:
+def run_intercell(config: ScenarioConfig, spec: ExperimentSpec) -> list[str]:
     """One-cell vs two-cell coverage across the UE sweep."""
     rows = []
     for num_ues in config.sweep_ues:
@@ -165,12 +165,12 @@ def run_intercell(config: ScenarioConfig, out: str) -> list[str]:
                                          cfg.trials, cfg.seed)
             cov.append(res.mean_coverage)
         rows.append([num_ues, cov[0], cov[1]])
-    _write_csv(out, config, "intercell",
+    _write_csv(spec.out, config, "intercell",
                ["num_ues", "coverage_1cell", "coverage_2cell"], rows)
-    return [out]
+    return [spec.out]
 
 
-def run_power_cdf(config: ScenarioConfig, out: str) -> list[str]:
+def run_power_cdf(config: ScenarioConfig, spec: ExperimentSpec) -> list[str]:
     """Optimized per-node EIRPs across trials for several minimum rates."""
     rows = []
     for rate in config.powercdf_rates_bps:
@@ -184,15 +184,20 @@ def run_power_cdf(config: ScenarioConfig, out: str) -> list[str]:
                 rows.append([rate, outcome.trial_index, node_id,
                              ROLE_NAMES[role[node_id]],
                              ROLE_NAMES[role[rx]], eirp])
-    _write_csv(out, config, "power-cdf",
+    _write_csv(spec.out, config, "power-cdf",
                ["min_rate_bps", "trial", "node_id", "role", "server_role",
                 "eirp_dbm"], rows)
-    return [out]
+    return [spec.out]
 
 
-def _suffixed(path: str, suffix: str) -> str:
-    stem, ext = os.path.splitext(path)
-    return stem + suffix + (ext or ".csv")
+def _outputs(spec: ExperimentSpec) -> list[str]:
+    """The files a run of ``spec`` writes: ``out``, but coverage-vs-ues
+    with other than one RBs-per-UE value writes one file per value,
+    ``out`` with ``_rb<value>`` before its extension."""
+    if spec.name != "coverage-vs-ues" or len(spec.rbs_values) == 1:
+        return [spec.out]
+    stem, ext = os.path.splitext(spec.out)
+    return [f"{stem}_rb{rbs}{ext or '.csv'}" for rbs in spec.rbs_values]
 
 
 _RUNNERS = {
@@ -207,24 +212,13 @@ _RUNNERS = {
 def run_experiment(spec: ExperimentSpec, config: ScenarioConfig) -> list[str]:
     """Run one experiment, returning the written CSV paths.
 
-    On any failure every output (including partials) is removed before the
-    error propagates.
+    On any failure each file the run writes (`_outputs`), complete or
+    partial, is removed before the error propagates; no other file is.
     """
-    written: list[str] = []
     try:
-        if spec.name == "coverage-vs-ues":
-            written = run_coverage_vs_ues(config, spec.out,
-                                          rbs_values=spec.rbs_values)
-        else:
-            written = _RUNNERS[spec.name](config, spec.out)
-        return written
+        return _RUNNERS[spec.name](config, spec)
     except BaseException:
-        candidates = set(written)
-        if spec.name == "coverage-vs-ues":
-            candidates.update(_suffixed(spec.out, f"_rb{r}")
-                              for r in spec.rbs_values)
-        candidates.add(spec.out)
-        for path in candidates:
+        for path in _outputs(spec):
             for p in (path, path + ".tmp"):
                 if os.path.exists(p):
                     os.remove(p)
@@ -299,15 +293,22 @@ def crossing_point(x: np.ndarray, y: np.ndarray, target: float) -> Optional[floa
 def summarize(path: str) -> str:
     """Headline statistics for an experiment CSV, as a text report."""
     experiment, _, columns, data, raw = read_csv(path)
+
+    def column(name: str) -> int:
+        if name not in columns:
+            raise ConfigError(f"{path}: a {experiment} file needs a column "
+                              f"{name!r}")
+        return columns.index(name)
+
     lines = [f"summary of {os.path.basename(path)} ({experiment or 'unknown'})"]
     if not raw:
         lines.append("  no data rows")
     elif experiment == "coverage-vs-ues":
-        ues = data[:, columns.index("num_ues")]
+        ues = data[:, column("num_ues")]
         crossings: dict[str, Optional[float]] = {}
         for col in ("coverage_optimized", "coverage_max_power",
                     "coverage_random_power"):
-            cov = data[:, columns.index(col)]
+            cov = data[:, column(col)]
             cross = crossing_point(ues, cov, 0.7)
             crossings[col] = cross
             if cross is None:
@@ -330,8 +331,8 @@ def summarize(path: str) -> str:
     elif experiment == "coverage-vs-sinr":
         gaps = {}
         for mode in ("sep", "sim"):
-            cov = data[:, columns.index(f"{mode}_coverage")]
-            sinr = data[:, columns.index(f"{mode}_median_sinr_db")]
+            cov = data[:, column(f"{mode}_coverage")]
+            sinr = data[:, column(f"{mode}_median_sinr_db")]
             cross = crossing_point(np.arange(len(cov), dtype=float), cov, 0.7)
             if cross is None:
                 gaps[mode] = None
@@ -349,8 +350,8 @@ def summarize(path: str) -> str:
             lines.append(f"  SINR gap at 70% (separated - simultaneous): "
                          f"{gaps['sep'] - gaps['sim']:.2f} dB")
     elif experiment == "intercell":
-        c1 = data[:, columns.index("coverage_1cell")]
-        c2 = data[:, columns.index("coverage_2cell")]
+        c1 = data[:, column("coverage_1cell")]
+        c2 = data[:, column("coverage_2cell")]
         delta = float(np.max(np.abs(c1 - c2))) if len(c1) else 0.0
         lines.append(f"  max |coverage(1 cell) - coverage(2 cells)| = {delta:.4f}")
     elif experiment == "ga-trace":
@@ -361,10 +362,10 @@ def summarize(path: str) -> str:
             lines.append(f"  {col}: final best {final:.4f}, reached at "
                          f"iteration {first}")
     elif experiment == "power-cdf":
-        rates = sorted(set(data[:, columns.index("min_rate_bps")]))
-        role_col = columns.index("role")
-        eirp_col = columns.index("eirp_dbm")
-        rate_col = columns.index("min_rate_bps")
+        rates = sorted(set(data[:, column("min_rate_bps")]))
+        role_col = column("role")
+        eirp_col = column("eirp_dbm")
+        rate_col = column("min_rate_bps")
         for rate in rates:
             for role in ("ue", "iab"):
                 values = np.array([

@@ -9,9 +9,11 @@ frozensets keyed by node id; `iabsim.scheduler`'s gene-indexed arrays must
 agree with them. The per-link evaluator computes the link budget of one
 trial one link at a time on those references, with powers as a
 ``{node_id: EIRP in dBm}`` mapping; the batched kernel of
-`iabsim.coverage.ScenarioInstance` must agree with it. That kernel takes
-linear powers in mW; `linear_mw` converts with its own expression, so no
-reference shares the production conversion.
+`iabsim.coverage.ScenarioInstance` must agree with it. It takes the
+trial's channel from the test, which draws it again from the trial's own
+streams (`trial_channel`), so the agreement also holds the build to those
+streams. That kernel takes linear powers in mW; `linear_mw` converts with
+its own expression, so no reference shares the production conversion.
 """
 
 import math
@@ -20,10 +22,12 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from iabsim.channel import ChannelRealization, min_sinr, noise_mw
+from iabsim.channel import (ChannelRealization, min_sinr, noise_mw,
+                            sample_realization)
 from iabsim.config import ScenarioConfig
 from iabsim.coverage import ScenarioInstance
 from iabsim.ga import GaParams, GaResult
+from iabsim.rng import derive_rng
 from iabsim.topology import DONOR, IAB, UE, Topology, donor_position
 
 
@@ -329,18 +333,51 @@ def covered_share(status: np.ndarray) -> float:
     return np.count_nonzero(status == 0) / status.size if status.size else 1.0
 
 
-def reference_evaluate(instance: ScenarioInstance,
-                       eirp_dbm: np.ndarray) -> np.ndarray:
+def one_trial_channel(topology: Topology, config: ScenarioConfig,
+                      rain_rate_mm_h: float, shadow_rng: np.random.Generator,
+                      fading_rng: np.random.Generator | None
+                      ) -> ChannelRealization:
+    """`iabsim.channel.sample_realization` of one topology: a stack of one
+    trial, its arrays taken off the trial axis as ``(n_tx, n_rx)``."""
+    stack = Topology(topology.role, topology.cell, topology.x[None],
+                     topology.y[None], topology.height, topology.layout)
+    real = sample_realization(stack, config, (rain_rate_mm_h,), (shadow_rng,),
+                              None if fading_rng is None else (fading_rng,))
+    return ChannelRealization(
+        real.tx_ids, real.rx_ids,
+        *(getattr(real, name)[0] for name in ("d3d_m", "pathloss_db",
+                                              "shadowing_db", "fading_db",
+                                              "rain_db")),
+        real.rain_rate_mm_h[0], real.rx_gain_db)
+
+
+def trial_channel(config: ScenarioConfig, seed: int, trial: int,
+                  topology: Topology) -> ChannelRealization:
+    """The channel of trial ``trial`` of ``seed`` on its topology, drawn
+    again from the trial's streams: the rain rate, uniform over
+    ``rain_range_mm_h``, from `rain`; then `shadowing`, and `fading` when
+    fading is enabled."""
+    lo, hi = config.rain_range_mm_h
+    rain = (float(derive_rng(seed, trial, "rain").uniform(lo, hi)) if hi > lo
+            else float(lo))
+    fading = (derive_rng(seed, trial, "fading") if config.fading_enabled
+              else None)
+    return one_trial_channel(topology, config, rain,
+                             derive_rng(seed, trial, "shadowing"), fading)
+
+
+def reference_evaluate(instance: ScenarioInstance, eirp_dbm: np.ndarray,
+                       realization: ChannelRealization) -> np.ndarray:
     """`ScenarioInstance.evaluate` by the per-link path: the reference
-    schedule and `evaluate_trial` on the instance's topology and channel,
-    with the EIRPs keyed by `gene_ids`."""
-    nodes, real, config = (nodes_of(instance.topology), instance.realization,
-                           instance.config)
-    assoc = reference_associate(nodes, real)
+    schedule and `evaluate_trial` on the instance's topology and the given
+    channel of its trial, with the EIRPs keyed by `gene_ids`."""
+    nodes, config = nodes_of(instance.topology), instance.config
+    assoc = reference_associate(nodes, realization)
     alloc = reference_allocate_rbs(assoc, nodes, config)
     slot_plan = reference_plan_slots(nodes, config.slot_mode)
     powers = dict(zip(instance.gene_ids, np.asarray(eirp_dbm).tolist()))
-    return evaluate_trial(nodes, assoc, alloc, slot_plan, powers, real, config)
+    return evaluate_trial(nodes, assoc, alloc, slot_plan, powers, realization,
+                          config)
 
 
 def _select_full(pop: np.ndarray, fitness: np.ndarray) -> int:

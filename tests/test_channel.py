@@ -8,12 +8,13 @@ import pytest
 from iabsim.channel import (ChannelRealization, breakpoint_distance,
                             min_sinr, noise_mw, pathloss_uma, rain_attenuation,
                             rain_coefficients, sample_fading,
-                            sample_realization, sample_shadowing)
+                            sample_shadowing)
 from iabsim.config import ScenarioConfig
 from iabsim.rng import derive_rng
 from iabsim.topology import build_topology
 from oracle import (LinkSample, MissingLinkError, achievable_rate,
-                    interference_at, link, received_power, sinr)
+                    interference_at, link, one_trial_channel, received_power,
+                    sinr)
 
 CONFIG = ScenarioConfig()
 
@@ -313,9 +314,8 @@ class TestRealization:
     def test_covers_all_uplink_pairs_and_is_finite(self):
         cfg = ScenarioConfig(num_ues=6, num_cells=2, trials=1)
         topo = build_topology(cfg, derive_rng(2))
-        real = sample_realization(topo, CONFIG, 18.0,
-                                  shadow_rng=derive_rng(2, "s"),
-                                  fading_rng=derive_rng(2, "f"))
+        real = one_trial_channel(topo, CONFIG, 18.0, derive_rng(2, "s"),
+                                 derive_rng(2, "f"))
         for tx in topo.tx.tolist():
             for rx in topo.rx.tolist():
                 if tx == rx:
@@ -328,17 +328,13 @@ class TestRealization:
     def test_fading_disabled_is_zero(self):
         cfg = ScenarioConfig(num_ues=2, trials=1)
         topo = build_topology(cfg, derive_rng(2))
-        real = sample_realization(topo, CONFIG, 0.0,
-                                  shadow_rng=derive_rng(2, "s"),
-                                  fading_rng=None)
+        real = one_trial_channel(topo, CONFIG, 0.0, derive_rng(2, "s"), None)
         assert all(link(real, tx, rx).fading_db == 0.0
                    for tx, rx in real.links.tolist())
 
     def test_missing_pair_raises(self):
         cfg = ScenarioConfig(num_ues=2, trials=1)
         topo = build_topology(cfg, derive_rng(2))
-        real = sample_realization(topo, CONFIG, 0.0,
-                                  shadow_rng=derive_rng(2, "s"),
-                                  fading_rng=None)
+        real = one_trial_channel(topo, CONFIG, 0.0, derive_rng(2, "s"), None)
         with pytest.raises(MissingLinkError):
             link(real, 500, 501)

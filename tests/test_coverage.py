@@ -16,7 +16,7 @@ from iabsim.topology import DONOR, IAB
 from oracle import (MissingLinkError, covered_share, evaluate_trial,
                     linear_mw, nodes_of, reference_allocate_rbs,
                     reference_associate, reference_evaluate,
-                    reference_plan_slots)
+                    reference_plan_slots, trial_channel)
 
 
 def deterministic_config(**kw):
@@ -117,7 +117,7 @@ class TestEvaluateTrial:
         cfg = deterministic_config(num_ues=2)
         inst = build_instance(cfg, seed=1, trial_index=0)
         # Drop the first UE's row: its access link is then never sampled.
-        full = inst.realization
+        full = trial_channel(cfg, 1, 0, inst.topology)
         keep = full.tx_ids != inst.ue_ids[0]
         from iabsim.channel import ChannelRealization
         real = ChannelRealization(
@@ -166,11 +166,12 @@ class TestFastPathAgreement:
                              min_rate_bps=1e6, slot_mode="simultaneous",
                              trials=1)
         inst = build_instance(cfg, seed=6, trial_index=0)
+        real = trial_channel(cfg, 6, 0, inst.topology)
         rng = np.random.default_rng(0)
         for _ in range(20):
             vec = rng.uniform(inst.lower, inst.upper)
             fast = inst.batch_coverage(linear_mw(vec[None, :]))[0]
-            slow = covered_share(reference_evaluate(inst, vec))
+            slow = covered_share(reference_evaluate(inst, vec, real))
             assert fast == pytest.approx(slow, abs=1e-12)
 
     def test_backhaul_failure_beside_donor_served_ues(self):
@@ -182,6 +183,7 @@ class TestFastPathAgreement:
                           (0.0, -60.0)),
             min_rate_bps=1e6)
         inst = build_instance(cfg, seed=3, trial_index=0)
+        real = trial_channel(cfg, 3, 0, inst.topology)
         [iab_id] = np.flatnonzero(inst.topology.role == IAB).tolist()
         iab_gene = inst.gene_ids.index(iab_id)
         rng = np.random.default_rng(4)
@@ -190,7 +192,7 @@ class TestFastPathAgreement:
         batch = inst.batch_coverage(linear_mw(mat))
         statuses = []
         for row, fast in zip(mat, batch):
-            status = reference_evaluate(inst, row)
+            status = reference_evaluate(inst, row, real)
             assert fast == pytest.approx(covered_share(status), abs=1e-12)
             statuses.append(dict(zip(inst.ue_ids, status.tolist())))
         servers = ue_servers(inst)

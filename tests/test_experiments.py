@@ -242,6 +242,25 @@ class TestFailureCleanup:
             run_experiment(ExperimentSpec("coverage-vs-ues", out), cfg)
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("rbs_values, kept", [
+        ((2,), ["cov_rb2.csv", "cov_rb4.csv"]),
+        ((2, 4), ["cov.csv"])])
+    def test_files_the_run_does_not_write_are_kept(self, tmp_path, monkeypatch,
+                                                   rbs_values, kept):
+        # One RBs-per-UE value writes cov.csv, two write cov_rb2.csv and
+        # cov_rb4.csv; a failed run removes its own files and no other.
+        def fail(*args, **kwargs):
+            raise RuntimeError("injected failure")
+
+        monkeypatch.setattr(experiments, "monte_carlo_coverage", fail)
+        for name in ("cov.csv", "cov_rb2.csv", "cov_rb4.csv"):
+            (tmp_path / name).write_text("an earlier output\n")
+        spec = ExperimentSpec("coverage-vs-ues", str(tmp_path / "cov.csv"),
+                              rbs_values=rbs_values)
+        with pytest.raises(RuntimeError):
+            run_experiment(spec, tiny_config())
+        assert sorted(os.listdir(tmp_path)) == kept
+
 
 class TestSummarize:
     def _fixture(self, tmp_path, rows):
@@ -289,6 +308,16 @@ class TestSummarize:
                                [[5, 0.9, 0.9], [10, 0.8, 0.8]])
         report = summarize(path)
         assert "0.0000" in report
+
+    def test_missing_column_exits_1_naming_file_and_column(self, tmp_path,
+                                                            capsys):
+        path = str(tmp_path / "ic.csv")
+        experiments._write_csv(path, tiny_config(), "intercell",
+                               ["num_ues", "coverage_1cell"], [[5, 0.9]])
+        assert main(["summarize", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert path in err and "'coverage_2cell'" in err
 
     def test_malformed_csv_rejected(self, tmp_path):
         path = tmp_path / "junk.csv"

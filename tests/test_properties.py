@@ -21,8 +21,7 @@ from hypothesis import strategies as st
 import iabsim.coverage as coverage
 import iabsim.ga as ga
 
-from iabsim.channel import (pathloss_uma, sample_fading, sample_realization,
-                            sample_shadowing)
+from iabsim.channel import pathloss_uma, sample_fading, sample_shadowing
 from iabsim.config import ScenarioConfig
 from iabsim.coverage import (ScenarioInstance, _block_overlap,
                              _link_constants, build_instance, build_trials,
@@ -33,9 +32,10 @@ from iabsim.scheduler import allocate_rbs, associate, plan_slots
 from iabsim.topology import (DONOR, UE, Deployment, Geometry, Layout,
                              Topology, _layout, build_topology)
 from oracle import (covered_share, distance_3d, linear_mw, link, nodes_of,
-                    reference_allocate_rbs, reference_associate,
-                    reference_evaluate, reference_optimize,
-                    reference_plan_slots, reference_topology)
+                    one_trial_channel, reference_allocate_rbs,
+                    reference_associate, reference_evaluate,
+                    reference_optimize, reference_plan_slots,
+                    reference_topology, trial_channel)
 
 # Small and deterministic, so Tier-1 stays within a few seconds.
 FAST = settings(max_examples=30, deadline=None, derandomize=True)
@@ -87,9 +87,8 @@ def test_realization_matches_scalar_draws(seed, num_ues, num_cells, num_iab,
     cfg = ScenarioConfig(num_ues=num_ues, num_cells=num_cells,
                          num_iab_per_cell=num_iab, shadow_std_db=shadow_std)
     topo = build_topology(cfg, derive_rng(seed, "topo"))
-    real = sample_realization(
-        topo, cfg, 12.0, derive_rng(seed, "shadow"),
-        derive_rng(seed, "fade") if fading else None)
+    real = one_trial_channel(topo, cfg, 12.0, derive_rng(seed, "shadow"),
+                             derive_rng(seed, "fade") if fading else None)
     shadow_rng, fade_rng = derive_rng(seed, "shadow"), derive_rng(seed, "fade")
     nodes = nodes_of(topo)
     pairs = []
@@ -131,10 +130,12 @@ def test_batched_status_matches_reference(seed, trial, num_ues, num_cells,
                          rbs_per_ue=rbs_per_ue, min_rate_bps=min_rate,
                          cell_radius_m=radius, trials=1)
     inst = build_instance(cfg, seed, trial)
+    real = trial_channel(cfg, seed, trial, inst.topology)
     rng = np.random.default_rng(seed)
     vectors = [inst.upper, inst.lower, rng.uniform(inst.lower, inst.upper)]
     for values in vectors:
-        fast, reference = inst.evaluate(values), reference_evaluate(inst, values)
+        fast = inst.evaluate(values)
+        reference = reference_evaluate(inst, values, real)
         assert fast.tolist() == reference.tolist()
         assert (inst.batch_coverage(linear_mw(values[None, :]))[0]
                 == covered_share(reference))
@@ -162,15 +163,13 @@ def test_interleaved_ue_ids_match_reference(seed, num_ues, num_cells, num_iab,
     order = np.random.default_rng(seed).permutation(built.role.size)
     topo = Topology(*(getattr(built, name)[order]
                       for name in ("role", "cell", "x", "y", "height")))
-    real = sample_realization(topo, cfg, 12.0, derive_rng(seed, "shadow"),
-                              derive_rng(seed, "fade"))
-    assoc = associate(topo, real.long_term_loss_db)
-    inst = ScenarioInstance(cfg, topo, assoc, allocate_rbs(assoc, topo, cfg),
-                            plan_slots(topo, slot_mode), real)
+    [(_, inst)] = coverage._build_block(cfg, seed, topo.layout, [(0, topo)])
+    real = trial_channel(cfg, seed, 0, topo)
     rng = np.random.default_rng(seed)
     vectors = [inst.upper, inst.lower, rng.uniform(inst.lower, inst.upper)]
     for values in vectors:
-        fast, reference = inst.evaluate(values), reference_evaluate(inst, values)
+        fast = inst.evaluate(values)
+        reference = reference_evaluate(inst, values, real)
         assert fast.tolist() == reference.tolist()
         assert (inst.batch_coverage(linear_mw(values[None, :]))[0]
                 == covered_share(reference))
@@ -236,8 +235,7 @@ def test_scheduler_matches_reference(seed, num_ues, num_cells, num_iab,
                          rb_max=rb_max, rbs_per_ue=rbs_per_ue,
                          slot_mode=slot_mode, cell_radius_m=radius, trials=1)
     topo = build_topology(cfg, derive_rng(seed, "topo"))
-    real = sample_realization(topo, cfg, 0.0,
-                              derive_rng(seed, "shadow"), None)
+    real = one_trial_channel(topo, cfg, 0.0, derive_rng(seed, "shadow"), None)
     genes = topo.tx.tolist()
     # The reference schedule runs on the reference nodes of the same draws.
     nodes = reference_topology(cfg, derive_rng(seed, "topo"))
@@ -399,12 +397,11 @@ def test_shared_build_matches_one_build_per_policy(seed, num_ues, num_cells,
 
 
 def _snapshot(inst: ScenarioInstance) -> dict:
-    """Every array, tuple and scalar an instance, its channel and its
-    topology hold, arrays as (dtype, shape, bytes): equal means bit for
-    bit, NaNs included."""
-    inst.realization.links  # computed on first read
+    """Every array, tuple and scalar an instance and its topology hold,
+    arrays as (dtype, shape, bytes): equal means bit for bit, NaNs
+    included."""
     out = {}
-    for owner in (inst, inst.realization, inst.topology):
+    for owner in (inst, inst.topology):
         for name, value in vars(owner).items():
             key = f"{type(owner).__name__}.{name}"
             if isinstance(value, np.ndarray):
@@ -463,13 +460,8 @@ def test_warm_layout_build_equals_cold_build(seed, trial, num_ues, num_cells,
     by_hand = Topology(topo.role.copy(), topo.cell.copy(), topo.x, topo.y,
                        topo.height.copy())
     assert by_hand.layout is not topo.layout
-    real = sample_realization(by_hand, cfg, warm.realization.rain_rate_mm_h,
-                              derive_rng(seed, trial, "shadowing"),
-                              derive_rng(seed, trial, "fading"))
-    assoc = associate(by_hand, real.long_term_loss_db)
-    again = ScenarioInstance(cfg, by_hand, assoc,
-                             allocate_rbs(assoc, by_hand, cfg),
-                             plan_slots(by_hand, slot_mode), real)
+    [(_, again)] = coverage._build_block(cfg, seed, by_hand.layout,
+                                         [(trial, by_hand)])
     assert ({k: v for k, v in _snapshot(again).items()
              if not k.startswith("Topology.")}
             == {k: v for k, v in cold.items() if not k.startswith("Topology.")})
@@ -532,9 +524,9 @@ def test_trial_writes_do_not_reach_the_next_trial(seed, trial, num_ues,
     expected = _snapshot(build_instance(cfg, seed, trial + 1))
     _layout.cache_clear()
     inst = build_instance(cfg, seed, trial)
-    topo, real = inst.topology, inst.realization
+    topo = inst.topology
     occ = allocate_rbs(inst.assoc, topo, cfg)
-    writable = [occ, *(value for owner in (inst, real, topo)
+    writable = [occ, *(value for owner in (inst, topo)
                        for value in vars(owner).values()
                        if isinstance(value, np.ndarray)
                        and value.flags.writeable)]
@@ -598,7 +590,7 @@ def test_stacked_trials_do_not_share_writes(seed, trials, num_ues, num_cells,
     last = block.pop(n - 1)
     for inst in block.values():
         assert inst.gamma_min.base is last.gamma_min.base  # one block
-        writable = [value for owner in (inst, inst.realization, inst.topology)
+        writable = [value for owner in (inst, inst.topology)
                     for value in vars(owner).values()
                     if isinstance(value, np.ndarray) and value.flags.writeable]
         assert any(a is inst.gamma_min for a in writable)

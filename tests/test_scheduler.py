@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from iabsim.channel import pathloss_uma, sample_realization
+from iabsim.channel import pathloss_uma
 from iabsim.config import ScenarioConfig
 from iabsim.rng import derive_rng
 from iabsim.scheduler import allocate_rbs, associate, plan_slots
 from iabsim.topology import DONOR, IAB, UE, Topology, build_topology
-from oracle import distance_3d, nodes_of
+from oracle import distance_3d, nodes_of, one_trial_channel
 
 
 def bare_topology(ue_positions, iab_positions=()):
@@ -86,8 +86,8 @@ class TestAssociate:
     def test_every_iab_maps_to_its_donor(self):
         cfg = ScenarioConfig(num_cells=2, num_ues=4, trials=1)
         topo = build_topology(cfg, derive_rng(3))
-        real = sample_realization(topo, ScenarioConfig(), 16.0,
-                                  derive_rng(3, "s"), None)
+        real = one_trial_channel(topo, ScenarioConfig(), 16.0,
+                                 derive_rng(3, "s"), None)
         assoc = associate(topo, real.long_term_loss_db)
         iab = topo.role[topo.tx] == IAB
         assert np.all(topo.role[assoc[iab]] == DONOR)
@@ -154,8 +154,8 @@ class TestAllocateRbs:
     def test_both_cells_share_the_grid(self):
         cfg = self.config(num_cells=2, num_ues=3)
         topo = build_topology(cfg, derive_rng(4))
-        real = sample_realization(topo, ScenarioConfig(), 16.0,
-                                  derive_rng(4, "s"), None)
+        real = one_trial_channel(topo, ScenarioConfig(), 16.0,
+                                 derive_rng(4, "s"), None)
         alloc = allocate_rbs(associate(topo, real.long_term_loss_db), topo, cfg)
         for cell in (0, 1):
             first = np.flatnonzero((topo.role[topo.tx] == UE)
