@@ -33,10 +33,18 @@ minimum SINR and noise, and the operand's entries that may be nonzero:
 `_gene_constants`) is read, read-only, from the topology's
 `iabsim.topology.Layout`; what a trial writes into is its own.
 
-The trial axis. Every trial is built in a block of T trials that drew
-the same layout, T = 1 included (`build_trials`; `build_instance` builds
-a block of one). Each trial draws its topology, rain, shadowing and
-fading from its own streams; the block then goes through the channel,
+The trial axis. `build_trials` derives the ``ue-positions``, ``rain``,
+``shadowing`` and ``fading`` streams of all its trials in one batch
+(`iabsim.rng.trial_states`), and `monte_carlo_coverage` and the back-off
+sweep the ``policy`` streams of all theirs; each stream is still its
+trial's own, drawn from a fresh Generator, so the draws are those of one
+`iabsim.rng.derive_rng` per stream. Each trial draws its UE counts and
+uniforms first (`iabsim.topology.draw_ues`). Every trial is then built in
+a block of T trials that drew the same counts, and so the same layout,
+T = 1 included (`build_instance` builds a block of one): the block's UEs
+are placed in one pass over ``(T, n)`` coordinates
+(`iabsim.topology.build_topology`), each trial draws its rain, shadowing
+and fading from its own streams, and the block goes through the channel,
 the scheduler and the instance arithmetic as one pass over ``(T, J, R)``
 arrays (J genes, R receivers). Every stacked operation is elementwise, a
 gather, or a product of 0/1 RB rows, exact in float32, so a trial's
@@ -63,15 +71,16 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Hashable, Iterable, Iterator, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
 from .channel import min_sinr, noise_mw, sample_realization
 from .config import ScenarioConfig
-from .rng import derive_rng
+from .rng import stream, trial_states
 from .scheduler import _ue_blocks, allocate_rbs, associate, plan_slots
-from .topology import IAB, Layout, Topology, build_topology
+from .topology import (IAB, Layout, Topology, build_topology,
+                       deployment_layout, draw_ues)
 
 # Entries a block's stacked arrays may hold (see the module docstring): it
 # bounds a block's memory, and the arrays are the same whatever its value.
@@ -174,55 +183,64 @@ def to_mw(eirp_dbm: np.ndarray) -> np.ndarray:
     return mw
 
 
+# The streams a trial's build draws from, in `trial_states` order.
+_BUILD_TAGS = ("ue-positions", "rain", "shadowing", "fading")
+
+
 def build_trials(config: ScenarioConfig, seed: int, trials: Iterable[int]
                  ) -> Iterator[tuple[int, ScenarioInstance]]:
     """Build the given trials stacked, yielding ``(trial index, instance)``.
 
     Every random draw comes from a stream keyed by (seed, trial, purpose);
     trials are independent and reproducible in any execution order. The
-    topologies are drawn first, one per trial; the trials that drew the
-    same layout (equal by value, `iabsim.topology.Layout.key`) are then
-    built together, in blocks bounded by `_BLOCK_DOUBLES`, layout by layout
-    in the order each first appears, so the order depends on the draws
-    alone. Only the current block's arrays are kept alive.
+    streams of every trial are derived in one batch (`trial_states`), and
+    each trial draws its UE counts and uniforms first; the trials that
+    drew the same counts (the same layout) are then built together, in
+    blocks bounded by `_BLOCK_DOUBLES`, layout by layout in the order each
+    first appears, so the order depends on the draws alone. Only the
+    current block's arrays are kept alive.
     """
-    groups: dict[Hashable, tuple[Layout, list[tuple[int, Topology]]]] = {}
-    for t in trials:
-        topology = build_topology(config, derive_rng(seed, t, "ue-positions"))
-        layout = topology.layout
-        groups.setdefault(layout.key, (layout, []))[1].append((t, topology))
-    for layout, members in groups.values():
+    trials = list(trials)
+    states = trial_states(seed, trials, _BUILD_TAGS)
+    groups: dict[tuple[int, ...], list] = {}
+    for t, trial_state in zip(trials, states):
+        counts, uniforms = draw_ues(config, stream(trial_state[0]))
+        groups.setdefault(counts, []).append((t, uniforms, trial_state))
+    for counts, members in groups.items():
+        layout = deployment_layout(config, counts)
         per_trial = len(layout.tx) * max(len(layout.rx), config.rb_max)
         size = max(1, _BLOCK_DOUBLES // max(per_trial, 1))
-        for start in range(0, len(members), size):
-            yield from _build_block(config, seed, layout,
-                                    members[start:start + size])
+        while members:
+            # A block's draws are dropped once it is built.
+            block, members[:size] = members[:size], []
+            stack = build_topology(config, layout,
+                                   [uniforms for _, uniforms, _ in block])
+            yield from _build_block(config, stack,
+                                    [t for t, _, _ in block],
+                                    [state for _, _, state in block])
 
 
-def _build_block(config: ScenarioConfig, seed: int, layout: Layout,
-                 members: list[tuple[int, Topology]]
+def _build_block(config: ScenarioConfig, stack: Topology,
+                 trials: list[int], states: list[np.ndarray]
                  ) -> Iterator[tuple[int, ScenarioInstance]]:
-    """The trials of one layout in one pass, on a stack of their
-    coordinates: channel, association, allocation, slots, then the
-    instance arrays."""
+    """The trials of one layout in one pass, on their stacked topology
+    (x and y of shape (T, n)) and each trial's `_BUILD_TAGS` states:
+    channel, association, allocation, slots, then the instance arrays."""
     lo, hi = config.rain_range_mm_h
-    rain = [float(derive_rng(seed, t, "rain").uniform(lo, hi)) if hi > lo
-            else float(lo) for t, _ in members]
-    shadow = [derive_rng(seed, t, "shadowing") for t, _ in members]
-    fading = ([derive_rng(seed, t, "fading") for t, _ in members]
-              if config.fading_enabled else None)
-    stack = Topology(layout.role, layout.cell,
-                     np.array([topology.x for _, topology in members]),
-                     np.array([topology.y for _, topology in members]),
-                     layout.height, layout)
+    rain = [float(stream(s[1]).uniform(lo, hi)) if hi > lo else float(lo)
+            for s in states]
+    shadow = [stream(s[2]) for s in states]
+    fading = ([stream(s[3]) for s in states] if config.fading_enabled
+              else None)
+    layout = stack.layout
     realization = sample_realization(stack, config, rain, shadow, fading)
     assoc = associate(stack, realization.long_term_loss_db)
     alloc = allocate_rbs(assoc, stack, config)
     slots = plan_slots(stack, config.slot_mode)
     block = _trial_arrays(config, layout, assoc, alloc, slots,
                           realization.unit_rx_dbm)
-    for i, (t, topology) in enumerate(members):
-        yield t, ScenarioInstance(config, topology, block, i)
+    for i, t in enumerate(trials):
+        yield t, ScenarioInstance(config, stack.trial(i), block, i)
 
 
 def build_instance(config: ScenarioConfig, seed: int,
@@ -452,18 +470,20 @@ class MonteCarloResult:
 
 
 def run_trial(instance: ScenarioInstance, policies: Sequence[PowersPolicy],
-              seed: int, trial_index: int) -> list[TrialOutcome]:
+              trial_index: int, policy_state: np.ndarray
+              ) -> list[TrialOutcome]:
     """One Monte-Carlo trial, built once (``instance``, trial
-    ``trial_index`` of ``seed``) and scored under every policy.
+    ``trial_index``) and scored under every policy.
 
-    Each policy gets a fresh `policy` stream of this trial, so its outcome
+    Each policy gets a fresh Generator of the trial's `policy` stream
+    (``policy_state``, its `iabsim.rng.trial_states` row), so its outcome
     does not depend on which other policies run or in what order: the
     policies are compared on common random numbers. A policy must not
     mutate the instance.
     """
     outcomes = []
     for policy in policies:
-        powers = policy(instance, derive_rng(seed, trial_index, "policy"))
+        powers = policy(instance, stream(policy_state))
         status = instance.evaluate(powers)
         n = status.size
         coverage = np.count_nonzero(status == 0) / n if n else 1.0  # vacuous
@@ -493,8 +513,10 @@ def monte_carlo_coverage(config: ScenarioConfig,
     policies = [make_policy(p, config) if isinstance(p, str) else p
                 for p in policies]
     per_trial_outcomes: list[list[TrialOutcome]] = [[] for _ in range(trials)]
+    policy_states = trial_states(seed, range(trials), ("policy",))
     for t, instance in build_trials(config, seed, range(trials)):
-        per_trial_outcomes[t] = run_trial(instance, policies, seed, t)
+        per_trial_outcomes[t] = run_trial(instance, policies, t,
+                                          policy_states[t, 0])
     results = []
     for outcomes in zip(*per_trial_outcomes):
         per_trial = np.array([o.coverage for o in outcomes])

@@ -32,7 +32,7 @@ from .config import ConfigError, ScenarioConfig, config_lines
 from .coverage import build_instance, build_trials, monte_carlo_coverage, to_mw
 from .ga import GaParams, optimize
 from .policies import make_policy
-from .rng import derive_rng
+from .rng import derive_rng, stream, trial_states
 from .topology import ROLE_NAMES
 
 EXPERIMENT_NAMES = ("ga-trace", "coverage-vs-ues", "coverage-vs-sinr",
@@ -132,12 +132,13 @@ def run_coverage_vs_sinr(config: ScenarioConfig,
     # orders its trials by their draws alone, so both builds yield the
     # trials in the same order; the results are kept in trial order.
     trials = range(config.trials)
+    policy_states = trial_states(config.seed, trials, ("policy",))
     results: list = [None] * config.trials
     for (trial, inst_sep), (sim_trial, inst_sim) in zip(
             build_trials(cfg_sep, config.seed, trials),
             build_trials(cfg_sim, config.seed, trials), strict=True):
         assert sim_trial == trial, (trial, sim_trial)
-        arr = policy(inst_sep, derive_rng(config.seed, trial, "policy"))
+        arr = policy(inst_sep, stream(policy_states[trial, 0]))
         mw = to_mw(arr - backoffs[:, None])  # one row per back-off
         results[trial] = (
             inst_sep.batch_coverage(mw), inst_sim.batch_coverage(mw),
@@ -232,13 +233,14 @@ def run_experiment(spec: ExperimentSpec, config: ScenarioConfig) -> list[str]:
 def read_csv(path: str) -> tuple[str, dict[str, str], list[str], np.ndarray,
                                  list[list[str]]]:
     """Parse an experiment CSV: (experiment, header kv, columns, numeric data,
-    raw rows)."""
+    raw rows). A data row with other than one field per column raises a
+    ConfigError naming the file and the line."""
     experiment = ""
     header: dict[str, str] = {}
     columns: list[str] = []
     raw_rows: list[list[str]] = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if line.startswith("#"):
                 body = line[1:].strip()
@@ -254,8 +256,12 @@ def read_csv(path: str) -> tuple[str, dict[str, str], list[str], np.ndarray,
                 continue
             if not columns:
                 columns = line.split(",")
-            else:
-                raw_rows.append(line.split(","))
+                continue
+            row = line.split(",")
+            if len(row) != len(columns):
+                raise ConfigError(f"{path}: line {number} has {len(row)} "
+                                  f"fields, the header {len(columns)}")
+            raw_rows.append(row)
     if not columns:
         raise ConfigError(f"{path}: no column header found")
     numeric = np.array([[_to_float(v) for v in row] for row in raw_rows]) \

@@ -5,10 +5,11 @@ IAB node's MT) in ascending id: the topology's ``tx`` rows, which are also
 the rows of `ChannelRealization.tx_ids`. Roles and cells are read from the
 topology's per-node arrays at those rows.
 
-- `associate`: ``(J,)`` receiver ids, a UE's serving station or an IAB
-  node's donor;
-- `allocate_rbs`: ``(J, rb_max)`` bool RB occupancy;
-- `plan_slots`: ``(J,)`` slot ids; transmitters with equal ids share a slot.
+- `associate`: ``(T, J)`` receiver ids of a stack of T trials, a UE's
+  serving station or an IAB node's donor;
+- `allocate_rbs`: ``(T, J, rb_max)`` bool RB occupancy;
+- `plan_slots`: ``(J,)`` slot ids, the layout's; transmitters with equal
+  ids share a slot.
 
 Servers are chosen before power optimization, from long-term loss only
 (pathloss + shadowing), so they stay fixed while transmit powers are
@@ -19,11 +20,11 @@ The association mask, the UEs' RB blocks and the slot ids are built once
 per layout (`iabsim.topology.Layout.derived`) and are read-only; a trial
 computes the argmin and the relays' RB rows, on a copy.
 
-The trial axis. `associate` and `allocate_rbs` also take a stack of T
-trials that share a layout (`iabsim.coverage.build_trials`): losses of
-shape ``(T, J, R)`` give ``(T, J)`` receivers, and those give a
-``(T, J, rb_max)`` occupancy. The argmin and the relays' RB rows run once
-over the stack; each trial's rows are those of its one-trial call.
+The trial axis. `associate` and `allocate_rbs` take a stack of T trials
+that share a layout (`iabsim.coverage.build_trials`; a trial alone is a
+stack of one): losses of shape ``(T, J, R)`` give ``(T, J)`` receivers,
+and those give a ``(T, J, rb_max)`` occupancy. The argmin and the relays'
+RB rows run once over the stack, each trial's rows from its own losses.
 """
 
 from __future__ import annotations
@@ -46,18 +47,19 @@ def associate(topology: Topology, long_term_loss: np.ndarray) -> np.ndarray:
     """Each transmitter's receiver: a UE's minimum long-term-loss station
     of its own cell, an IAB node's own cell's donor.
 
-    ``long_term_loss[..., j, b]`` is the dB loss from the j-th transmitter
-    to the b-th receiver (donor or IAB node), both in ascending id order,
-    after any leading trial axis. One masked argmin per row picks among the
-    allowed receivers; ties break toward the lowest station id.
+    ``long_term_loss[t, j, b]`` is trial t's dB loss from the j-th
+    transmitter to the b-th receiver (donor or IAB node), both in ascending
+    id order. One masked argmin per row picks among the allowed receivers;
+    ties break toward the lowest station id.
     """
     layout = topology.layout
     allowed = layout.derived(_allowed)
     loss = np.asarray(long_term_loss, dtype=float)
-    if loss.shape[-2:] != allowed.shape:
+    if loss.ndim != 3 or loss.shape[1:] != allowed.shape:
         raise ValueError(f"long_term_loss has shape {loss.shape}, expected "
-                         f"{allowed.shape} (transmitters, receivers)")
-    best = np.where(allowed, loss, np.inf).argmin(axis=-1)
+                         f"(trials, {', '.join(map(str, allowed.shape))}) "
+                         f"(trials, transmitters, receivers)")
+    best = np.where(allowed, loss, np.inf).argmin(axis=2)
     return layout.rx.take(best)
 
 
@@ -88,8 +90,8 @@ def allocate_rbs(assoc: np.ndarray, topology: Topology,
     UE id). Once cumulative demand exceeds the grid, indices wrap to 0 and
     co-channel reuse begins within the cell. Both cells allocate over the
     same grid. A relay's row is the OR of its children's rows, the children
-    being the UEs that ``assoc`` serves from it. ``assoc`` may carry a
-    leading trial axis, and the occupancy then does too.
+    being the UEs that ``assoc`` (a stack's ``(T, J)`` receivers) serves
+    from it.
     """
     per_ue = config.rbs_per_ue
     grid = config.rb_max
@@ -101,10 +103,10 @@ def allocate_rbs(assoc: np.ndarray, topology: Topology,
     occ[...] = ue_occ
     # A relay also holds the RBs of each UE it serves; a relay's MT is a
     # transmitter, so its row is where its id sits in ``tx``.
-    servers = assoc.take(ue_rows, axis=-1)
-    *trial, child = (layout.role.take(servers) == IAB).nonzero()
-    relay = layout.tx.searchsorted(servers[(*trial, child)])
-    occ[(*(i[:, None] for i in trial), relay[:, None], cols[child])] = True
+    servers = assoc.take(ue_rows, axis=1)
+    trial, child = (layout.role.take(servers) == IAB).nonzero()
+    relay = layout.tx.searchsorted(servers[trial, child])
+    occ[trial[:, None], relay[:, None], cols[child]] = True
     return occ
 
 

@@ -3,7 +3,10 @@
 Donors and IAB nodes are placed deterministically from the config; UEs are
 drawn per trial as a uniform point pattern in each cell's disk (a finite
 homogeneous Poisson process conditioned on the configured count, with an
-optional Poisson-count mode).
+optional Poisson-count mode). Each trial draws its counts and uniforms from
+its own stream (`draw_ues`); `build_topology` then places the UEs of a
+stack of T trials that drew the same counts in one pass over ``(T, n)``
+coordinates, T = 1 included.
 
 A `Topology` is one array per node attribute, in node-id order: node ``i``
 is row ``i`` of the role code, cell id, x, y and antenna height arrays.
@@ -19,7 +22,7 @@ donor and IAB positions, and what the channel, the scheduler and the
 scenario instance build from these and a few config scalars
 (`Layout.derived`). One bounded `lru_cache`, `_layout`, holds them, keyed
 by value, never by identity: a `Deployment` (geometry, UE height, per-cell
-UE counts, known once the UEs are drawn) for `build_topology`, a
+UE counts, known once the UEs are drawn; `deployment_layout`), a
 `NodeTable` (the node arrays' bytes) for a topology built any other way.
 Layout arrays are shared, so they are read-only; a topology's own arrays,
 and whatever a trial writes into, are copies.
@@ -31,7 +34,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Hashable, NamedTuple, Optional
+from typing import Callable, Hashable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -57,6 +60,13 @@ class Topology:
         if self.layout is None:
             object.__setattr__(self, "layout", _layout(
                 NodeTable.of(self.role, self.cell, self.height)))
+
+    def trial(self, i: int) -> Topology:
+        """Trial ``i`` of a stack, with its own copies of the node arrays
+        and of its rows of x and y: writing into it changes no other
+        trial, and the stack is freed once its block is built."""
+        return Topology(self.role.copy(), self.cell.copy(), self.x[i].copy(),
+                        self.y[i].copy(), self.height.copy(), self.layout)
 
     @property
     def tx(self) -> np.ndarray:
@@ -109,28 +119,36 @@ def donor_position(config: ScenarioConfig | Geometry,
     return (cell_id * spacing, 0.0)
 
 
-def sample_ues(config: ScenarioConfig, cell_id: int,
-               rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Draw the cell's UE point pattern as x and y arrays.
+def draw_ues(config: ScenarioConfig, rng: np.random.Generator
+             ) -> tuple[tuple[int, ...], list[np.ndarray]]:
+    """One trial's UE draws from its stream: each cell's UE count, and
+    each cell's uniform variates.
 
-    Uniform i.i.d. placement in the disk of radius ``cell_radius_m`` around
-    the cell's donor. With ``ue_count_poisson`` the count itself is Poisson
-    with mean ``num_ues``; otherwise exactly ``num_ues`` points are placed.
-    Fixed ``ue_positions`` (offsets from the donor) bypass sampling.
+    Per cell in order: with ``ue_count_poisson`` the count is Poisson with
+    mean ``num_ues``, otherwise it is ``num_ues``; then ``2 * count``
+    uniforms, the first half for the radii and the second for the angles
+    (one draw of ``2 * count`` gives the same numbers as two of
+    ``count``). Fixed ``ue_positions`` (offsets from each cell's donor)
+    bypass sampling: no draw.
     """
-    cx, cy = donor_position(config, cell_id)
+    if config.num_cells not in (1, 2):
+        raise ValueError(f"num_cells must be 1 or 2, got {config.num_cells}")
     if config.ue_positions is not None:
-        offsets = np.array(config.ue_positions, dtype=float).reshape(-1, 2)
-        return cx + offsets[:, 0], cy + offsets[:, 1]
-    count = config.num_ues
-    if config.ue_count_poisson:
-        count = int(rng.poisson(config.num_ues))
-    if count == 0:
-        return np.empty(0), np.empty(0)
-    # Uniform in a disk: radius via sqrt of a uniform variate.
-    radii = config.cell_radius_m * np.sqrt(rng.random(count))
-    angles = 2.0 * math.pi * rng.random(count)
-    return cx + radii * np.cos(angles), cy + radii * np.sin(angles)
+        count = len(_offsets(config))
+        return (count,) * config.num_cells, []
+    counts, uniforms = [], []
+    for _ in range(config.num_cells):
+        count = config.num_ues
+        if config.ue_count_poisson:
+            count = int(rng.poisson(config.num_ues))
+        counts.append(count)
+        uniforms.append(rng.random(2 * count))
+    return tuple(counts), uniforms
+
+
+def _offsets(config: ScenarioConfig) -> np.ndarray:
+    """The fixed ``ue_positions`` as an (n, 2) array of donor offsets."""
+    return np.array(config.ue_positions, dtype=float).reshape(-1, 2)
 
 
 def place_iab_nodes(config: ScenarioConfig | Geometry, cell_id: int
@@ -254,20 +272,61 @@ def _place_infrastructure(geometry: Geometry) -> tuple[np.ndarray, ...]:
             np.concatenate(height), np.concatenate(x), np.concatenate(y))
 
 
-def build_topology(config: ScenarioConfig,
-                   rng: np.random.Generator) -> Topology:
-    """Assemble donors, IAB rings, and UE patterns for 1 or 2 cells.
+def deployment_layout(config: ScenarioConfig,
+                      ue_counts: tuple[int, ...]) -> Layout:
+    """The layout of the config's geometry with these per-cell UE
+    counts."""
+    return _layout(Deployment(Geometry.of(config), config.ue_height_m,
+                              ue_counts))
 
-    Infrastructure ids come first (stable as the UE count varies), UEs after.
-    Every array is new: writing into one topology changes no other.
+
+def _ue_placement(layout: Layout) -> tuple[np.ndarray, ...]:
+    """Each UE's donor x and y, and the columns of its radius and angle
+    uniforms among its trial's draws (`draw_ues`, cells concatenated): a
+    (2, n_ue) array."""
+    geometry, _, counts = layout.key
+    cx, cy, radius_at, angle_at = [], [], [], []
+    start = 0
+    for cell, count in enumerate(counts):
+        x, y = donor_position(geometry, cell)
+        cx += [x] * count
+        cy += [y] * count
+        radius_at += range(start, start + count)
+        angle_at += range(start + count, start + 2 * count)
+        start += 2 * count
+    return (np.array(cx, dtype=float), np.array(cy, dtype=float),
+            np.array([radius_at, angle_at], dtype=np.intp))
+
+
+def build_topology(config: ScenarioConfig, layout: Layout,
+                   draws: Sequence[list[np.ndarray]]) -> Topology:
+    """Place the UEs of T trials that drew ``layout``'s counts, one
+    `draw_ues` result's uniforms per trial: a stack whose x and y are
+    (T, n), donors and IAB rings first (stable ids), then each cell's
+    UEs. Every trial draws its own numbers; the arithmetic runs once
+    over the stack. It is elementwise, so a trial's coordinates are the
+    same bit for bit whichever trials share its stack; `Topology.trial`
+    takes a trial out.
+
+    Uniform i.i.d. placement in the disk of radius ``cell_radius_m``
+    around each cell's donor: the radius is ``cell_radius_m`` times the
+    square root of a uniform, the angle ``2 pi`` times one.
     """
-    if config.num_cells not in (1, 2):
-        raise ValueError(f"num_cells must be 1 or 2, got {config.num_cells}")
-    ues = [sample_ues(config, c, rng) for c in range(config.num_cells)]
-    layout = _layout(Deployment(Geometry.of(config), config.ue_height_m,
-                                tuple(len(xs) for xs, _ in ues)))
-    return Topology(
-        role=layout.role.copy(), cell=layout.cell.copy(),
-        x=np.concatenate([layout.placed_x, *(xs for xs, _ in ues)]),
-        y=np.concatenate([layout.placed_y, *(ys for _, ys in ues)]),
-        height=layout.height.copy(), layout=layout)
+    cx, cy, at = layout.derived(_ue_placement)
+    n_trials, placed = len(draws), len(layout.placed_x)
+    if config.ue_positions is not None:
+        offsets = np.tile(_offsets(config), (config.num_cells, 1))
+        ue_x, ue_y = cx + offsets[:, 0], cy + offsets[:, 1]
+    else:
+        uniforms = np.concatenate(
+            [u for cells in draws for u in cells]).reshape(
+                n_trials, 2 * cx.size).take(at, axis=1)
+        radii = config.cell_radius_m * np.sqrt(uniforms[:, 0])
+        angles = 2.0 * math.pi * uniforms[:, 1]
+        ue_x = cx + radii * np.cos(angles)
+        ue_y = cy + radii * np.sin(angles)
+    x = np.empty((n_trials, len(layout.role)))
+    y = np.empty_like(x)
+    x[:, :placed], y[:, :placed] = layout.placed_x, layout.placed_y
+    x[:, placed:], y[:, placed:] = ue_x, ue_y
+    return Topology(layout.role, layout.cell, x, y, layout.height, layout)

@@ -1,8 +1,9 @@
 """Readable references for the tests to hold the fast paths against.
 
 `reference_topology` builds a trial's nodes one `Node` object at a time,
-with the draws of `iabsim.topology.build_topology` in the same order; the
-production per-node arrays must equal it bit for bit. The scheduler
+with the draws of `iabsim.topology.draw_ues` in the same order; the
+production per-node arrays (`one_trial_topology`) must equal it bit for
+bit. The scheduler
 references below take such nodes (`nodes_of` turns a production topology
 into them) and give association, RB packing and slot grouping as dicts and
 frozensets keyed by node id; `iabsim.scheduler`'s gene-indexed arrays must
@@ -28,7 +29,8 @@ from iabsim.config import ScenarioConfig
 from iabsim.coverage import ScenarioInstance
 from iabsim.ga import GaParams, GaResult
 from iabsim.rng import derive_rng
-from iabsim.topology import DONOR, IAB, UE, Topology, donor_position
+from iabsim.topology import (DONOR, IAB, UE, Topology, build_topology,
+                             deployment_layout, donor_position, draw_ues)
 
 
 @dataclass(frozen=True)
@@ -44,7 +46,7 @@ class Node:
 
 def reference_topology(config: ScenarioConfig,
                        rng: np.random.Generator) -> tuple[Node, ...]:
-    """`iabsim.topology.build_topology`, one node at a time: per cell its
+    """`one_trial_topology`, one node at a time: per cell its
     donor and IAB ring, then per cell its UEs, numbered 0..n-1 in that
     order. Each cell's UE draws are a Poisson count (in Poisson-count
     mode), then ``count`` radius uniforms, then ``count`` angle uniforms."""
@@ -84,6 +86,15 @@ def reference_topology(config: ScenarioConfig,
         for i in range(count):
             add(UE, cell_id, float(xs[i]), float(ys[i]), h)
     return tuple(nodes)
+
+
+def one_trial_topology(config: ScenarioConfig,
+                       rng: np.random.Generator) -> Topology:
+    """`iabsim.topology.build_topology` of one trial's `draw_ues` from
+    ``rng``: a stack of one, taken out as its trial 0."""
+    counts, uniforms = draw_ues(config, rng)
+    return build_topology(config, deployment_layout(config, counts),
+                          [uniforms]).trial(0)
 
 
 def nodes_of(topology: Topology) -> tuple[Node, ...]:

@@ -119,16 +119,16 @@ CONFIGS_PER_POINT = {"coverage-vs-ues": 1, "intercell": 2}
 
 def test_one_build_per_trial_and_config(traced_run):
     # The experiments build their trials stacked, through `build_trials`:
-    # each trial's topology is drawn once and the trial is built once; the
-    # channel and the scheduler run once per block of trials that share a
-    # layout (`associate`, `allocate_rbs` and `plan_slots`: three calls).
+    # each trial is built once; the UE placement, the channel and the
+    # scheduler run once per block of trials that share a layout
+    # (`build_topology`; `associate`, `allocate_rbs` and `plan_slots`: three
+    # calls).
     w, spans, measured, csv_bytes, built = traced_run
     metrics = tracing.layer_metrics(spans, measured, csv_bytes)
-    builds = w.trials * len(w.sweep) * CONFIGS_PER_POINT[w.experiment]
-    assert metrics["topology.calls"] == builds
     assert sorted(t for _, yielded in built for t, _ in yielded) == sorted(
         t for _ in range(len(w.sweep) * CONFIGS_PER_POINT[w.experiment])
         for t in range(w.trials))
     blocks = _blocks(built)
+    assert metrics["topology.calls"] == blocks
     assert metrics["channel.calls"] == blocks
     assert metrics["scheduler.calls"] == 3 * blocks

@@ -11,10 +11,9 @@ from iabsim.channel import (ChannelRealization, breakpoint_distance,
                             sample_shadowing)
 from iabsim.config import ScenarioConfig
 from iabsim.rng import derive_rng
-from iabsim.topology import build_topology
 from oracle import (LinkSample, MissingLinkError, achievable_rate,
-                    interference_at, link, one_trial_channel, received_power,
-                    sinr)
+                    interference_at, link, one_trial_channel,
+                    one_trial_topology, received_power, sinr)
 
 CONFIG = ScenarioConfig()
 
@@ -313,7 +312,7 @@ class TestSinrRate:
 class TestRealization:
     def test_covers_all_uplink_pairs_and_is_finite(self):
         cfg = ScenarioConfig(num_ues=6, num_cells=2, trials=1)
-        topo = build_topology(cfg, derive_rng(2))
+        topo = one_trial_topology(cfg, derive_rng(2))
         real = one_trial_channel(topo, CONFIG, 18.0, derive_rng(2, "s"),
                                  derive_rng(2, "f"))
         for tx in topo.tx.tolist():
@@ -327,14 +326,14 @@ class TestRealization:
 
     def test_fading_disabled_is_zero(self):
         cfg = ScenarioConfig(num_ues=2, trials=1)
-        topo = build_topology(cfg, derive_rng(2))
+        topo = one_trial_topology(cfg, derive_rng(2))
         real = one_trial_channel(topo, CONFIG, 0.0, derive_rng(2, "s"), None)
         assert all(link(real, tx, rx).fading_db == 0.0
                    for tx, rx in real.links.tolist())
 
     def test_missing_pair_raises(self):
         cfg = ScenarioConfig(num_ues=2, trials=1)
-        topo = build_topology(cfg, derive_rng(2))
+        topo = one_trial_topology(cfg, derive_rng(2))
         real = one_trial_channel(topo, CONFIG, 0.0, derive_rng(2, "s"), None)
         with pytest.raises(MissingLinkError):
             link(real, 500, 501)

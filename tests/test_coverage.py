@@ -12,6 +12,7 @@ from iabsim.config import ScenarioConfig
 from iabsim.coverage import (build_instance, build_trials,
                              monte_carlo_coverage, run_trial)
 from iabsim.policies import make_policy, max_power_policy
+from iabsim.rng import trial_states
 from iabsim.topology import DONOR, IAB
 from oracle import (MissingLinkError, covered_share, evaluate_trial,
                     linear_mw, nodes_of, reference_allocate_rbs,
@@ -31,6 +32,11 @@ def deterministic_config(**kw):
 MICRO = deterministic_config(num_ues=2, num_cells=1, num_iab_per_cell=0,
                              ue_positions=((50.0, 0.0), (190.0, 0.0)),
                              min_rate_bps=80e6, power_policy="max")
+
+
+def policy_state(seed, trial):
+    """The state of trial ``trial``'s `policy` stream of ``seed``."""
+    return trial_states(seed, [trial], ["policy"])[0, 0]
 
 
 def eirp_of(inst, powers):
@@ -71,7 +77,7 @@ class TestEvaluateTrial:
         cfg = deterministic_config(num_ues=0)
         inst = build_instance(cfg, seed=1, trial_index=0)
         assert inst.evaluate(inst.upper).shape == (0,)
-        [outcome] = run_trial(inst, [max_power_policy], seed=1, trial_index=0)
+        [outcome] = run_trial(inst, [max_power_policy], 0, policy_state(1, 0))
         assert outcome.coverage == 1.0
         assert outcome.status.shape == (0,)
 
@@ -108,7 +114,7 @@ class TestEvaluateTrial:
         cfg = ScenarioConfig(num_ues=25, num_cells=2, rb_max=16,
                              min_rate_bps=1e6, trials=1)
         [outcome] = run_trial(build_instance(cfg, seed=8, trial_index=0),
-                              [max_power_policy], seed=8, trial_index=0)
+                              [max_power_policy], 0, policy_state(8, 0))
         indicator = [1 if code == 0 else 0 for code in outcome.status]
         assert outcome.coverage == pytest.approx(np.mean(indicator))
         assert 0.0 <= outcome.coverage <= 1.0
@@ -236,7 +242,8 @@ class TestMonteCarlo:
                              min_rate_bps=1e6, trials=1)
         [in_order] = monte_carlo_coverage(cfg, ["random"], trials=10, seed=2)
         policy = make_policy("random", cfg)
-        reversed_order = [run_trial(build_instance(cfg, 2, t), [policy], 2, t)[0]
+        reversed_order = [run_trial(build_instance(cfg, 2, t), [policy], t,
+                                    policy_state(2, t))[0]
                           for t in reversed(range(10))][::-1]
         assert np.array_equal(in_order.per_trial,
                               [o.coverage for o in reversed_order])

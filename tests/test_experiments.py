@@ -79,22 +79,26 @@ class TestCoverageVsSinr:
 
     def test_matches_one_build_per_trial_when_layouts_are_evicted(
             self, tmp_path):
-        # Poisson counts draw many layouts; with a layout cache of two, the
+        # Poisson counts draw many layouts; with a layout cache of one, the
         # separated-slot and the simultaneous-slot runs evict and rebuild
-        # them as they go. The two runs must still pair each trial with
+        # layouts as they go. The two runs must still pair each trial with
         # itself, as one build per trial and slot mode does.
         cfg = tiny_config(num_ues=2, num_cells=2, ue_count_poisson=True,
                           power_policy="max", trials=12,
                           sweep_backoff_db=(0.0, 10.0, 20.0))
         rows = {}
-        small_cache = functools.lru_cache(maxsize=2)(
+        small_cache = functools.lru_cache(maxsize=1)(
             topology._layout.__wrapped__)
         with mock.patch.object(topology, "_layout", small_cache), \
                 mock.patch.object(experiments, "_write_csv",
                                   lambda *args: rows.setdefault("rows",
                                                                 args[4])):
             run(tmp_path, "coverage-vs-sinr", cfg)
-        assert small_cache.cache_info().misses > 12
+        # More misses than layouts and their infrastructure: some were
+        # evicted and built again.
+        layouts = {build_instance(cfg, cfg.seed, t).topology.layout.key
+                   for t in range(cfg.trials)}
+        assert small_cache.cache_info().misses > len(layouts) + 1
 
         backoffs = np.asarray(cfg.sweep_backoff_db)
         policy = make_policy("max", cfg)
@@ -318,6 +322,20 @@ class TestSummarize:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert path in err and "'coverage_2cell'" in err
+
+    @pytest.mark.parametrize("row", ["5,0.9", "5,0.9,0.8,0.1"])
+    def test_row_of_the_wrong_width_exits_1_naming_file_and_line(
+            self, tmp_path, capsys, row):
+        path = str(tmp_path / "ic.csv")
+        experiments._write_csv(path, tiny_config(), "intercell",
+                               ["num_ues", "coverage_1cell", "coverage_2cell"],
+                               [[5, 0.9, 0.9]])
+        lines = Path(path).read_text().splitlines(keepends=True)
+        Path(path).write_text("".join(lines) + row + "\n")
+        assert main(["summarize", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert path in err and f"line {len(lines) + 1} " in err
 
     def test_malformed_csv_rejected(self, tmp_path):
         path = tmp_path / "junk.csv"

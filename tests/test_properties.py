@@ -6,9 +6,10 @@ build per policy; the dBm-to-mW conversion against its formula; and the
 batched back-off sweep against one call per back-off; the per-layout
 cache (a warm build against a cold one, a layout built again after
 another, read-only cached arrays, and one trial's writes against the next
-trial's build); and the stacked build of many trials against one build per
-trial, and one trial's writes against the next trial of its block, over
-random small scenarios."""
+trial's build); the stacked build of many trials against one build per
+trial, and one trial's writes against the next trial of its block; the
+stacked UE placement against one placement per trial; and coverage that
+never rises with the minimum rate, over random small scenarios."""
 
 import math
 from unittest import mock
@@ -29,13 +30,15 @@ from iabsim.coverage import (ScenarioInstance, _block_overlap,
 from iabsim.policies import make_policy
 from iabsim.rng import derive_rng
 from iabsim.scheduler import allocate_rbs, associate, plan_slots
+from iabsim.rng import trial_states
 from iabsim.topology import (DONOR, UE, Deployment, Geometry, Layout,
-                             Topology, _layout, build_topology)
+                             Topology, _layout, build_topology,
+                             deployment_layout, draw_ues)
 from oracle import (covered_share, distance_3d, linear_mw, link, nodes_of,
                     one_trial_channel, reference_allocate_rbs,
                     reference_associate, reference_evaluate,
                     reference_optimize, reference_plan_slots,
-                    reference_topology, trial_channel)
+                    one_trial_topology, reference_topology, trial_channel)
 
 # Small and deterministic, so Tier-1 stays within a few seconds.
 FAST = settings(max_examples=30, deadline=None, derandomize=True)
@@ -68,7 +71,7 @@ def test_topology_matches_reference(seed, num_ues, num_cells, num_iab, poisson,
                          ue_positions=positions, cell_radius_m=radius,
                          donor_spacing_m=spacing,
                          iab_ring_angle_offset_deg=angle)
-    topo = build_topology(cfg, derive_rng(seed, "topo"))
+    topo = one_trial_topology(cfg, derive_rng(seed, "topo"))
     nodes = reference_topology(cfg, derive_rng(seed, "topo"))
     assert topo.role.tolist() == [n.role for n in nodes]
     assert topo.cell.tolist() == [n.cell_id for n in nodes]
@@ -86,7 +89,7 @@ def test_realization_matches_scalar_draws(seed, num_ues, num_cells, num_iab,
                                           fading, shadow_std):
     cfg = ScenarioConfig(num_ues=num_ues, num_cells=num_cells,
                          num_iab_per_cell=num_iab, shadow_std_db=shadow_std)
-    topo = build_topology(cfg, derive_rng(seed, "topo"))
+    topo = one_trial_topology(cfg, derive_rng(seed, "topo"))
     real = one_trial_channel(topo, cfg, 12.0, derive_rng(seed, "shadow"),
                              derive_rng(seed, "fade") if fading else None)
     shadow_rng, fade_rng = derive_rng(seed, "shadow"), derive_rng(seed, "fade")
@@ -154,16 +157,16 @@ def test_interleaved_ue_ids_match_reference(seed, num_ues, num_cells, num_iab,
                                             slot_mode, rb_max, min_rate,
                                             radius):
     # Node ids in a random order: the kernel reads the UE and relay rows by
-    # their gene rows, whatever the layout `build_topology` happens to give.
+    # their gene rows, whatever the layout `one_trial_topology` happens to give.
     cfg = ScenarioConfig(num_ues=num_ues, num_cells=num_cells,
                          num_iab_per_cell=num_iab, slot_mode=slot_mode,
                          rb_max=rb_max, rbs_per_ue=2, min_rate_bps=min_rate,
                          cell_radius_m=radius, trials=1)
-    built = build_topology(cfg, derive_rng(seed, "topo"))
+    built = one_trial_topology(cfg, derive_rng(seed, "topo"))
     order = np.random.default_rng(seed).permutation(built.role.size)
     topo = Topology(*(getattr(built, name)[order]
                       for name in ("role", "cell", "x", "y", "height")))
-    [(_, inst)] = coverage._build_block(cfg, seed, topo.layout, [(0, topo)])
+    inst = _build_alone(cfg, seed, 0, topo)
     real = trial_channel(cfg, seed, 0, topo)
     rng = np.random.default_rng(seed)
     vectors = [inst.upper, inst.lower, rng.uniform(inst.lower, inst.upper)]
@@ -194,7 +197,7 @@ def test_thresholds_match_per_victim_constants(seed, trial, num_ues, num_cells,
                          rb_max=rb_max, rbs_per_ue=rbs_per_ue,
                          min_rate_bps=min_rate, cell_radius_m=radius, trials=1)
     inst = build_instance(cfg, seed, trial)
-    alloc = allocate_rbs(inst.assoc, inst.topology, cfg)
+    alloc = allocate_rbs(inst.assoc[None], inst.topology, cfg)[0]
     # Victim v is gene v's link: a UE carries the minimum rate, a relay the
     # sum of its children's, over the RBs the gene holds.
     gammas, noises, vacuous = [], [], []
@@ -234,18 +237,19 @@ def test_scheduler_matches_reference(seed, num_ues, num_cells, num_iab,
                          num_iab_per_cell=num_iab, ue_count_poisson=poisson,
                          rb_max=rb_max, rbs_per_ue=rbs_per_ue,
                          slot_mode=slot_mode, cell_radius_m=radius, trials=1)
-    topo = build_topology(cfg, derive_rng(seed, "topo"))
+    topo = one_trial_topology(cfg, derive_rng(seed, "topo"))
     real = one_trial_channel(topo, cfg, 0.0, derive_rng(seed, "shadow"), None)
     genes = topo.tx.tolist()
     # The reference schedule runs on the reference nodes of the same draws.
     nodes = reference_topology(cfg, derive_rng(seed, "topo"))
 
-    assoc = associate(topo, real.long_term_loss_db)
+    # A stack of one trial.
+    assoc = associate(topo, real.long_term_loss_db[None])[0]
     ref_assoc = reference_associate(nodes, real)
     ref_rx = {**ref_assoc.ue_to_bs, **ref_assoc.iab_to_donor}
     assert assoc.tolist() == [ref_rx[g] for g in genes]
 
-    alloc = allocate_rbs(assoc, topo, cfg)
+    alloc = allocate_rbs(assoc[None], topo, cfg)[0]
     ref_alloc = reference_allocate_rbs(ref_assoc, nodes, cfg)
     assert alloc.shape == (len(genes), rb_max)
     assert ([frozenset(np.flatnonzero(row).tolist()) for row in alloc]
@@ -396,6 +400,17 @@ def test_shared_build_matches_one_build_per_policy(seed, num_ues, num_cells,
                 assert res.per_trial[t] == outcome.coverage
 
 
+def _build_alone(cfg: ScenarioConfig, seed: int, trial: int,
+                 topo: Topology) -> ScenarioInstance:
+    """Trial ``trial`` of ``seed`` built on a given one-trial topology: a
+    block of one, its layout looked up by the topology's values."""
+    stack = Topology(topo.role, topo.cell, topo.x[None], topo.y[None],
+                     topo.height)
+    [(_, inst)] = coverage._build_block(
+        cfg, stack, [trial], trial_states(seed, [trial], coverage._BUILD_TAGS))
+    return inst
+
+
 def _snapshot(inst: ScenarioInstance) -> dict:
     """Every array, tuple and scalar an instance and its topology hold,
     arrays as (dtype, shape, bytes): equal means bit for bit, NaNs
@@ -460,8 +475,7 @@ def test_warm_layout_build_equals_cold_build(seed, trial, num_ues, num_cells,
     by_hand = Topology(topo.role.copy(), topo.cell.copy(), topo.x, topo.y,
                        topo.height.copy())
     assert by_hand.layout is not topo.layout
-    [(_, again)] = coverage._build_block(cfg, seed, by_hand.layout,
-                                         [(trial, by_hand)])
+    again = _build_alone(cfg, seed, trial, by_hand)
     assert ({k: v for k, v in _snapshot(again).items()
              if not k.startswith("Topology.")}
             == {k: v for k, v in cold.items() if not k.startswith("Topology.")})
@@ -494,8 +508,9 @@ def test_cached_layout_arrays_refuse_writes(seed, trial, num_ues, num_cells,
     layout = inst.topology.layout
     infra = _layout(Deployment(Geometry.of(cfg), cfg.ue_height_m,
                                (0,) * num_cells))
-    # Each builder has run: the channel, the scheduler and the instance's.
-    assert len(layout._derived) == 5
+    # Each builder has run: the UE placement's, the channel's, the
+    # scheduler's and the instance's.
+    assert len(layout._derived) == 6
     cached = _layout_arrays(layout) + _layout_arrays(infra)
     cached += [inst.lower, inst.upper, inst._ue_rows,
                plan_slots(inst.topology, slot_mode)]
@@ -525,7 +540,7 @@ def test_trial_writes_do_not_reach_the_next_trial(seed, trial, num_ues,
     _layout.cache_clear()
     inst = build_instance(cfg, seed, trial)
     topo = inst.topology
-    occ = allocate_rbs(inst.assoc, topo, cfg)
+    occ = allocate_rbs(inst.assoc[None], topo, cfg)[0]
     writable = [occ, *(value for owner in (inst, topo)
                        for value in vars(owner).values()
                        if isinstance(value, np.ndarray)
@@ -598,6 +613,72 @@ def test_stacked_trials_do_not_share_writes(seed, trials, num_ues, num_cells,
             array[...] = 7 if array.dtype != bool else ~array
     assert _snapshot(last) == expected
 
+
+
+@FAST
+@given(seed=seeds, trials=st.integers(1, 6), num_ues=st.integers(0, 6),
+       num_cells=st.sampled_from((1, 2)), num_iab=st.integers(0, 2),
+       counts=st.sampled_from(("fixed", "poisson", "positions")))
+@example(seed=1, trials=6, num_ues=1, num_cells=2, num_iab=1,
+         counts="poisson")  # counts of 0, layouts repeat
+@example(seed=2, trials=3, num_ues=3, num_cells=2, num_iab=2,
+         counts="positions")
+@example(seed=3, trials=5, num_ues=6, num_cells=1, num_iab=0,
+         counts="fixed")
+def test_stacked_placement_matches_one_trial_placement(seed, trials, num_ues,
+                                                       num_cells, num_iab,
+                                                       counts):
+    positions = None
+    if counts == "positions":
+        positions = ((12.5, -3.0), (-40.0, 7.25), (0.0, 0.0), (3.0, 150.0),
+                     (-0.5, -0.25), (99.0, 1.0))[:num_ues]
+    cfg = ScenarioConfig(num_ues=num_ues, num_cells=num_cells,
+                         num_iab_per_cell=num_iab,
+                         ue_count_poisson=counts == "poisson",
+                         ue_positions=positions, trials=1)
+    # Each trial draws from its own stream; the trials of equal counts are
+    # placed as one stack, and each alone as a stack of one.
+    draws = [draw_ues(cfg, derive_rng(seed, t, "ue-positions"))
+             for t in range(trials)]
+    groups: dict = {}
+    for t, (ue_counts, _) in enumerate(draws):
+        groups.setdefault(ue_counts, []).append(t)
+    for ue_counts, members in groups.items():
+        layout = deployment_layout(cfg, ue_counts)
+        stack = build_topology(cfg, layout, [draws[t][1] for t in members])
+        assert stack.x.shape == stack.y.shape == (len(members),
+                                                  len(layout.role))
+        for i, t in enumerate(members):
+            alone = build_topology(cfg, layout, [draws[t][1]])
+            topo = stack.trial(i)
+            for name in ("x", "y"):
+                expected = getattr(alone, name)[0].tobytes()
+                assert getattr(stack, name)[i].tobytes() == expected
+                assert getattr(topo, name).tobytes() == expected
+            assert topo.layout is layout
+
+
+@FAST
+@given(seed=seeds, num_ues=st.integers(0, 8),
+       num_cells=st.sampled_from((1, 2)), num_iab=st.integers(0, 2),
+       poisson=st.booleans(), rb_max=st.sampled_from((2, 16)),
+       slot_mode=st.sampled_from(("separated", "simultaneous")),
+       rates=st.lists(st.sampled_from((64e3, 5e6, 20e6, 80e6, 2e8)),
+                      min_size=2, max_size=2, unique=True))
+def test_raising_the_rate_never_raises_a_trials_coverage(seed, num_ues,
+                                                         num_cells, num_iab,
+                                                         poisson, rb_max,
+                                                         slot_mode, rates):
+    # The rate changes no draw, only the thresholds: at max power, each
+    # trial's coverage at the higher rate is at most that at the lower.
+    cfg = ScenarioConfig(num_ues=num_ues, num_cells=num_cells,
+                         num_iab_per_cell=num_iab, ue_count_poisson=poisson,
+                         rb_max=rb_max, slot_mode=slot_mode, trials=1)
+    low, high = sorted(rates)
+    [at_low], [at_high] = (
+        monte_carlo_coverage(cfg.replace(min_rate_bps=rate), ["max"], 3, seed)
+        for rate in (low, high))
+    assert np.all(at_high.per_trial <= at_low.per_trial)
 
 @FAST
 @given(grid=st.integers(1, 40), data=st.data())

@@ -7,9 +7,8 @@ import pytest
 
 from iabsim.config import ScenarioConfig
 from iabsim.rng import derive_rng
-from iabsim.topology import (DONOR, IAB, UE, build_topology, place_iab_nodes,
-                             sample_ues)
-from oracle import Node, distance_3d
+from iabsim.topology import DONOR, IAB, UE, draw_ues, place_iab_nodes
+from oracle import Node, distance_3d, one_trial_topology
 
 
 def make_config(**kwargs):
@@ -18,27 +17,34 @@ def make_config(**kwargs):
     return ScenarioConfig(**base)
 
 
+def sample_ues(cfg, rng):
+    """The x and y of cell 0's UEs in the trial drawn from ``rng``."""
+    topo = one_trial_topology(cfg, rng)
+    ues = (topo.role == UE) & (topo.cell == 0)
+    return topo.x[ues], topo.y[ues]
+
+
 class TestSampleUes:
     def test_zero_ues_empty(self):
         cfg = make_config(num_ues=0)
-        xs, ys = sample_ues(cfg, 0, derive_rng(1))
+        xs, ys = sample_ues(cfg, derive_rng(1))
         assert xs.shape == ys.shape == (0,)
 
     def test_mean_radial_distance(self):
         # Uniform in a disk has mean radius 2r/3.
         cfg = make_config(num_ues=1000, cell_radius_m=200.0)
-        radii = np.hypot(*sample_ues(cfg, 0, derive_rng(42)))
+        radii = np.hypot(*sample_ues(cfg, derive_rng(42)))
         assert abs(np.mean(radii) - 2.0 * 200.0 / 3.0) < 3.0
 
     def test_same_seed_same_coordinates(self):
         cfg = make_config(num_ues=19)
-        a = sample_ues(cfg, 0, derive_rng(7))
-        b = sample_ues(cfg, 0, derive_rng(7))
+        a = sample_ues(cfg, derive_rng(7))
+        b = sample_ues(cfg, derive_rng(7))
         assert all(np.array_equal(u, v) for u, v in zip(a, b))
 
     def test_heights_and_radius_bound(self):
         cfg = make_config(num_ues=10_000, cell_radius_m=150.0)
-        topo = build_topology(cfg, derive_rng(3))
+        topo = one_trial_topology(cfg, derive_rng(3))
         ue = topo.role == UE
         assert np.all(topo.height[ue] == 1.5)
         assert np.all(np.hypot(topo.x[ue], topo.y[ue]) <= 150.0 + 1e-9)
@@ -47,7 +53,7 @@ class TestSampleUes:
         # (d/r)^2 of a uniform-in-disk point is uniform on [0, 1];
         # one-sample KS statistic against that, n = 10^4.
         cfg = make_config(num_ues=10_000, cell_radius_m=200.0)
-        u = np.sort((np.hypot(*sample_ues(cfg, 0, derive_rng(11))) / 200.0) ** 2)
+        u = np.sort((np.hypot(*sample_ues(cfg, derive_rng(11))) / 200.0) ** 2)
         n = len(u)
         grid = np.arange(1, n + 1) / n
         ks = max(np.max(grid - u), np.max(u - (grid - 1.0 / n)))
@@ -55,13 +61,12 @@ class TestSampleUes:
 
     def test_poisson_count_mode(self):
         cfg = make_config(num_ues=30, ue_count_poisson=True)
-        counts = {sample_ues(cfg, 0, derive_rng(5, k))[0].size
-                  for k in range(20)}
+        counts = {draw_ues(cfg, derive_rng(5, k))[0][0] for k in range(20)}
         assert len(counts) > 1  # count actually varies
 
     def test_fixed_positions(self):
         cfg = make_config(num_ues=2, ue_positions=((10.0, 0.0), (0.0, -20.0)))
-        xs, ys = sample_ues(cfg, 0, derive_rng(1))
+        xs, ys = sample_ues(cfg, derive_rng(1))
         assert list(zip(xs.tolist(), ys.tolist())) == [(10.0, 0.0), (0.0, -20.0)]
 
 
@@ -94,12 +99,12 @@ def _donors(topo):
 
 class TestBuildTopology:
     def test_single_cell_donor_at_origin(self):
-        topo = build_topology(make_config(num_cells=1), derive_rng(1))
+        topo = one_trial_topology(make_config(num_cells=1), derive_rng(1))
         [d] = _donors(topo)
         assert (topo.x[d], topo.y[d], topo.height[d]) == (0.0, 0.0, 25.0)
 
     def test_two_cell_donor_separation(self):
-        topo = build_topology(make_config(num_cells=2, cell_radius_m=200.0),
+        topo = one_trial_topology(make_config(num_cells=2, cell_radius_m=200.0),
                               derive_rng(1))
         d0, d1 = _donors(topo)
         assert math.hypot(topo.x[d0] - topo.x[d1],
@@ -107,7 +112,7 @@ class TestBuildTopology:
 
     def test_node_counts(self):
         cfg = make_config(num_cells=2, num_iab_per_cell=4, num_ues=10)
-        topo = build_topology(cfg, derive_rng(1))
+        topo = one_trial_topology(cfg, derive_rng(1))
         for column in (topo.role, topo.cell, topo.x, topo.y, topo.height):
             assert column.shape == (2 + 8 + 20,)
         assert np.bincount(topo.role).tolist() == [2, 8, 20]
@@ -118,7 +123,7 @@ class TestBuildTopology:
         # A node's id is its row. Each cell's donor and IAB ring come first,
         # then the UEs; ``tx`` and ``rx`` are the rows of each side, in order.
         cfg = make_config(num_cells=2, num_ues=7)
-        topo = build_topology(cfg, derive_rng(1))
+        topo = one_trial_topology(cfg, derive_rng(1))
         assert topo.role.tolist() == [DONOR] + [IAB] * 4 + [DONOR] + [IAB] * 4 \
             + [UE] * 14
         assert topo.cell.tolist() == [0] * 5 + [1] * 5 + [0] * 7 + [1] * 7
@@ -126,7 +131,7 @@ class TestBuildTopology:
         assert topo.rx.tolist() == list(range(10))
 
     def test_ues_are_records_with_coordinates(self):
-        topo = build_topology(make_config(num_cells=2, num_ues=3), derive_rng(1))
+        topo = one_trial_topology(make_config(num_cells=2, num_ues=3), derive_rng(1))
         ue = topo.role == UE
         assert [(u.x, u.y) for u in topo.ues] == list(
             zip(topo.x[ue].tolist(), topo.y[ue].tolist()))
@@ -135,18 +140,18 @@ class TestBuildTopology:
         import dataclasses
         bad = dataclasses.replace(make_config(), num_cells=3)
         with pytest.raises(ValueError):
-            build_topology(bad, derive_rng(1))
+            one_trial_topology(bad, derive_rng(1))
 
     def test_identical_seed_identical_topology(self):
         cfg = make_config(num_cells=2, num_ues=25)
-        a = build_topology(cfg, derive_rng(5))
-        b = build_topology(cfg, derive_rng(5))
+        a = one_trial_topology(cfg, derive_rng(5))
+        b = one_trial_topology(cfg, derive_rng(5))
         for name in ("role", "cell", "x", "y", "height"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_donor_spacing_override(self):
         cfg = make_config(num_cells=2, donor_spacing_m=1000.0)
-        topo = build_topology(cfg, derive_rng(1))
+        topo = one_trial_topology(cfg, derive_rng(1))
         d0, d1 = _donors(topo)
         assert math.hypot(topo.x[d0] - topo.x[d1],
                           topo.y[d0] - topo.y[d1]) == pytest.approx(1000.0)
@@ -163,8 +168,8 @@ class TestInfrastructureCache:
     def test_each_geometry_field_keys_the_infrastructure(self, change):
         base = make_config(num_cells=2, num_ues=3)
         other = base.replace(**change)
-        a = build_topology(base, derive_rng(1))
-        b = build_topology(other, derive_rng(1))
+        a = one_trial_topology(base, derive_rng(1))
+        b = one_trial_topology(other, derive_rng(1))
         infra = b.role != UE
         assert not (np.array_equal(a.x[infra], b.x[infra])
                     and np.array_equal(a.y[infra], b.y[infra]))
@@ -177,17 +182,17 @@ class TestInfrastructureCache:
     @pytest.mark.parametrize("num_ues", [0, 3])
     def test_writes_do_not_reach_the_next_build(self, num_ues):
         cfg = make_config(num_cells=2, num_ues=num_ues)
-        first = build_topology(cfg, derive_rng(1))
+        first = one_trial_topology(cfg, derive_rng(1))
         expected = {name: getattr(first, name).copy() for name in TOPOLOGY_FIELDS}
         for name in TOPOLOGY_FIELDS:
             getattr(first, name)[:] = -1
-        second = build_topology(cfg, derive_rng(1))
+        second = one_trial_topology(cfg, derive_rng(1))
         for name in TOPOLOGY_FIELDS:
             assert np.array_equal(getattr(second, name), expected[name])
 
     def test_height_range_given_as_a_list(self):
         cfg = make_config(iab_height_range_m=[21.0, 24.0])
-        topo = build_topology(cfg, derive_rng(1))
+        topo = one_trial_topology(cfg, derive_rng(1))
         assert topo.height[topo.role == IAB].tolist() == [21.0, 22.0, 23.0, 24.0]
 
 
