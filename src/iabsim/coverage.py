@@ -33,25 +33,26 @@ minimum SINR and noise, and the operand's entries that may be nonzero:
 `_gene_constants`) is read, read-only, from the topology's
 `iabsim.topology.Layout`; what a trial writes into is its own.
 
-The trial axis. `build_trials` derives the ``ue-positions``, ``rain``,
-``shadowing`` and ``fading`` streams of all its trials in one batch
-(`iabsim.rng.trial_states`), and `monte_carlo_coverage` and the back-off
-sweep the ``policy`` streams of all theirs; each stream is still its
-trial's own, drawn from a fresh Generator, so the draws are those of one
-`iabsim.rng.derive_rng` per stream. Each trial draws its UE counts and
-uniforms first (`iabsim.topology.draw_ues`). Every trial is then built in
-a block of T trials that drew the same counts, and so the same layout,
-T = 1 included (`build_instance` builds a block of one): the block's UEs
-are placed in one pass over ``(T, n)`` coordinates
-(`iabsim.topology.build_topology`), each trial draws its rain, shadowing
-and fading from its own streams, and the block goes through the channel,
-the scheduler and the instance arithmetic as one pass over ``(T, J, R)``
-arrays (J genes, R receivers). Every stacked operation is elementwise, a
-gather, or a product of 0/1 RB rows, exact in float32, so a trial's
-arrays are the same bit for bit whichever trials share its block; no
-product that decides a threshold is stacked. A block's stacked arrays
-hold at most `_BLOCK_DOUBLES` entries: a trial counts J * max(R,
-rb_max), its channel and RB-occupancy arrays.
+The trial axis. `build_trials` takes the ``ue-positions``, ``rain``,
+``shadowing`` and ``fading`` stream states of all its trials from one
+`iabsim.rng.trial_states` call, and `monte_carlo_coverage` and the
+back-off sweep the ``policy`` states of all theirs; the states are
+memoised per trial, so the sweep points of an experiment derive them
+once. Each stream is its trial's own, drawn from a fresh Generator: the
+draws are those of one `iabsim.rng.derive_rng` per stream. Each trial
+draws its UE counts and uniforms first (`iabsim.topology.draw_ues`).
+Every trial is then built in a block of T trials that drew the same
+counts, and so the same layout, T = 1 included (`build_instance` builds a
+block of one): the block's UEs are placed in one pass over ``(T, n)``
+coordinates (`iabsim.topology.build_topology`), each trial draws its
+rain, shadowing and fading from its own streams, and the block goes
+through the channel, the scheduler and the instance arithmetic as one
+pass over ``(T, J, R)`` arrays (J genes, R receivers). Every stacked
+operation is elementwise, a gather, or a product of 0/1 RB rows, exact in
+float32, so a trial's arrays are the same bit for bit whichever trials
+share its block; no product that decides a threshold is stacked. A
+block's stacked arrays hold at most `_BLOCK_DOUBLES` entries: a trial
+counts J * max(R, rb_max), its channel and RB-occupancy arrays.
 
 The ``(J, V)`` interference operand is scattered, not multiplied out. The
 entries that may be nonzero are fixed by the layout: the pairs of
@@ -193,7 +194,7 @@ def build_trials(config: ScenarioConfig, seed: int, trials: Iterable[int]
 
     Every random draw comes from a stream keyed by (seed, trial, purpose);
     trials are independent and reproducible in any execution order. The
-    streams of every trial are derived in one batch (`trial_states`), and
+    streams of every trial come from one `trial_states` call, and
     each trial draws its UE counts and uniforms first; the trials that
     drew the same counts (the same layout) are then built together, in
     blocks bounded by `_BLOCK_DOUBLES`, layout by layout in the order each

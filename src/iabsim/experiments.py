@@ -103,7 +103,7 @@ def run_coverage_vs_ues(config: ScenarioConfig,
     for rbs, path in zip(spec.rbs_values, paths):
         cfg_rb = config.replace(rbs_per_ue=rbs)
         rows = []
-        for num_ues in config.sweep_ues:
+        for num_ues in _sweep_ues(config):
             cfg = cfg_rb.replace(num_ues=num_ues)
             results = monte_carlo_coverage(cfg, ("ga", "max", "random"),
                                            cfg.trials, cfg.seed)
@@ -112,6 +112,15 @@ def run_coverage_vs_ues(config: ScenarioConfig,
                    ["num_ues", "coverage_optimized", "coverage_max_power",
                     "coverage_random_power"], rows)
     return paths
+
+
+def _sweep_ues(config: ScenarioConfig) -> tuple[int, ...]:
+    """``sweep_ues``, checked first: fixed ``ue_positions`` fix the count."""
+    fixed = config.ue_positions
+    if fixed is not None and set(config.sweep_ues) - {len(fixed)}:
+        raise ConfigError(f"sweep_ues {list(config.sweep_ues)} sweeps the UE "
+                          f"count, but ue_positions fixes it at {len(fixed)}")
+    return config.sweep_ues
 
 
 def run_coverage_vs_sinr(config: ScenarioConfig,
@@ -158,7 +167,7 @@ def run_coverage_vs_sinr(config: ScenarioConfig,
 def run_intercell(config: ScenarioConfig, spec: ExperimentSpec) -> list[str]:
     """One-cell vs two-cell coverage across the UE sweep."""
     rows = []
-    for num_ues in config.sweep_ues:
+    for num_ues in _sweep_ues(config):
         cov = []
         for cells in (1, 2):
             cfg = config.replace(num_ues=num_ues, num_cells=cells)
@@ -297,7 +306,7 @@ def crossing_point(x: np.ndarray, y: np.ndarray, target: float) -> Optional[floa
 
 
 def summarize(path: str) -> str:
-    """Headline statistics for an experiment CSV, as a text report."""
+    """Headline statistics and degeneracy flags of an experiment CSV."""
     experiment, _, columns, data, raw = read_csv(path)
 
     def column(name: str) -> int:
@@ -384,6 +393,16 @@ def summarize(path: str) -> str:
                                  f"{q3 - q1:.2f} dB")
     else:
         lines.append(f"  {len(raw)} data rows, columns: {', '.join(columns)}")
+    if raw and experiment in ("coverage-vs-ues", "intercell",
+                              "coverage-vs-sinr"):
+        for j, col in enumerate(columns):
+            flat = data[0, j] if np.all(data[:, j] == data[0, j]) else None
+            if "coverage" in col and flat in (0.0, 1.0):
+                lines.append(f"  degenerate: {col} reads {flat:g} in every row")
+        if experiment == "coverage-vs-sinr" and np.array_equal(
+                data[:, column("sep_coverage")], data[:, column("sim_coverage")]):
+            lines.append("  degenerate: sep_coverage equals sim_coverage in "
+                         "every row")
     return "\n".join(lines)
 
 

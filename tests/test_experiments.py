@@ -337,6 +337,41 @@ class TestSummarize:
         assert err.startswith("error: ")
         assert path in err and f"line {len(lines) + 1} " in err
 
+    @pytest.mark.parametrize("name, columns, rows, flagged", [
+        ("coverage-vs-ues", ["num_ues", "coverage_optimized",
+                             "coverage_max_power", "coverage_random_power"],
+         [[5, 1.0, 1.0, 0.0], [10, 0.9, 1.0, 0.0]],
+         ["coverage_max_power reads 1", "coverage_random_power reads 0"]),
+        ("intercell", ["num_ues", "coverage_1cell", "coverage_2cell"],
+         [[5, 1.0, 1.0], [10, 1.0, 0.99]], ["coverage_1cell reads 1"]),
+        ("coverage-vs-sinr", ["backoff_db", "sep_median_sinr_db",
+                              "sep_coverage", "sim_median_sinr_db",
+                              "sim_coverage"],
+         [[0.0, 20.0, 0.0, 18.0, 0.0], [6.0, 14.0, 0.0, 12.0, 0.0]],
+         ["sep_coverage reads 0", "sim_coverage reads 0",
+          "sep_coverage equals sim_coverage"]),
+        ("coverage-vs-sinr", ["backoff_db", "sep_median_sinr_db",
+                              "sep_coverage", "sim_median_sinr_db",
+                              "sim_coverage"],
+         [[0.0, 20.0, 0.9, 18.0, 0.9], [6.0, 14.0, 0.5, 12.0, 0.5]],
+         ["sep_coverage equals sim_coverage"]),
+        ("coverage-vs-sinr", ["backoff_db", "sep_median_sinr_db",
+                              "sep_coverage", "sim_median_sinr_db",
+                              "sim_coverage"],
+         [[0.0, 20.0, 0.9, 18.0, 0.9], [6.0, 14.0, 0.5, 12.0, 0.4]], []),
+    ])
+    def test_degenerate_columns_are_flagged(self, tmp_path, name, columns,
+                                            rows, flagged):
+        path = str(tmp_path / "flat.csv")
+        experiments._write_csv(path, tiny_config(), name, columns, rows)
+        before = Path(path).read_bytes()
+        report = summarize(path).splitlines()
+        flags = [line for line in report if line.startswith("  degenerate: ")]
+        assert len(flags) == len(flagged)
+        for flag, text in zip(flags, flagged):
+            assert text in flag
+        assert Path(path).read_bytes() == before
+
     def test_malformed_csv_rejected(self, tmp_path):
         path = tmp_path / "junk.csv"
         path.write_text("# not an experiment\n")
@@ -399,6 +434,28 @@ class TestCli:
                      "--out", out])
         assert code == 1
         assert "num_ues" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["coverage-vs-ues", "intercell"])
+    def test_ue_sweep_over_fixed_positions_exits_1_naming_sweep_ues(
+            self, tmp_path, capsys, name):
+        positions = ((20.0, 0.0), (60.0, 0.0), (120.0, 0.0), (180.0, 0.0))
+        cfg_path = tmp_path / "fixed.cfg"
+        cfg_path.write_text("\n".join(config_lines(tiny_config(
+            num_ues=4, ue_positions=positions, sweep_ues=(4, 5)))) + "\n")
+        out = tmp_path / "out.csv"
+        code = main(["run", name, "--config", str(cfg_path), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "sweep_ues" in err and "at 4" in err
+        assert os.listdir(tmp_path) == ["fixed.cfg"]
+
+    def test_ue_sweep_of_the_fixed_count_runs(self, tmp_path):
+        positions = ((20.0, 0.0), (60.0, 0.0), (120.0, 0.0), (180.0, 0.0))
+        config = tiny_config(num_ues=4, ue_positions=positions,
+                             sweep_ues=(4,), power_policy="max")
+        [path] = run(tmp_path, "intercell", config)
+        _, _, _, data, _ = read_csv(path)
+        assert data[:, 0].tolist() == [4.0]
 
     def test_workers_flag_is_unknown(self, tmp_path, capsys):
         out = tmp_path / "x.csv"

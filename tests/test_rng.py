@@ -1,14 +1,16 @@
-"""Stream derivation: the word-array seeding of `derive_rng` draws exactly
-what NumPy draws from the ``[seed, *tags]`` entropy list; the batched hash
-gives each row NumPy's ``SeedSequence`` state; and a batch of streams of
-mixed entropy lengths draws what `derive_rng` draws per (trial, tag)."""
+"""Stream derivation: `derive_rng` draws exactly what NumPy draws from the
+``[seed, *tags]`` entropy list; a batch of streams of mixed entropy
+lengths draws what `derive_rng` and ``SeedSequence`` draw per (trial,
+tag); and the per-trial memo behind `trial_states` hands out the same
+states warm as cold, never shares a writable array, and caches no row of
+a call that raised."""
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from iabsim.rng import (_states, _tag_to_int, derive_rng, stream,
+from iabsim.rng import (_tag_to_int, _trial_row, derive_rng, stream,
                         trial_states)
 
 # Word boundaries of SeedSequence's 32-bit split, and values past 2**64.
@@ -40,30 +42,7 @@ def test_negative_entropy_raises(seed, tags):
         derive_rng(seed, *tags)
 
 
-words32 = st.one_of(st.sampled_from((0, 2**32 - 1)), st.integers(0, 2**32 - 1))
-
-
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(n_words=st.integers(1, 8), data=st.data())
-@example(n_words=1, data=None)
-@example(n_words=8, data=None)
-def test_batched_hash_equals_seed_sequence(n_words, data):
-    # Every row of one batch, each word 0, 2**32 - 1 or any other.
-    if data is None:
-        rows = [[0] * n_words, [2**32 - 1] * n_words]
-    else:
-        rows = data.draw(st.lists(st.lists(words32, min_size=n_words,
-                                           max_size=n_words),
-                                  min_size=1, max_size=6))
-    entropy = np.array(rows, dtype=np.uint32)
-    got = _states(entropy)
-    assert got.dtype == np.uint64 and got.shape == (len(rows), 4)
-    for row, state in zip(entropy, got):
-        expected = np.random.SeedSequence(row).generate_state(4, np.uint64)
-        assert state.tobytes() == expected.tobytes()
-
-
-# Seeds and trials on both sides of 2**32, so that one batch holds rows of
+# Seeds and trials on both sides of 2**32, so that one call holds rows of
 # several entropy lengths; tags of one and of two words, and of three.
 wide_ints = st.sampled_from((0, 1, 2**32 - 1, 2**32, 2**40 + 3, 2**64 + 5))
 
@@ -100,3 +79,53 @@ def test_a_stream_starts_anew_from_its_state():
 def test_negative_seed_or_trial_raises(seed, trials):
     with pytest.raises(ValueError):
         trial_states(seed, trials, ["policy"])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**40),
+       calls=st.lists(st.lists(st.integers(0, 12), min_size=1, max_size=6),
+                      min_size=1, max_size=4),
+       tags=st.lists(st.sampled_from(("ue-positions", "rain", "policy", 7)),
+                     min_size=1, max_size=3))
+@example(seed=1, calls=[[0, 1, 2], [2, 1, 0], [1, 3], [3, 3, 0]],
+         tags=["ue-positions", "rain"])
+def test_warm_states_equal_cold_states(seed, calls, tags):
+    # Overlapping and reordered trial lists: every call after the first
+    # hits rows that an earlier call cached.
+    _trial_row.cache_clear()
+    warm = [trial_states(seed, trials, tags) for trials in calls]
+    for trials, got in zip(calls, warm):
+        _trial_row.cache_clear()
+        assert got.tobytes() == trial_states(seed, trials, tags).tobytes()
+
+
+@pytest.mark.parametrize("trials", [[0, 1], [1]])
+def test_returned_states_are_the_callers_own(trials):
+    _trial_row.cache_clear()
+    first = trial_states(5, trials, ["policy", "rain"])
+    expected = first.copy()
+    assert first.flags.writeable
+    first[...] = 0
+    again = trial_states(5, trials[::-1] + trials, ["policy", "rain"])
+    assert again.tobytes() == np.concatenate((expected[::-1],
+                                              expected)).tobytes()
+    assert _trial_row.cache_info().hits == 2 * len(trials)
+
+
+def test_memo_rows_are_read_only():
+    row = _trial_row(5, 0, ("policy", "rain"))
+    assert not row.flags.writeable
+    with pytest.raises(ValueError):
+        row[0, 0] = 0
+    assert row is _trial_row(5, 0, ("policy", "rain"))
+
+
+@pytest.mark.parametrize("seed, trials, cached", [(-1, [0], 0),
+                                                  (3, [-2], 0),
+                                                  (3, [0, -2], 1)])
+def test_negative_entropy_caches_no_row(seed, trials, cached):
+    # Only rows of non-negative entropy derived before the error stay.
+    _trial_row.cache_clear()
+    with pytest.raises(ValueError):
+        trial_states(seed, trials, ["policy"])
+    assert _trial_row.cache_info().currsize == cached
