@@ -9,12 +9,15 @@ trial are scored on one instance, built once, and each policy draws from
 its own fresh `policy` stream of the trial; the policies are thus compared
 on common random numbers, a paired comparison.
 
-Every evaluation goes through one batched kernel on a `ScenarioInstance`.
-Powers are float arrays, one entry per gene in `gene_ids` order: EIRPs in
-dBm at the policy boundary only, and linear mW (`to_mw`, once per batch)
-in the kernel. The optimizer scores (K, J) batches with `batch_coverage`,
-the back-off sweep all back-offs of a trial in one batch. `run_trial`
-scores the chosen dBm powers with `evaluate`, which reads one status code
+Every evaluation goes through one batched kernel (`_link_sinr`,
+`_link_pass`, `_coverage`), run on one `ScenarioInstance` or on a group of
+trials of one layout (`_Group`). Powers are float arrays, one entry per
+gene in `gene_ids` order: EIRPs in dBm at the policy boundary only, and
+linear mW (`to_mw`, once per batch) in the kernel. The optimizer scores
+(T, K, J) batches of a group with `group_coverage` (a group of one with
+`batch_coverage`), the back-off sweep all back-offs of a trial in one
+batch. `run_trials` scores the chosen dBm powers of a block's trials with
+`evaluate`, which reads one status code
 per UE off the same link-pass arrays; the trial keeps the codes on
 `TrialOutcome.status` and reports their covered share. Each gene
 transmits on exactly one victim link (a UE's access link, or an IAB MT's
@@ -50,9 +53,23 @@ through the channel, the scheduler and the instance arithmetic as one
 pass over ``(T, J, R)`` arrays (J genes, R receivers). Every stacked
 operation is elementwise, a gather, or a product of 0/1 RB rows, exact in
 float32, so a trial's arrays are the same bit for bit whichever trials
-share its block; no product that decides a threshold is stacked. A
-block's stacked arrays hold at most `_BLOCK_DOUBLES` entries: a trial
-counts J * max(R, rb_max), its channel and RB-occupancy arrays.
+share its block; no product of the build that decides a threshold is
+stacked. A block's stacked arrays hold at most `_BLOCK_DOUBLES` entries: a
+trial counts J * max(R, rb_max), its channel and RB-occupancy arrays.
+`build_trials` hands its caller each block whole, as a list of ``(trial,
+instance)``, and the policies choose the powers of a block's trials in
+one call each, so the GA searches them in lockstep.
+
+A group. `_Group` stacks the arrays the kernel reads of T trials of one
+layout on a leading trial axis: the ``(J,)`` ones as ``(T, 1, J)``, the
+interference operands as ``(T, J, V)``. Its interference product is one
+``(T, K, J) @ (T, J, V)`` matmul, one BLAS call per trial on that trial's
+operand, and a row's product does not depend on the other rows of its
+call; every other step is elementwise or a per-row gather or sum. So a
+trial's rows score the same bits in a group as alone (a property test
+holds this at one BLAS thread and at the default count, and with SIMD
+dispatch off). A
+group holds its own copy of what it reads, about T * J * (J + 4) doubles.
 
 The ``(J, V)`` interference operand is scattered, not multiplied out. The
 entries that may be nonzero are fixed by the layout: the pairs of
@@ -62,9 +79,9 @@ so the RBs two UEs share are a layout constant too (`_block_overlap`); a
 relay's depend on the UEs it serves, and come per trial from a ``(T,
 n_iab, rb_max) @ (T, rb_max, J)`` RB product. Only the received powers of
 the entries, and of each gene's own link, are gathered and converted to
-mW. `build_trials` makes each instance, and its operand, as it yields it,
-so a caller that drops an instance once scored holds one operand at a
-time.
+mW. An instance scatters its dense operand on first use, and `run_trials`
+drops it once the trial is scored, so the trials of a block scored one
+by one hold one dense operand at a time.
 """
 
 from __future__ import annotations
@@ -126,38 +143,44 @@ class ScenarioInstance:
         self.gamma_min = block.gamma_min[i]
         self.noise_mw = block.noise_mw[i]
         self.vacuous = block.vacuous[i]
-        self._any_vacuous = bool(block.any_vacuous[i])
-        # The C-contiguous (J, V) interference operand: gene j's unit EIRP
-        # at victim v, weighted by the share of v's RBs that j also holds;
-        # 0 where j does not interfere at v.
-        n_genes = len(c.gene_ids)
-        self._interf = np.zeros((n_genes, n_genes))
-        self._interf.reshape(-1)[c.operand_at] = block.operand[i]
-        self.interf_lin = self._interf.T  # (V, J) view; perfbench reads it
+        self._vacuous = self.vacuous if block.any_vacuous[i] else None
+        self._ue_cols = c.ue_cols
+        self._operand_at, self._operand = c.operand_at, block.operand[i]
+        self._dense = None
+
+    @property
+    def _interf(self) -> np.ndarray:
+        """The C-contiguous (J, V) interference operand: gene j's unit EIRP
+        at victim v, weighted by the share of v's RBs that j also holds; 0
+        where j does not interfere at v. Built on first use and kept until
+        `_drop_operand`."""
+        if self._dense is None:
+            self._dense = _scatter(self._operand_at, self._operand,
+                                   len(self.gene_ids))
+        return self._dense
+
+    @property
+    def interf_lin(self) -> np.ndarray:
+        """The (V, J) view of the operand; perfbench reads it."""
+        return self._interf.T
+
+    def _drop_operand(self) -> None:
+        """Free the operand; the next kernel call builds it again."""
+        self._dense = None
+
+    def _ue_pass(self, link_pass: np.ndarray) -> np.ndarray:
+        """(..., n_ue) mask of the UEs served, of a (..., V) link-pass
+        mask."""
+        return np.logical_and(link_pass[..., self._ue_cols],
+                              link_pass.take(self.parent_row, axis=-1))
 
     def batch_link_sinr(self, mw: np.ndarray) -> np.ndarray:
         """Linear SINR of every victim link for a (K, J) batch in mW."""
-        gamma = mw * self.sig_lin  # victim row v is gene v's link
-        interference = mw @ self._interf
-        interference += self.noise_mw
-        gamma /= interference
-        return gamma
-
-    def _link_pass(self, mw: np.ndarray) -> np.ndarray:
-        """(K, V) mask of the victim links that clear their minimum SINR."""
-        link_pass = self.batch_link_sinr(mw) >= self.gamma_min
-        if self._any_vacuous:
-            link_pass |= self.vacuous
-        return link_pass
+        return _link_sinr(self, mw)
 
     def batch_coverage(self, mw: np.ndarray) -> np.ndarray:
         """Coverage probability for each row of a (K, J) batch in mW."""
-        if self.n_ue == 0:
-            return np.ones(mw.shape[0])
-        link_pass = self._link_pass(mw)
-        ue_pass = link_pass.take(self._ue_rows, axis=1)
-        ue_pass &= link_pass.take(self.parent_row, axis=1)
-        return np.add.reduce(ue_pass, axis=1) / self.n_ue
+        return _coverage(self, mw)
 
     def evaluate(self, eirp_dbm: np.ndarray) -> np.ndarray:
         """Per-UE status codes, in `ue_ids` order, of one EIRP vector (dBm)
@@ -167,7 +190,7 @@ class ScenarioInstance:
         A relay-served UE whose relay's backhaul fails is a backhaul
         failure whatever its access link does.
         """
-        link_pass = self._link_pass(to_mw(eirp_dbm))
+        link_pass = _link_pass(self, to_mw(eirp_dbm))
         backhaul_fail = self.relay_served & ~link_pass[self.parent_row]
         return np.where(backhaul_fail, 2,
                         np.where(link_pass[self._ue_rows], 0, 1))
@@ -175,6 +198,108 @@ class ScenarioInstance:
     def access_sinr_db(self, mw: np.ndarray) -> np.ndarray:
         """(B, n_ue) access-link SINR in dB for a (B, J) batch in mW."""
         return 10.0 * np.log10(self.batch_link_sinr(mw)[:, self._ue_rows])
+
+
+class _Group:
+    """A group of T trials of one layout, as the fitness kernel reads it:
+    the arrays of a `ScenarioInstance`'s, each stacked on a leading trial
+    axis, the ``(J,)`` ones as ``(T, 1, J)``, so that they broadcast
+    against a ``(T, K, J)`` batch, trial t's rows against trial t's
+    arrays."""
+
+    def __init__(self, instances: Sequence[ScenarioInstance]):
+        first = instances[0]
+        if any(i.gene_ids != first.gene_ids or i.ue_ids != first.ue_ids
+               for i in instances):
+            raise ValueError("a group's trials must share one layout")
+
+        def stacked(name: str) -> np.ndarray:
+            return np.stack([getattr(i, name) for i in instances])
+
+        self.sig_lin = stacked("sig_lin")[:, None]
+        self.noise_mw = stacked("noise_mw")[:, None]
+        self.gamma_min = stacked("gamma_min")[:, None]
+        self._vacuous = (stacked("vacuous")[:, None] if any(
+            i._vacuous is not None for i in instances) else None)
+        self._interf = _scatter(first._operand_at, stacked("_operand"),
+                                len(first.gene_ids))
+        self.n_ue, self._ue_cols = first.n_ue, first._ue_cols
+        # Each UE's parent row among the group's T * V victim rows.
+        self._parent_at = (stacked("parent_row") + len(first.gene_ids)
+                           * np.arange(len(instances))[:, None])
+
+    def _ue_pass(self, link_pass: np.ndarray) -> np.ndarray:
+        """(T, K, n_ue) mask of the UEs served, of a (T, K, V) link-pass
+        mask: ``link_pass[t, k, ue_rows[u]] & link_pass[t, k,
+        parent_row[t, u]]``, the parents gathered as rows of the mask's
+        (T * V, K) transpose."""
+        n_trials, k, v = link_pass.shape
+        parents = link_pass.transpose(0, 2, 1).reshape(n_trials * v, k).take(
+            self._parent_at, axis=0)
+        return np.logical_and(link_pass[..., self._ue_cols],
+                              parents.transpose(0, 2, 1))
+
+
+def _scatter(operand_at: np.ndarray, entries: np.ndarray,
+             n_genes: int) -> np.ndarray:
+    """The C-contiguous (..., J, V) operands of (..., E) entries, each set
+    at the flat indices ``operand_at`` of its (J, V) operand, and 0
+    elsewhere."""
+    lead = entries.shape[:-1]
+    interf = np.zeros((*lead, n_genes, n_genes))
+    interf.reshape(*lead, n_genes * n_genes)[..., operand_at] = entries
+    return interf
+
+
+# The fitness kernel. ``trials`` is one `ScenarioInstance`, its arrays
+# (J,), with a (..., K, J) batch, or a `_Group` of T trials, its arrays
+# (T, 1, J), with a (T, K, J) batch; each row is scored on its own trial's
+# arrays, so a trial's rows get the same bits in a group as alone.
+
+def _link_sinr(trials: Union[ScenarioInstance, _Group],
+               mw: np.ndarray) -> np.ndarray:
+    """(..., K, V) linear SINR of every victim link for a batch in mW."""
+    gamma = mw * trials.sig_lin  # victim row v is gene v's link
+    interference = mw @ trials._interf
+    interference += trials.noise_mw
+    gamma /= interference
+    return gamma
+
+
+def _link_pass(trials: Union[ScenarioInstance, _Group],
+               mw: np.ndarray) -> np.ndarray:
+    """(..., K, V) mask of the victim links that clear their minimum
+    SINR."""
+    link_pass = _link_sinr(trials, mw) >= trials.gamma_min
+    if trials._vacuous is not None:
+        link_pass |= trials._vacuous
+    return link_pass
+
+
+def _coverage(trials: Union[ScenarioInstance, _Group],
+              mw: np.ndarray) -> np.ndarray:
+    """(..., K) coverage probability of each row of a batch in mW."""
+    if trials.n_ue == 0:
+        return np.ones(mw.shape[:-1])
+    # Counts of 0/1 summed as floats are exact: the quotients are those of
+    # integer counts.
+    return np.add.reduce(trials._ue_pass(_link_pass(trials, mw)), axis=-1,
+                         dtype=float) / trials.n_ue
+
+
+def group_coverage(instances: Sequence[ScenarioInstance]
+                   ) -> Callable[[np.ndarray], np.ndarray]:
+    """The batched coverage of a group of T trials of one layout: a
+    function from a (T, K, J) batch in mW, trial t's rows in its trial's
+    gene order, to the (T, K) coverage of each row on its own trial, the
+    same bits as its trial's `batch_coverage` gives it. A group of one
+    calls that method, so that perfbench's tracer, which hooks it, counts
+    a one-trial search's rows."""
+    if len(instances) == 1:
+        one = instances[0]
+        return lambda mw: one.batch_coverage(mw[0])[None]
+    group = _Group(instances)
+    return lambda mw: _coverage(group, mw)
 
 
 def to_mw(eirp_dbm: np.ndarray) -> np.ndarray:
@@ -189,8 +314,9 @@ _BUILD_TAGS = ("ue-positions", "rain", "shadowing", "fading")
 
 
 def build_trials(config: ScenarioConfig, seed: int, trials: Iterable[int]
-                 ) -> Iterator[tuple[int, ScenarioInstance]]:
-    """Build the given trials stacked, yielding ``(trial index, instance)``.
+                 ) -> Iterator[list[tuple[int, ScenarioInstance]]]:
+    """Build the given trials stacked, yielding each block of them as a
+    list of ``(trial index, instance)``.
 
     Every random draw comes from a stream keyed by (seed, trial, purpose);
     trials are independent and reproducible in any execution order. The
@@ -216,14 +342,13 @@ def build_trials(config: ScenarioConfig, seed: int, trials: Iterable[int]
             block, members[:size] = members[:size], []
             stack = build_topology(config, layout,
                                    [uniforms for _, uniforms, _ in block])
-            yield from _build_block(config, stack,
-                                    [t for t, _, _ in block],
-                                    [state for _, _, state in block])
+            yield _build_block(config, stack, [t for t, _, _ in block],
+                               [state for _, _, state in block])
 
 
 def _build_block(config: ScenarioConfig, stack: Topology,
                  trials: list[int], states: list[np.ndarray]
-                 ) -> Iterator[tuple[int, ScenarioInstance]]:
+                 ) -> list[tuple[int, ScenarioInstance]]:
     """The trials of one layout in one pass, on their stacked topology
     (x and y of shape (T, n)) and each trial's `_BUILD_TAGS` states:
     channel, association, allocation, slots, then the instance arrays."""
@@ -240,21 +365,21 @@ def _build_block(config: ScenarioConfig, stack: Topology,
     slots = plan_slots(stack, config.slot_mode)
     block = _trial_arrays(config, layout, assoc, alloc, slots,
                           realization.unit_rx_dbm)
-    for i, t in enumerate(trials):
-        yield t, ScenarioInstance(config, stack.trial(i), block, i)
+    return [(t, ScenarioInstance(config, stack.trial(i), block, i))
+            for i, t in enumerate(trials)]
 
 
 def build_instance(config: ScenarioConfig, seed: int,
                    trial_index: int) -> ScenarioInstance:
     """Assemble one trial: geometry, channel, association, allocation,
     slots; `build_trials` of that trial alone, a block of one."""
-    [(_, instance)] = build_trials(config, seed, (trial_index,))
+    [[(_, instance)]] = build_trials(config, seed, (trial_index,))
     return instance
 
 
 # What a scenario instance takes from its layout: see `_gene_constants`.
 _GeneConstants = namedtuple("_GeneConstants", (
-    "gene_ids", "ue_ids", "ue_rows", "iab_rows", "lower", "upper",
+    "gene_ids", "ue_ids", "ue_rows", "ue_cols", "iab_rows", "lower", "upper",
     "gamma_min", "noise_mw", "operand_at", "entry_v", "gather_v",
     "gather_at", "with_relay", "relay_at", "ue_shared"))
 
@@ -408,6 +533,11 @@ def _gene_constants(layout: Layout, ue_range: tuple[float, float],
     genes = layout.tx
     n_genes, n_rx = genes.size, len(layout.rx)
     ue_rows, cols, _ = layout.derived(_ue_blocks, per_ue, grid)
+    # Node ids run donors, relays, UEs, so the UE rows follow the relays'
+    # and the kernel reads them as a slice; ids in another order it
+    # gathers.
+    ue_cols = (slice(ue_rows[0], ue_rows[-1] + 1) if ue_rows.size and
+               ue_rows[-1] - ue_rows[0] + 1 == ue_rows.size else ue_rows)
     is_relay = np.ones(n_genes, dtype=bool)
     is_relay[ue_rows] = False
     iab_rows = np.flatnonzero(is_relay)
@@ -439,7 +569,7 @@ def _gene_constants(layout: Layout, ue_range: tuple[float, float],
     return _GeneConstants(
         gene_ids=tuple(genes.tolist()),
         ue_ids=tuple(genes.take(ue_rows).tolist()),
-        ue_rows=ue_rows, iab_rows=iab_rows,
+        ue_rows=ue_rows, ue_cols=ue_cols, iab_rows=iab_rows,
         lower=np.where(is_relay, iab_lo, ue_lo),
         upper=np.where(is_relay, iab_hi, ue_hi),
         gamma_min=gamma_min, noise_mw=noise, operand_at=operand_at,
@@ -448,8 +578,11 @@ def _gene_constants(layout: Layout, ue_range: tuple[float, float],
         relay_at=relay_at, ue_shared=shared.take(operand_at))
 
 
-# A policy returns EIRPs in dBm in the instance's `gene_ids` order.
-PowersPolicy = Callable[[ScenarioInstance, np.random.Generator], np.ndarray]
+# A policy returns, for a group of trials of one layout and a Generator
+# per trial, each trial's EIRPs in dBm in its instance's `gene_ids` order;
+# a trial's EIRPs must not depend on which other trials share its group.
+PowersPolicy = Callable[[Sequence[ScenarioInstance],
+                         Sequence[np.random.Generator]], list[np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -470,29 +603,38 @@ class MonteCarloResult:
     outcomes: tuple[TrialOutcome, ...]
 
 
-def run_trial(instance: ScenarioInstance, policies: Sequence[PowersPolicy],
-              trial_index: int, policy_state: np.ndarray
-              ) -> list[TrialOutcome]:
-    """One Monte-Carlo trial, built once (``instance``, trial
-    ``trial_index``) and scored under every policy.
+def run_trials(block: Sequence[tuple[int, ScenarioInstance]],
+               policies: Sequence[PowersPolicy], policy_states: np.ndarray
+               ) -> list[list[TrialOutcome]]:
+    """A block of Monte-Carlo trials of one layout, each built once
+    (``(trial index, instance)`` pairs, as `build_trials` yields them),
+    scored under every policy: each trial's outcomes, in policy order.
 
-    Each policy gets a fresh Generator of the trial's `policy` stream
-    (``policy_state``, its `iabsim.rng.trial_states` row), so its outcome
-    does not depend on which other policies run or in what order: the
-    policies are compared on common random numbers. A policy must not
-    mutate the instance.
+    Each policy gets a fresh Generator of each trial's `policy` stream
+    (``policy_states``, one `iabsim.rng.trial_states` row per trial of
+    the block), so an outcome does not depend on which other policies run
+    or in what order: the policies are compared on common random numbers.
+    A policy must not mutate the instances.
     """
-    outcomes = []
-    for policy in policies:
-        powers = policy(instance, stream(policy_state))
-        status = instance.evaluate(powers)
-        n = status.size
-        coverage = np.count_nonzero(status == 0) / n if n else 1.0  # vacuous
-        outcomes.append(TrialOutcome(
-            trial_index=trial_index, coverage=coverage, status=status,
-            gene_ids=instance.gene_ids, powers=powers,
-            topology=instance.topology, assoc=instance.assoc))
-    return outcomes
+    instances = [instance for _, instance in block]
+    chosen = [policy(instances, [stream(s) for s in policy_states])
+              for policy in policies]
+    per_trial = []
+    for (t, instance), powers in zip(block, zip(*chosen, strict=True)):
+        outcomes = []
+        for eirp in powers:
+            status = instance.evaluate(eirp)
+            n = status.size
+            coverage = (np.count_nonzero(status == 0) / n if n
+                        else 1.0)  # vacuous
+            outcomes.append(TrialOutcome(
+                trial_index=t, coverage=coverage, status=status,
+                gene_ids=instance.gene_ids, powers=eirp,
+                topology=instance.topology, assoc=instance.assoc))
+        per_trial.append(outcomes)
+        # Scored: a block's trials hold one operand at a time.
+        instance._drop_operand()
+    return per_trial
 
 
 def monte_carlo_coverage(config: ScenarioConfig,
@@ -503,10 +645,12 @@ def monte_carlo_coverage(config: ScenarioConfig,
     Each trial redraws the UE pattern and the channel, re-associates and
     re-allocates once, then applies and evaluates every policy on that one
     instance, each with its own `policy` stream: a paired comparison on
-    common random numbers (see `run_trial`). The trials are built stacked
-    (`build_trials`) and scored one at a time. A policy is a callable
-    (instance, rng) -> EIRP array or one of "max" | "random" | "ga". One
-    result is returned per policy, in the order given.
+    common random numbers (see `run_trials`). The trials are built
+    stacked (`build_trials`), and each policy chooses the powers of a
+    block's trials in one call: the GA runs them in lockstep
+    (`iabsim.ga.optimize_trials`). A policy is a `PowersPolicy` or one of
+    "max" | "random" | "ga". One result is returned per policy, in the
+    order given.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -515,9 +659,11 @@ def monte_carlo_coverage(config: ScenarioConfig,
                 for p in policies]
     per_trial_outcomes: list[list[TrialOutcome]] = [[] for _ in range(trials)]
     policy_states = trial_states(seed, range(trials), ("policy",))
-    for t, instance in build_trials(config, seed, range(trials)):
-        per_trial_outcomes[t] = run_trial(instance, policies, t,
-                                          policy_states[t, 0])
+    for block in build_trials(config, seed, range(trials)):
+        block_trials = [t for t, _ in block]
+        for t, outcomes in zip(block_trials, run_trials(
+                block, policies, policy_states[block_trials, 0])):
+            per_trial_outcomes[t] = outcomes
     results = []
     for outcomes in zip(*per_trial_outcomes):
         per_trial = np.array([o.coverage for o in outcomes])

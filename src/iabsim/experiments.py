@@ -138,20 +138,25 @@ def run_coverage_vs_sinr(config: ScenarioConfig,
     policy = make_policy(config.power_policy, cfg_sep)
 
     # The slot mode changes no draw and no layout, and `build_trials`
-    # orders its trials by their draws alone, so both builds yield the
-    # trials in the same order; the results are kept in trial order.
+    # blocks and orders its trials by their draws alone, so both builds
+    # yield the same blocks of trials in the same order; the results are
+    # kept in trial order.
     trials = range(config.trials)
     policy_states = trial_states(config.seed, trials, ("policy",))
     results: list = [None] * config.trials
-    for (trial, inst_sep), (sim_trial, inst_sim) in zip(
-            build_trials(cfg_sep, config.seed, trials),
-            build_trials(cfg_sim, config.seed, trials), strict=True):
-        assert sim_trial == trial, (trial, sim_trial)
-        arr = policy(inst_sep, stream(policy_states[trial, 0]))
-        mw = to_mw(arr - backoffs[:, None])  # one row per back-off
-        results[trial] = (
-            inst_sep.batch_coverage(mw), inst_sim.batch_coverage(mw),
-            inst_sep.access_sinr_db(mw), inst_sim.access_sinr_db(mw))
+    for block_sep, block_sim in zip(build_trials(cfg_sep, config.seed, trials),
+                                    build_trials(cfg_sim, config.seed, trials),
+                                    strict=True):
+        block_trials = [t for t, _ in block_sep]
+        assert [t for t, _ in block_sim] == block_trials
+        chosen = policy([inst for _, inst in block_sep],
+                        [stream(s) for s in policy_states[block_trials, 0]])
+        for (trial, inst_sep), (_, inst_sim), arr in zip(block_sep, block_sim,
+                                                         chosen):
+            mw = to_mw(arr - backoffs[:, None])  # one row per back-off
+            results[trial] = (
+                inst_sep.batch_coverage(mw), inst_sim.batch_coverage(mw),
+                inst_sep.access_sinr_db(mw), inst_sim.access_sinr_db(mw))
     cov_sep = np.mean([r[0] for r in results], axis=0)
     cov_sim = np.mean([r[1] for r in results], axis=0)
     sinr_sep = np.median(np.concatenate([r[2] for r in results], axis=1), axis=1)
@@ -376,6 +381,8 @@ def summarize(path: str) -> str:
             first = int(np.argmax(trace >= final)) + 1
             lines.append(f"  {col}: final best {final:.4f}, reached at "
                          f"iteration {first}")
+            if first == 1:
+                lines.append(f"  degenerate: {col} is final at iteration 1")
     elif experiment == "power-cdf":
         rates = sorted(set(data[:, column("min_rate_bps")]))
         role_col = column("role")
@@ -391,6 +398,9 @@ def summarize(path: str) -> str:
                     lines.append(f"  rate {rate:.0f} bps, {role}: median "
                                  f"{np.median(values):.2f} dBm, IQR "
                                  f"{q3 - q1:.2f} dB")
+                    if q3 == q1:
+                        lines.append(f"  degenerate: rate {rate:.0f} bps, "
+                                     f"{role}: the EIRPs have zero IQR")
     else:
         lines.append(f"  {len(raw)} data rows, columns: {', '.join(columns)}")
     if raw and experiment in ("coverage-vs-ues", "intercell",

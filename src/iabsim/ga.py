@@ -31,19 +31,32 @@ Genes are EIRPs in dBm. Each batch (the initial population, a block's
 immigrants, a generation's head) is converted to mW once, by `to_mw`, and
 that array feeds both the fitness kernel and the power tie-break (its row
 sums).
+
+Lockstep groups. `optimize_trials` runs the searches of a group of T
+trials of one layout (the trials of a build block) side by side: each
+batch above gains a leading trial axis, (T, K, J), and each step runs once
+for the group, the fitness as one (T, K, J) @ (T, J, J) product
+(`iabsim.coverage.group_coverage`). Each trial keeps its own Generator and
+the draw order above, its own K + N*K scored rows and its own tie-break,
+and every operation on the stacked arrays is elementwise, a per-trial
+product or a per-row reduction, so a trial's result is bit for bit that of
+its search alone; `optimize` is the group of one. A block of generations
+holds ``_BLOCK_DOUBLES // (T*R)`` of them (at least one), so a group's
+draws take no more memory than one trial's block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .config import ScenarioConfig
-from .coverage import ScenarioInstance, to_mw
+from .coverage import ScenarioInstance, group_coverage, to_mw
 
-# Uniforms drawn per block of generations, in doubles. It bounds a block's
-# memory; the stream is the same whatever its value.
+# Uniforms drawn per block of generations, in doubles, for a whole group.
+# It bounds a block's memory; the stream is the same whatever its value.
 _BLOCK_DOUBLES = 1 << 14
 
 
@@ -96,102 +109,129 @@ def _mutation_deltas(u: np.ndarray, params: GaParams,
 
 def next_population(queen: np.ndarray, deltas: np.ndarray, lower: np.ndarray,
                     upper: np.ndarray) -> np.ndarray:
-    """The queen and its S mutants as a (1 + S, J) matrix.
+    """The queens and their S mutants as a (T, 1 + S, J) array, for the
+    (T, 1, J) queens of a group and their (T, S, J) mutation deltas.
 
-    Row 0 is the queen; row 1 + i is ``queen + deltas[i]`` clamped to the
-    gene bounds.
+    Row 0 of trial t is its queen; row 1 + i is ``queen + deltas[t, i]``
+    clamped to the gene bounds, which broadcast against the mutants (as
+    (T, S, J) arrays, the clamps run as one contiguous loop).
     """
-    head = np.empty((deltas.shape[0] + 1, queen.size))
-    head[0] = queen
-    mutants = np.add(queen, deltas, out=head[1:])
+    mutants = np.add(queen, deltas)
     np.maximum(mutants, lower, out=mutants)
     np.minimum(mutants, upper, out=mutants)
-    return head
-
-
-def _select(mw: np.ndarray, fitness: np.ndarray) -> tuple[int, float]:
-    """Best index and its total linear power, given the rows' linear powers
-    in mW: max fitness, then min total linear power, then min index.
-
-    The power sum is taken only over the rows tied at max fitness.
-    """
-    values = fitness.tolist()
-    top = max(values)
-    tied = [i for i, f in enumerate(values) if f == top]
-    totals = np.add.reduce(mw.take(tied, axis=0), axis=1).tolist()
-    k = totals.index(min(totals))
-    return tied[k], totals[k]
+    return np.concatenate((queen, mutants), axis=1)
 
 
 def _rank(mw: np.ndarray, fitness: np.ndarray
-          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`_select` for each generation of a (G, V, J) block of populations,
-    given as linear powers in mW.
-
-    Returns each generation's best index, its fitness and its total linear
-    power, as (G,) arrays.
+          ) -> tuple[list[int], list[float], list[float]]:
+    """The best of each of a (G, V, J) stack of populations, given as
+    linear powers in mW, with their (G, V) fitness: max fitness, then min
+    total linear power, then min index. Returns each population's best
+    index, its fitness and its total linear power.
     """
+    totals = np.add.reduce(mw, axis=2)
+    if fitness.shape[0] == 1:  # in Python, the faster for one population
+        values, totals = fitness[0].tolist(), totals[0].tolist()
+        top = max(values)
+        best = min((i for i, f in enumerate(values) if f == top),
+                   key=totals.__getitem__)
+        return [best], [top], [totals[best]]
     top = fitness.max(axis=1)
-    tied = fitness == top[:, None]
-    total = np.full(fitness.shape, np.inf)
-    total[tied] = np.add.reduce(mw[tied], axis=1)
-    best = total.argmin(axis=1)
-    return best, top, total[np.arange(best.size), best]
+    totals = np.where(fitness == top[:, None], totals, np.inf)
+    best = totals.argmin(axis=1)
+    return (best.tolist(), top.tolist(),
+            totals[np.arange(best.size), best].tolist())
 
 
 def optimize(instance: ScenarioInstance, params: GaParams,
              rng: np.random.Generator) -> GaResult:
-    """Run the elitist search and return the final queen with its trace.
+    """Run the elitist search on one trial and return the final queen with
+    its trace: `optimize_trials` of that trial alone."""
+    [result] = optimize_trials((instance,), params, (rng,))
+    return result
 
-    The initial population is scored in its own call to the instance's
-    batched coverage evaluator; then each block of generations scores its
-    immigrants in one call, and each generation its queen and mutants in
-    one call: exactly K + N*K fitness evaluations in all. Each batch is
-    converted to mW once, for its fitness call and its tie-break alike.
+
+def optimize_trials(instances: Sequence[ScenarioInstance], params: GaParams,
+                    rngs: Sequence[np.random.Generator]) -> list[GaResult]:
+    """Run the elitist search on a group of T trials of one layout in
+    lockstep, trial t drawing from ``rngs[t]``, and return each trial's
+    result, the same as its search alone gives (module docstring).
+
+    The initial populations are scored in one call to the group's batched
+    coverage (`iabsim.coverage.group_coverage`); then each block of
+    generations scores the group's immigrants in one call, and each
+    generation the group's queens and mutants in one call: exactly K +
+    N*K fitness evaluations per trial. Each batch is converted to mW once,
+    for its fitness call and its tie-break alike.
     """
-    lower, upper = instance.lower, instance.upper
+    evaluate = group_coverage(instances)
+    lower = np.stack([instance.lower for instance in instances])
+    upper = np.stack([instance.upper for instance in instances])
     span = upper - lower
-    evaluate = instance.batch_coverage
-    n_genes, s, v = lower.size, params.neighborhood, params.immigrants
+    n_trials, n_genes = lower.shape
+    s, v = params.neighborhood, params.immigrants
+    # The bounds of each mutant, (T, S, J), for `next_population`.
+    mutant_lower, mutant_upper = (np.repeat(bound[:, None], s, axis=1)
+                                  for bound in (lower, upper))
+    trials = np.arange(n_trials)
 
-    pop = lower + span * rng.random((params.population, n_genes))
+    def draws(shape: tuple[int, ...]) -> np.ndarray:
+        """(T, *shape) uniforms, trial t's from ``rngs[t]``."""
+        u = np.empty((n_trials, *shape))
+        for rng, out in zip(rngs, u, strict=True):
+            rng.random(out=out)
+        return u
+
+    pop = lower[:, None] + span[:, None] * draws((params.population,
+                                                   n_genes))
     pop_mw = to_mw(pop)
-    fit = evaluate(pop_mw)
-    n_evaluations = fit.size
-    best, _ = _select(pop_mw, fit)
-    queen, queen_fitness = pop[best], float(fit[best])
+    best, queen_fitness, queen_total = _rank(pop_mw, evaluate(pop_mw))
+    queen = pop[trials, best, None]  # (T, 1, J)
 
-    trace = np.empty(params.n_iterations)
+    trace = np.empty((params.n_iterations, n_trials))
     mutation_draws = 2 * s * n_genes + s
     row = mutation_draws + v * n_genes
-    per_block = max(1, _BLOCK_DOUBLES // max(row, 1))
+    # A block holds at most _BLOCK_DOUBLES draws, however many trials.
+    per_block = max(1, _BLOCK_DOUBLES // max(n_trials * row, 1))
+    immigrant_trials = range(n_trials) if v else ()
     for start in range(0, params.n_iterations, per_block):
         g = min(per_block, params.n_iterations - start)
-        u = rng.random((g, row))
-        deltas = _mutation_deltas(u, params, n_genes)
+        u = draws((g, row))
+        deltas = _mutation_deltas(u.reshape(n_trials * g, row), params,
+                                  n_genes).reshape(n_trials, g, s, n_genes)
         if v:
-            immigrants = lower + span * u[:, mutation_draws:].reshape(
-                g, v, n_genes)
+            immigrants = lower[:, None, None] + span[:, None, None] * u[
+                :, :, mutation_draws:].reshape(n_trials, g, v, n_genes)
             imm_mw = to_mw(immigrants)
-            imm_fit = evaluate(imm_mw.reshape(g * v, n_genes))
-            n_evaluations += imm_fit.size
-            imm_best, imm_top, imm_total = (
-                a.tolist() for a in _rank(imm_mw, imm_fit.reshape(g, v)))
+            imm_fit = evaluate(imm_mw.reshape(n_trials, g * v, n_genes))
+            # Trial i's generation t at i * g + t.
+            imm_best, imm_top, imm_total = _rank(
+                imm_mw.reshape(n_trials * g, v, n_genes),
+                imm_fit.reshape(n_trials * g, v))
+        fits = []  # each generation's queen fitness, (T,)
         for t in range(g):
-            head = next_population(queen, deltas[t], lower, upper)
+            head = next_population(queen, deltas[:, t], mutant_lower,
+                                   mutant_upper)
             head_mw = to_mw(head)
-            fit = evaluate(head_mw)
-            n_evaluations += fit.size
-            best, queen_total = _select(head_mw, fit)
-            queen, queen_fitness = head[best], float(fit[best])
+            best, queen_fitness, queen_total = _rank(head_mw,
+                                                    evaluate(head_mw))
+            if n_trials == 1:  # a view: a gather costs more than a search
+                queen = head[:, best[0]:best[0] + 1]
+            else:
+                queen = head[trials, best, None]
             # Immigrants rank after the head: one wins only strictly.
-            if v and (imm_top[t] > queen_fitness
-                      or (imm_top[t] == queen_fitness
-                          and imm_total[t] < queen_total)):
-                queen, queen_fitness = immigrants[t, imm_best[t]], imm_top[t]
-            trace[start + t] = queen_fitness
+            for i in immigrant_trials:
+                at = i * g + t
+                top = imm_top[at]
+                if top > queen_fitness[i] or (
+                        top == queen_fitness[i]
+                        and imm_total[at] < queen_total[i]):
+                    queen[i] = immigrants[i, t, imm_best[at]]
+                    queen_fitness[i] = top
+            fits.append(queen_fitness)
+        trace[start:start + g] = fits
 
-    # A copy, so the result does not keep the last block of draws alive.
-    return GaResult(queen=queen.copy(),
-                    queen_fitness=queen_fitness, trace=trace,
-                    n_evaluations=n_evaluations)
+    n_evaluations = params.population * (params.n_iterations + 1)
+    return [GaResult(queen=q, queen_fitness=f, trace=tr,
+                     n_evaluations=n_evaluations)
+            for q, f, tr in zip(queen[:, 0], queen_fitness, trace.T)]

@@ -1,33 +1,43 @@
 """Power-assignment policies fed to the Monte-Carlo evaluator.
 
 "max" and "random" are the non-optimized baselines; "ga" runs the elitist
-search against the trial's frozen realization. Each returns EIRPs in dBm
-in the instance's `gene_ids` order.
+search against each trial's frozen realization, the trials of a group in
+lockstep. Each takes a group of trials of one layout with a Generator per
+trial (a `PowersPolicy`) and returns each trial's EIRPs in dBm, in its
+instance's `gene_ids` order.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 
 from .config import ScenarioConfig
 from .coverage import PowersPolicy, ScenarioInstance
-from .ga import GaParams, optimize
+from .ga import GaParams, optimize, optimize_trials
 
 
-def max_power_policy(instance: ScenarioInstance,
-                     rng: np.random.Generator) -> np.ndarray:
-    return instance.upper.copy()
+def max_power_policy(instances: Sequence[ScenarioInstance],
+                     rngs: Sequence[np.random.Generator]) -> list[np.ndarray]:
+    return [instance.upper.copy() for instance in instances]
 
 
-def random_power_policy(instance: ScenarioInstance,
-                        rng: np.random.Generator) -> np.ndarray:
-    return rng.uniform(instance.lower, instance.upper)
+def random_power_policy(instances: Sequence[ScenarioInstance],
+                        rngs: Sequence[np.random.Generator]
+                        ) -> list[np.ndarray]:
+    return [rng.uniform(instance.lower, instance.upper)
+            for instance, rng in zip(instances, rngs)]
 
 
 def ga_policy(params: GaParams) -> PowersPolicy:
-    def policy(instance: ScenarioInstance,
-               rng: np.random.Generator) -> np.ndarray:
-        return optimize(instance, params, rng).queen
+    def policy(instances: Sequence[ScenarioInstance],
+               rngs: Sequence[np.random.Generator]) -> list[np.ndarray]:
+        # A group of one runs `optimize`, the one-trial search that
+        # perfbench's tracer hooks by this module's name.
+        if len(instances) == 1:
+            return [optimize(instances[0], params, rngs[0]).queen]
+        return [r.queen for r in optimize_trials(instances, params, rngs)]
     return policy
 
 

@@ -12,7 +12,9 @@ draws what ``SeedSequence`` seeding draws, by construction.
 
 The sweep points of an experiment derive the same (seed, trial) streams
 again, so `trial_states` reads each trial's states from a memo of rows
-(`_trial_row`), one ``SeedSequence`` per tag on a miss. Its 400 rows cover
+(`_trial_row`), one ``SeedSequence`` per tag on a miss, its entropy handed
+over as the uint32 words numpy would split the ``[seed, trial, tag]``
+list into, which skips numpy's per-int split in Python. Its 400 rows cover
 one experiment at defaults: 200 trials, each with the four build tags and
 the ``policy`` tag. A row of K tags takes 32 K bytes plus about 0.3 kB, so
 a memo of four-tag rows holds about 0.17 MB. Past the bound the least
@@ -36,15 +38,29 @@ def _tag_to_int(tag: str | int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+def _words(n: int) -> list[int]:
+    """The little-endian 32-bit words ``SeedSequence`` splits a
+    non-negative int into, 0 into ``[0]``; a negative int raises
+    ValueError."""
+    if n < 0:
+        raise ValueError(f"expected a non-negative integer, got {n}")
+    words = [n & 0xFFFFFFFF]
+    while n := n >> 32:
+        words.append(n & 0xFFFFFFFF)
+    return words
+
+
 @lru_cache(maxsize=400)  # see the module docstring
 def _trial_row(seed: int, trial: int, tags: tuple) -> np.ndarray:
     """(K, 4) uint64, read-only: ``SeedSequence([seed, trial,
-    tag]).generate_state(4, np.uint64)`` of each tag. A negative seed or
+    tag]).generate_state(4, np.uint64)`` of each tag, its entropy handed
+    over as the uint32 words that list splits into. A negative seed or
     trial raises ValueError, and nothing is cached."""
+    prefix = _words(seed) + _words(trial)
     row = np.empty((len(tags), 4), dtype=np.uint64)
     for k, tag in enumerate(tags):
-        row[k] = np.random.SeedSequence(
-            [seed, trial, _tag_to_int(tag)]).generate_state(4, np.uint64)
+        entropy = np.array(prefix + _words(_tag_to_int(tag)), dtype=np.uint32)
+        row[k] = np.random.SeedSequence(entropy).generate_state(4, np.uint64)
     row.setflags(write=False)  # shared by every later call
     return row
 

@@ -399,12 +399,15 @@ def _select_full(pop: np.ndarray, fitness: np.ndarray) -> int:
 
 
 def reference_optimize(instance: ScenarioInstance, params: GaParams,
-                       rng: np.random.Generator) -> GaResult:
+                       rng: np.random.Generator,
+                       winners: list | None = None) -> GaResult:
     """`iabsim.ga.optimize`, one generation at a time.
 
     Takes its draws in the order of the contract in the `iabsim.ga`
     docstring, builds each mutant in its own loop step, scores the whole
-    K-row population in one call and selects over all of it.
+    K-row population in one call and selects over all of it. Appends each
+    generation's best index to ``winners`` when given: 1 + S or more is an
+    immigrant.
     """
     lower, upper = instance.lower, instance.upper
     k, s, v = params.population, params.neighborhood, params.immigrants
@@ -438,6 +441,8 @@ def reference_optimize(instance: ScenarioInstance, params: GaParams,
         best = _select_full(pop, fitness)
         queen, queen_fitness = pop[best].copy(), float(fitness[best])
         trace.append(queen_fitness)
+        if winners is not None:
+            winners.append(best)
 
     return GaResult(queen=queen,
                     queen_fitness=queen_fitness, trace=np.array(trace),

@@ -44,13 +44,13 @@ TINY = {
 
 def _counting(build_trials, built):
     """`build_trials`, appending to ``built`` each call's config and the
-    index and layout of each trial it yields."""
+    index and layout of each trial of each block it yields."""
     def counted(config, *args, **kwargs):
         yielded = []
         built.append((config, yielded))
-        for t, instance in build_trials(config, *args, **kwargs):
-            yielded.append((t, instance.topology.layout))
-            yield t, instance
+        for block in build_trials(config, *args, **kwargs):
+            yielded += [(t, instance.topology.layout) for t, instance in block]
+            yield block
     return counted
 
 

@@ -10,7 +10,7 @@ import pytest
 import iabsim.topology as topology
 from iabsim.config import ScenarioConfig
 from iabsim.coverage import (build_instance, build_trials,
-                             monte_carlo_coverage, run_trial)
+                             monte_carlo_coverage, run_trials)
 from iabsim.policies import make_policy, max_power_policy
 from iabsim.rng import trial_states
 from iabsim.topology import DONOR, IAB
@@ -77,7 +77,8 @@ class TestEvaluateTrial:
         cfg = deterministic_config(num_ues=0)
         inst = build_instance(cfg, seed=1, trial_index=0)
         assert inst.evaluate(inst.upper).shape == (0,)
-        [outcome] = run_trial(inst, [max_power_policy], 0, policy_state(1, 0))
+        [[outcome]] = run_trials([(0, inst)], [max_power_policy],
+                                 policy_state(1, 0)[None])
         assert outcome.coverage == 1.0
         assert outcome.status.shape == (0,)
 
@@ -113,8 +114,9 @@ class TestEvaluateTrial:
     def test_coverage_equals_mean_indicator(self):
         cfg = ScenarioConfig(num_ues=25, num_cells=2, rb_max=16,
                              min_rate_bps=1e6, trials=1)
-        [outcome] = run_trial(build_instance(cfg, seed=8, trial_index=0),
-                              [max_power_policy], 0, policy_state(8, 0))
+        [[outcome]] = run_trials(
+            [(0, build_instance(cfg, seed=8, trial_index=0))],
+            [max_power_policy], policy_state(8, 0)[None])
         indicator = [1 if code == 0 else 0 for code in outcome.status]
         assert outcome.coverage == pytest.approx(np.mean(indicator))
         assert 0.0 <= outcome.coverage <= 1.0
@@ -242,14 +244,29 @@ class TestMonteCarlo:
                              min_rate_bps=1e6, trials=1)
         [in_order] = monte_carlo_coverage(cfg, ["random"], trials=10, seed=2)
         policy = make_policy("random", cfg)
-        reversed_order = [run_trial(build_instance(cfg, 2, t), [policy], t,
-                                    policy_state(2, t))[0]
+        reversed_order = [run_trials([(t, build_instance(cfg, 2, t))],
+                                     [policy], policy_state(2, t)[None])[0][0]
                           for t in reversed(range(10))][::-1]
         assert np.array_equal(in_order.per_trial,
                               [o.coverage for o in reversed_order])
         for a, b in zip(in_order.outcomes, reversed_order):
             assert a.gene_ids == b.gene_ids
             assert np.array_equal(a.powers, b.powers)
+
+    def test_block_scored_one_operand_at_a_time(self):
+        # `run_trials` drops each trial's dense operand once the trial is
+        # scored; the next kernel call builds the same operand again.
+        cfg = ScenarioConfig(num_ues=6, num_cells=2, rb_max=16,
+                             min_rate_bps=1e6, trials=1)
+        [block] = build_trials(cfg, 3, range(4))
+        states = trial_states(3, range(4), ["policy"])[:, 0]
+        policies = [make_policy(p, cfg) for p in ("max", "random")]
+        outcomes = run_trials(block, policies, states)
+        for (_, inst), trial in zip(block, outcomes):
+            assert inst._dense is None
+            for outcome in trial:
+                assert np.array_equal(inst.evaluate(outcome.powers),
+                                      outcome.status)
 
     def test_stacked_order_does_not_depend_on_the_layout_cache(self):
         # Poisson counts of about one UE per cell repeat layouts across the
@@ -260,11 +277,13 @@ class TestMonteCarlo:
         cfg = ScenarioConfig(num_ues=1, num_cells=2, rb_max=16,
                              min_rate_bps=1e6, trials=1,
                              ue_count_poisson=True)
-        cached = [t for t, _ in build_trials(cfg, 4, range(16))]
+        cached = [t for block in build_trials(cfg, 4, range(16))
+                  for t, _ in block]
         one_entry = functools.lru_cache(maxsize=1)(
             topology._layout.__wrapped__)
         with mock.patch.object(topology, "_layout", one_entry):
-            evicted = [t for t, _ in build_trials(cfg, 4, range(16))]
+            evicted = [t for block in build_trials(cfg, 4, range(16))
+                       for t, _ in block]
         assert one_entry.cache_info().misses > len(set(
             build_instance(cfg, 4, t).topology.layout.key
             for t in range(16)))

@@ -108,8 +108,8 @@ class TestCoverageVsSinr:
                                  cfg.seed, t)
             sim = build_instance(cfg.replace(slot_mode="simultaneous"),
                                  cfg.seed, t)
-            mw = to_mw(policy(sep, derive_rng(cfg.seed, t, "policy"))
-                       - backoffs[:, None])
+            [powers] = policy([sep], [derive_rng(cfg.seed, t, "policy")])
+            mw = to_mw(powers - backoffs[:, None])
             per_trial.append((sep.batch_coverage(mw), sim.batch_coverage(mw),
                               sep.access_sinr_db(mw), sim.access_sinr_db(mw)))
         cov_sep, cov_sim = (np.mean([r[k] for r in per_trial], axis=0)
@@ -359,6 +359,26 @@ class TestSummarize:
                               "sep_coverage", "sim_median_sinr_db",
                               "sim_coverage"],
          [[0.0, 20.0, 0.9, 18.0, 0.9], [6.0, 14.0, 0.5, 12.0, 0.4]], []),
+        ("ga-trace", ["iteration", "best_coverage_s1", "best_coverage_s2",
+                      "best_coverage_s3"],
+         [[1, 0.5, 0.25, 1.0], [2, 0.75, 0.25, 1.0], [3, 0.75, 0.5, 1.0]],
+         ["best_coverage_s3 is final at iteration 1"]),
+        ("ga-trace", ["iteration", "best_coverage_s1"],
+         [[1, 0.5], [2, 0.5]], ["best_coverage_s1 is final at iteration 1"]),
+        ("ga-trace", ["iteration", "best_coverage_s1"],
+         [[1, 0.5], [2, 0.75]], []),
+        ("power-cdf", ["min_rate_bps", "trial", "node_id", "role",
+                       "server_role", "eirp_dbm"],
+         [[5e6, 0, 2, "iab", "donor", 35.0], [5e6, 0, 3, "ue", "iab", 23.0],
+          [5e6, 1, 2, "iab", "donor", 35.0], [5e6, 1, 3, "ue", "iab", 30.5],
+          [8e7, 0, 2, "iab", "donor", 40.0], [8e7, 0, 3, "ue", "iab", 23.0],
+          [8e7, 1, 2, "iab", "donor", 36.0], [8e7, 1, 3, "ue", "iab", 23.0]],
+         ["rate 5000000 bps, iab: the EIRPs have zero IQR",
+          "rate 80000000 bps, ue: the EIRPs have zero IQR"]),
+        ("power-cdf", ["min_rate_bps", "trial", "node_id", "role",
+                       "server_role", "eirp_dbm"],
+         [[5e6, 0, 3, "ue", "donor", 23.0], [5e6, 1, 3, "ue", "donor", 24.0]],
+         []),
     ])
     def test_degenerate_columns_are_flagged(self, tmp_path, name, columns,
                                             rows, flagged):

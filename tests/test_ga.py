@@ -63,10 +63,15 @@ def mutation_deltas(params, n_genes, generations, rng):
     return _mutation_deltas(u, params, n_genes)
 
 
+def one_head(queen, deltas):
+    """`next_population` of one trial: its queen and mutants, (1 + S, J)."""
+    return next_population(queen[None, None], deltas[None], LOWER, UPPER)[0]
+
+
 def mutants(queen, params, rng, generations=50):
     """Every mutant of ``generations`` generations around the queen."""
     for d in mutation_deltas(params, queen.size, generations, rng):
-        yield from next_population(queen, d, LOWER, UPPER)[1:]
+        yield from one_head(queen, d)[1:]
 
 
 class TestInitPopulation:
@@ -120,7 +125,7 @@ class TestMutation:
         queen = np.array([33.0, 30.0, 44.0])  # interior: no clamp hides a move
         deltas = mutation_deltas(params, queen.size, 50, derive_rng(15, "mut"))
         for d in deltas:
-            pop = next_population(queen, d, LOWER, UPPER)
+            pop = one_head(queen, d)
             moved = pop[1:1 + params.neighborhood] != queen
             assert np.array_equal(moved.sum(axis=1),
                                   np.ones(params.neighborhood))
@@ -131,7 +136,7 @@ class TestMutation:
         queen = np.array([23.0, 43.0, 35.0])  # at the edges
         deltas = mutation_deltas(params, queen.size, 500, derive_rng(16, "mut"))
         for d in deltas:
-            pop = next_population(queen, d, LOWER, UPPER)
+            pop = one_head(queen, d)
             assert np.all(pop >= LOWER) and np.all(pop <= UPPER)
             rows = pop[1:1 + params.neighborhood]
             assert np.all(np.abs(rows - queen)
@@ -141,7 +146,7 @@ class TestMutation:
         params = GaParams(population=20, neighborhood=10)
         queen = np.array([30.0, 40.0, 50.0])
         d = mutation_deltas(params, queen.size, 1, derive_rng(6, "n"))[0]
-        pop = next_population(queen, d, LOWER, UPPER)
+        pop = one_head(queen, d)
         assert pop.shape == (1 + params.neighborhood, 3)
         assert np.array_equal(pop[0], queen)  # elite carried unchanged
         assert np.all(pop >= LOWER) and np.all(pop <= UPPER)
@@ -227,10 +232,14 @@ class TestOptimize:
         assert res.queen[ue_gene] == pytest.approx(23.0)
 
     def test_lowest_index_on_full_tie(self):
-        from iabsim.ga import _select
+        # One population (the Python path) and a stack of two (the array
+        # path).
+        from iabsim.ga import _rank
         pop = np.array([[30.0, 40.0], [30.0, 40.0], [30.0, 40.0]])
         fitness = np.array([0.5, 0.5, 0.5])
-        assert _select(pop, fitness)[0] == 0
+        assert _rank(pop[None], fitness[None])[0] == [0]
+        assert _rank(np.stack([pop, pop]), np.stack([fitness, fitness]))[0] \
+            == [0, 0]
 
     def test_deterministic(self):
         inst = deterministic_instance(num_ues=3, num_iab_per_cell=1,

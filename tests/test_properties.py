@@ -360,6 +360,119 @@ def test_optimize_matches_reference(seed, num_ues, num_cells, num_iab, rb_max,
                                            derive_rng(seed, "policy")))
 
 
+def _lockstep_group(cfg, seed, trials):
+    """The trials of a fixed-count config, all of one layout, built as one
+    block: ``(trial, instance)`` pairs."""
+    with mock.patch.object(coverage, "_BLOCK_DOUBLES", 10**9):
+        [block] = build_trials(cfg, seed, range(trials))
+    return block
+
+
+def _ga_params(population, neighborhood_share, iterations, mutation_prob,
+               step):
+    return ga.GaParams(
+        n_iterations=iterations, population=population,
+        neighborhood=round(neighborhood_share * (population - 1)),
+        mutation_step_db=step, mutation_prob=mutation_prob)
+
+
+@FAST
+@given(seed=seeds, trials=st.sampled_from((1, 2, 7)),
+       num_ues=st.integers(0, 6), num_cells=st.sampled_from((1, 2)),
+       num_iab=st.integers(0, 3), rb_max=st.sampled_from((2, 16)),
+       min_rate=st.sampled_from((64e3, 5e6, 20e6, 80e6)),
+       population=st.integers(2, 7), neighborhood_share=st.floats(0.0, 1.0),
+       iterations=st.integers(1, 12),
+       mutation_prob=st.sampled_from((1e-12, 0.15, 1.0)),
+       step=st.sampled_from((0.5, 3.0, 15.0)),
+       block=st.sampled_from((None, 1, 10**9)))
+@example(seed=1, trials=2, num_ues=0, num_cells=1, num_iab=0, rb_max=16,
+         min_rate=64e3, population=5, neighborhood_share=0.5, iterations=4,
+         mutation_prob=0.15, step=3.0, block=None)  # J = 0
+@example(seed=2, trials=7, num_ues=4, num_cells=1, num_iab=1, rb_max=2,
+         min_rate=20e6, population=6, neighborhood_share=0.0, iterations=8,
+         mutation_prob=0.15, step=3.0, block=1)  # S = 0
+@example(seed=3, trials=2, num_ues=4, num_cells=2, num_iab=1, rb_max=2,
+         min_rate=5e6, population=6, neighborhood_share=1.0, iterations=8,
+         mutation_prob=0.15, step=3.0, block=10**9)  # V = 0
+@example(seed=4, trials=7, num_ues=0, num_cells=2, num_iab=2, rb_max=16,
+         min_rate=5e6, population=4, neighborhood_share=0.5, iterations=5,
+         mutation_prob=0.15, step=3.0, block=None)  # n_ue = 0, relays only
+@example(seed=5, trials=7, num_ues=2, num_cells=2, num_iab=3, rb_max=3,
+         min_rate=5e6, population=5, neighborhood_share=0.5, iterations=6,
+         mutation_prob=0.15, step=3.0, block=1)  # relays with no children
+def test_lockstep_group_matches_reference(seed, trials, num_ues, num_cells,
+                                          num_iab, rb_max, min_rate,
+                                          population, neighborhood_share,
+                                          iterations, mutation_prob, step,
+                                          block):
+    # A group of T trials searched in lockstep gives each trial what its
+    # search alone gives, bit for bit, whatever the block of generations.
+    cfg = ScenarioConfig(num_ues=num_ues, num_cells=num_cells,
+                         num_iab_per_cell=num_iab, rb_max=rb_max,
+                         min_rate_bps=min_rate, trials=1)
+    params = _ga_params(population, neighborhood_share, iterations,
+                        mutation_prob, step)
+    group = _lockstep_group(cfg, seed, trials)
+    rngs = [derive_rng(seed, t, "policy") for t, _ in group]
+    with mock.patch.object(ga, "_BLOCK_DOUBLES",
+                           block or ga._BLOCK_DOUBLES):
+        results = ga.optimize_trials([inst for _, inst in group], params,
+                                     rngs)
+    assert len(results) == trials
+    for (t, inst), result in zip(group, results):
+        _same_result(result, reference_optimize(
+            inst, params, derive_rng(seed, t, "policy")))
+
+
+class _Recording:
+    """A Generator that records the size of each block of uniforms it
+    draws."""
+
+    def __init__(self, rng, sizes):
+        self.rng, self.sizes = rng, sizes
+
+    def random(self, size=None, out=None):
+        self.sizes.append(np.size(out) if out is not None
+                          else int(np.prod(size)))
+        return self.rng.random(size, out=out)
+
+
+def test_lockstep_group_mixes_immigrant_wins_and_bounds_its_draws():
+    # A group in which, at one generation, some trials' queens are
+    # immigrants and others' are not; each trial matches its search alone,
+    # and a block of the group's draws holds no more uniforms than one
+    # trial's block alone, _BLOCK_DOUBLES, unless one generation does.
+    cfg = ScenarioConfig(num_ues=6, num_cells=1, num_iab_per_cell=1,
+                         rb_max=2, min_rate_bps=20e6, trials=1)
+    params = ga.GaParams(n_iterations=30, population=8, neighborhood=3)
+    seed, trials = 11, 7
+    group = _lockstep_group(cfg, seed, trials)
+    winners = []
+    for t, inst in group:
+        winners.append([])
+        reference_optimize(inst, params, derive_rng(seed, t, "policy"),
+                           winners[-1])
+    wins = np.array(winners) >= 1 + params.neighborhood  # (T, N)
+    assert (wins.any(axis=0) & ~wins.all(axis=0)).any()
+    n_genes = len(group[0][1].gene_ids)
+    row = (2 * params.neighborhood * n_genes + params.neighborhood
+           + params.immigrants * n_genes)
+    for budget in (ga._BLOCK_DOUBLES, 5 * trials * row, 1):
+        sizes = []
+        rngs = [_Recording(derive_rng(seed, t, "policy"), sizes)
+                for t, _ in group]
+        with mock.patch.object(ga, "_BLOCK_DOUBLES", budget):
+            results = ga.optimize_trials([inst for _, inst in group], params,
+                                         rngs)
+        for (t, inst), result in zip(group, results):
+            _same_result(result, reference_optimize(
+                inst, params, derive_rng(seed, t, "policy")))
+        blocks = sizes[trials:]  # after the initial populations
+        assert trials * max(blocks) <= max(budget, trials * row)
+        assert sum(blocks) == trials * params.n_iterations * row
+
+
 POLICIES = ("ga", "max", "random")
 
 
@@ -388,7 +501,7 @@ def test_shared_build_matches_one_build_per_policy(seed, num_ues, num_cells,
         policy = make_policy(name, cfg)
         for t in range(trials):
             inst = build_instance(cfg, seed, t)
-            powers = policy(inst, derive_rng(seed, t, "policy"))
+            [powers] = policy([inst], [derive_rng(seed, t, "policy")])
             status = inst.evaluate(powers)
             for res in (a, b):
                 outcome = res.outcomes[t]
@@ -585,7 +698,8 @@ def test_stacked_build_matches_one_trial_builds(seed, trials, num_ues,
     for budget in (1, 2 * per_trial, 10**9):
         with mock.patch.object(coverage, "_BLOCK_DOUBLES", budget):
             built = [(t, _snapshot(inst), inst.evaluate(inst.upper).tolist())
-                     for t, inst in build_trials(cfg, seed, range(trials))]
+                     for block in build_trials(cfg, seed, range(trials))
+                     for t, inst in block]
         assert sorted(t for t, _, _ in built) == list(range(trials))
         for t, snapshot, status in built:
             assert (snapshot, status) == one[t]
@@ -601,7 +715,8 @@ def test_stacked_trials_do_not_share_writes(seed, trials, num_ues, num_cells,
                          rb_max, rbs_per_ue)
     n = trials + 1
     expected = _snapshot(build_instance(cfg, seed, n - 1))
-    block = dict(build_trials(cfg, seed, range(n)))
+    [block] = build_trials(cfg, seed, range(n))
+    block = dict(block)
     last = block.pop(n - 1)
     for inst in block.values():
         assert inst.gamma_min.base is last.gamma_min.base  # one block
@@ -679,6 +794,30 @@ def test_raising_the_rate_never_raises_a_trials_coverage(seed, num_ues,
         monte_carlo_coverage(cfg.replace(min_rate_bps=rate), ["max"], 3, seed)
         for rate in (low, high))
     assert np.all(at_high.per_trial <= at_low.per_trial)
+
+@FAST
+@given(seed=seeds, num_ues=st.integers(0, 8), num_iab=st.integers(0, 3),
+       rate=st.sampled_from((64e3, 5e6, 20e6, 80e6, 2e8)))
+@example(seed=1, num_ues=8, num_iab=3, rate=80e6)
+def test_more_power_never_hurts_without_interference(seed, num_ues, num_iab,
+                                                     rate):
+    # One cell, access and backhaul in separate slots, and a grid wide
+    # enough that no two UEs' RB blocks meet: no link interferes with
+    # another, so a link's SINR rises with its own power only, and a UE
+    # covered under any powers is covered at the upper bounds.
+    per_ue = 2
+    cfg = ScenarioConfig(num_ues=num_ues, num_cells=1,
+                         num_iab_per_cell=num_iab, slot_mode="separated",
+                         rbs_per_ue=per_ue, rb_max=per_ue * max(num_ues, 1),
+                         min_rate_bps=rate, trials=1)
+    inst = build_instance(cfg, seed, 0)
+    assert not inst.interf_lin.any()
+    at_upper = inst.evaluate(inst.upper)
+    rng = np.random.default_rng(seed)
+    for _ in range(4):
+        status = inst.evaluate(rng.uniform(inst.lower, inst.upper))
+        assert np.all(at_upper[status == 0] == 0)
+
 
 @FAST
 @given(grid=st.integers(1, 40), data=st.data())

@@ -22,6 +22,7 @@ ALLOWED = {
     "_NonFinite.visit_Name",  # dispatched by ast.NodeVisitor.visit
     "Topology.ues",  # read by perfbench/selftest.py
     "ChannelRealization.links",  # read by perfbench/tracing.py
+    "ScenarioInstance.interf_lin",  # read by perfbench/tracing.py
     "_Seeded.generate_state",  # called by numpy's PCG64 when seeded
 }
 
