@@ -161,10 +161,19 @@ def optimize_trials(instances: Sequence[ScenarioInstance], params: GaParams,
     coverage (`iabsim.coverage.group_coverage`); then each block of
     generations scores the group's immigrants in one call, and each
     generation the group's queens and mutants in one call: exactly K +
-    N*K fitness evaluations per trial. Each batch is converted to mW once,
-    for its fitness call and its tie-break alike.
+    N*K fitness evaluations per trial, counted from the rows scored. Each
+    batch is converted to mW once, for its fitness call and its tie-break
+    alike.
     """
-    evaluate = group_coverage(instances)
+    group_fitness = group_coverage(instances)
+    scored = 0  # rows scored per trial: each call scores as many per trial
+
+    def evaluate(mw: np.ndarray) -> np.ndarray:
+        nonlocal scored
+        fitness = group_fitness(mw)
+        scored += fitness.shape[-1]
+        return fitness
+
     lower = np.stack([instance.lower for instance in instances])
     upper = np.stack([instance.upper for instance in instances])
     span = upper - lower
@@ -231,7 +240,6 @@ def optimize_trials(instances: Sequence[ScenarioInstance], params: GaParams,
             fits.append(queen_fitness)
         trace[start:start + g] = fits
 
-    n_evaluations = params.population * (params.n_iterations + 1)
     return [GaResult(queen=q, queen_fitness=f, trace=tr,
-                     n_evaluations=n_evaluations)
+                     n_evaluations=scored)
             for q, f, tr in zip(queen[:, 0], queen_fitness, trace.T)]

@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 
 import iabsim.coverage as coverage
@@ -132,3 +133,63 @@ def test_one_build_per_trial_and_config(traced_run):
     assert metrics["topology.calls"] == blocks
     assert metrics["channel.calls"] == blocks
     assert metrics["scheduler.calls"] == 3 * blocks
+
+
+def _recording_groups(group_coverage, rows):
+    """`group_coverage`, appending to ``rows`` one counter per group: the
+    rows its fitness scores per trial, summed over its calls."""
+    def recorded(instances):
+        fitness = group_coverage(instances)
+        counter = [0]
+        rows.append(counter)
+
+        def scored(mw):
+            result = fitness(mw)
+            counter[0] += result.shape[-1]
+            return result
+        return scored
+    return recorded
+
+
+def _recording_searches(optimize_trials, searches):
+    """`optimize_trials`, appending to ``searches`` each group's size and
+    results."""
+    def recorded(instances, params, rngs):
+        results = optimize_trials(instances, params, rngs)
+        searches.append((len(instances), params, results))
+        return results
+    return recorded
+
+
+@pytest.mark.parametrize("name", ["ga_ragged_2cell", "ga_reuse"])
+def test_lockstep_searches_pass_the_ga_checks(name, tmp_path):
+    # `tracing.ga_checks` sees only searches run through the hooked
+    # one-trial entry; a block's lockstep group runs `optimize_trials`.
+    # Here every search of a GA workload, one-trial groups included, must
+    # pass the same checks: K*(N+1) rows scored per trial, as reported and
+    # as counted from its group's fitness calls, and a trace that never
+    # falls; and each trial is searched once.
+    import iabsim.ga as ga
+    import iabsim.policies as policies
+    w = TINY[name]
+    spec = ExperimentSpec(w.experiment, str(tmp_path / "out.csv"),
+                          rbs_values=workloads.RBS_VALUES)
+    rows: list = []
+    searches: list = []
+    optimize_trials = _recording_searches(ga.optimize_trials, searches)
+    with mock.patch.object(ga, "group_coverage",
+                           _recording_groups(ga.group_coverage, rows)), \
+            mock.patch.object(policies, "optimize_trials", optimize_trials), \
+            mock.patch.object(ga, "optimize_trials", optimize_trials):
+        run_experiment(spec, w.build_config(7))
+    assert len(rows) == len(searches)
+    assert sum(size for size, _, _ in searches) == w.trials * len(w.sweep)
+    if name == "ga_reuse":  # one layout: its trials form one group
+        assert any(size > 1 for size, _, _ in searches)
+    for (size, params, results), (scored,) in zip(searches, rows):
+        expected = params.population * (params.n_iterations + 1)
+        assert scored == expected
+        assert len(results) == size
+        for r in results:
+            assert r.n_evaluations == expected
+            assert np.all(np.diff(r.trace) >= 0)
