@@ -61,15 +61,22 @@ instance)``, and the policies choose the powers of a block's trials in
 one call each, so the GA searches them in lockstep.
 
 A group. `_Group` stacks the arrays the kernel reads of T trials of one
-layout on a leading trial axis: the ``(J,)`` ones as ``(T, 1, J)``, the
-interference operands as ``(T, J, V)``. Its interference product is one
-``(T, K, J) @ (T, J, V)`` matmul, one BLAS call per trial on that trial's
-operand, and a row's product does not depend on the other rows of its
-call; every other step is elementwise or a per-row gather or sum. So a
-trial's rows score the same bits in a group as alone (a property test
+layout on a leading trial axis: the ``(J,)`` ones as ``(T, J)``, the
+interference operands as ``(T, J, V)``. The kernel reads a group through
+the `_Height` of each batch height K it is called at, built on first use
+and kept; a search calls at most four (its initial population, the 1 + S
+heads, a block's g * V immigrants and a shorter last block). A height
+holds C-contiguous ``(T, K, J)`` copies of the ``(J,)`` arrays, so that
+each elementwise step runs as one loop over the batch and not as T * K
+loops of J, and each UE's parent row as one ``(T, K, n_ue)`` flat index
+into the batch's ``(T, K, V)`` link-pass mask. The interference product
+is one ``(T, K, J) @ (T, J, V)`` matmul, one BLAS call per trial on that
+trial's operand, and a row's product does not depend on the other rows of
+its call; every other step is elementwise or a per-row gather or sum. So
+a trial's rows score the same bits in a group as alone (a property test
 holds this at one BLAS thread and at the default count, and with SIMD
-dispatch off). A
-group holds its own copy of what it reads, about T * J * (J + 4) doubles.
+dispatch off). A group holds its own copy of what it reads, about T * J *
+(J + 4) doubles, and each height T * K * (3 * J + n_ue) words more.
 
 The ``(J, V)`` interference operand is scattered, not multiplied out. The
 entries that may be nonzero are fixed by the layout: the pairs of
@@ -203,9 +210,9 @@ class ScenarioInstance:
 class _Group:
     """A group of T trials of one layout, as the fitness kernel reads it:
     the arrays of a `ScenarioInstance`'s, each stacked on a leading trial
-    axis, the ``(J,)`` ones as ``(T, 1, J)``, so that they broadcast
-    against a ``(T, K, J)`` batch, trial t's rows against trial t's
-    arrays."""
+    axis, the ``(J,)`` ones as ``(T, J)``. Called on a ``(T, K, J)`` batch,
+    it scores the batch on the `_Height` of that K, built on first use
+    and kept: a search calls a group at a few heights only."""
 
     def __init__(self, instances: Sequence[ScenarioInstance]):
         first = instances[0]
@@ -216,28 +223,55 @@ class _Group:
         def stacked(name: str) -> np.ndarray:
             return np.stack([getattr(i, name) for i in instances])
 
-        self.sig_lin = stacked("sig_lin")[:, None]
-        self.noise_mw = stacked("noise_mw")[:, None]
-        self.gamma_min = stacked("gamma_min")[:, None]
-        self._vacuous = (stacked("vacuous")[:, None] if any(
+        self.sig_lin = stacked("sig_lin")
+        self.noise_mw = stacked("noise_mw")
+        self.gamma_min = stacked("gamma_min")
+        self.vacuous = (stacked("vacuous") if any(
             i._vacuous is not None for i in instances) else None)
+        self.parent_row = stacked("parent_row")
         self._interf = _scatter(first._operand_at, stacked("_operand"),
                                 len(first.gene_ids))
         self.n_ue, self._ue_cols = first.n_ue, first._ue_cols
-        # Each UE's parent row among the group's T * V victim rows.
-        self._parent_at = (stacked("parent_row") + len(first.gene_ids)
-                           * np.arange(len(instances))[:, None])
+        self._heights: dict[int, _Height] = {}
+
+    def __call__(self, mw: np.ndarray) -> np.ndarray:
+        """(T, K) coverage of each row of a (T, K, J) batch in mW."""
+        k = mw.shape[1]
+        height = self._heights.get(k)
+        if height is None:
+            height = self._heights[k] = _Height(self, k)
+        return _coverage(height, mw)
+
+
+class _Height:
+    """What the kernel reads of a `_Group` for ``(T, K, J)`` batches of one
+    height K: C-contiguous ``(T, K, J)`` copies of its ``(T, J)`` arrays,
+    so that each elementwise step runs as one contiguous loop and not as
+    T * K loops of J, and each UE's parent row as a ``(T, K, n_ue)`` flat
+    index into the batch's ``(T, K, V)`` link-pass mask."""
+
+    def __init__(self, group: _Group, k: int):
+        def tiled(rows: np.ndarray) -> np.ndarray:
+            return np.repeat(rows[:, None], k, axis=1)
+
+        self.sig_lin = tiled(group.sig_lin)
+        self.noise_mw = tiled(group.noise_mw)
+        self.gamma_min = tiled(group.gamma_min)
+        self._vacuous = (None if group.vacuous is None
+                         else tiled(group.vacuous))
+        self._interf = group._interf
+        n_trials, n_genes = group.sig_lin.shape
+        self.n_ue, self._ue_cols = group.n_ue, group._ue_cols
+        # Row k of trial t starts at (t * K + k) * V in the flat mask.
+        row_at = np.arange(n_trials * k).reshape(n_trials, k, 1) * n_genes
+        self._parent_at = row_at + group.parent_row[:, None]
 
     def _ue_pass(self, link_pass: np.ndarray) -> np.ndarray:
         """(T, K, n_ue) mask of the UEs served, of a (T, K, V) link-pass
         mask: ``link_pass[t, k, ue_rows[u]] & link_pass[t, k,
-        parent_row[t, u]]``, the parents gathered as rows of the mask's
-        (T * V, K) transpose."""
-        n_trials, k, v = link_pass.shape
-        parents = link_pass.transpose(0, 2, 1).reshape(n_trials * v, k).take(
-            self._parent_at, axis=0)
+        parent_row[t, u]]``."""
         return np.logical_and(link_pass[..., self._ue_cols],
-                              parents.transpose(0, 2, 1))
+                              link_pass.reshape(-1).take(self._parent_at))
 
 
 def _scatter(operand_at: np.ndarray, entries: np.ndarray,
@@ -252,11 +286,12 @@ def _scatter(operand_at: np.ndarray, entries: np.ndarray,
 
 
 # The fitness kernel. ``trials`` is one `ScenarioInstance`, its arrays
-# (J,), with a (..., K, J) batch, or a `_Group` of T trials, its arrays
-# (T, 1, J), with a (T, K, J) batch; each row is scored on its own trial's
-# arrays, so a trial's rows get the same bits in a group as alone.
+# (J,), with a (..., K, J) batch, or the `_Height` of a group of T trials,
+# its arrays (T, K, J), with a (T, K, J) batch; each row is scored on its
+# own trial's arrays, so a trial's rows get the same bits in a group as
+# alone.
 
-def _link_sinr(trials: Union[ScenarioInstance, _Group],
+def _link_sinr(trials: Union[ScenarioInstance, _Height],
                mw: np.ndarray) -> np.ndarray:
     """(..., K, V) linear SINR of every victim link for a batch in mW."""
     gamma = mw * trials.sig_lin  # victim row v is gene v's link
@@ -266,7 +301,7 @@ def _link_sinr(trials: Union[ScenarioInstance, _Group],
     return gamma
 
 
-def _link_pass(trials: Union[ScenarioInstance, _Group],
+def _link_pass(trials: Union[ScenarioInstance, _Height],
                mw: np.ndarray) -> np.ndarray:
     """(..., K, V) mask of the victim links that clear their minimum
     SINR."""
@@ -276,7 +311,7 @@ def _link_pass(trials: Union[ScenarioInstance, _Group],
     return link_pass
 
 
-def _coverage(trials: Union[ScenarioInstance, _Group],
+def _coverage(trials: Union[ScenarioInstance, _Height],
               mw: np.ndarray) -> np.ndarray:
     """(..., K) coverage probability of each row of a batch in mW."""
     if trials.n_ue == 0:
@@ -298,8 +333,7 @@ def group_coverage(instances: Sequence[ScenarioInstance]
     if len(instances) == 1:
         one = instances[0]
         return lambda mw: one.batch_coverage(mw[0])[None]
-    group = _Group(instances)
-    return lambda mw: _coverage(group, mw)
+    return _Group(instances)
 
 
 def to_mw(eirp_dbm: np.ndarray) -> np.ndarray:

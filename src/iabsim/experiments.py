@@ -326,9 +326,16 @@ def summarize(path: str) -> str:
     elif experiment == "coverage-vs-ues":
         ues = data[:, column("num_ues")]
         crossings: dict[str, Optional[float]] = {}
+        degenerate = []
         for col in ("coverage_optimized", "coverage_max_power",
                     "coverage_random_power"):
             cov = data[:, column(col)]
+            if _flat_coverage(cov) is not None:
+                # Flagged below: a flat 0 or 1 has no crossing to report.
+                degenerate.append(col)
+                lines.append(f"  {col}: no 70% crossing reported "
+                             f"(flat in every row)")
+                continue
             cross = crossing_point(ues, cov, 0.7)
             crossings[col] = cross
             if cross is None:
@@ -336,18 +343,22 @@ def summarize(path: str) -> str:
                              f"(supports >= {int(ues[-1])} UEs)")
             else:
                 lines.append(f"  {col}: supports {cross:.2f} UEs at 70% coverage")
-        best_base = _effective_crossing(crossings["coverage_max_power"], ues)
-        best_base = max(best_base,
-                        _effective_crossing(crossings["coverage_random_power"], ues))
-        opt = _effective_crossing(crossings["coverage_optimized"], ues)
-        if opt > best_base:
-            lines.append(f"  optimized power shows positive gain at 70%: "
-                         f"{opt:.2f} vs {best_base:.2f} UEs "
-                         f"({opt / best_base:.2f}x)" if best_base > 0 else
-                         f"  optimized power shows positive gain at 70%")
+        if degenerate:
+            lines.append(f"  no gain or loss reported at 70%: "
+                         f"{', '.join(degenerate)} flat in every row")
         else:
-            lines.append(f"  no gain at 70%: optimized {opt:.2f} vs best "
-                         f"baseline {best_base:.2f} UEs")
+            best_base = max(
+                _effective_crossing(crossings["coverage_max_power"], ues),
+                _effective_crossing(crossings["coverage_random_power"], ues))
+            opt = _effective_crossing(crossings["coverage_optimized"], ues)
+            if opt > best_base:
+                lines.append(f"  optimized power shows positive gain at 70%: "
+                             f"{opt:.2f} vs {best_base:.2f} UEs "
+                             f"({opt / best_base:.2f}x)" if best_base > 0 else
+                             f"  optimized power shows positive gain at 70%")
+            else:
+                lines.append(f"  no gain at 70%: optimized {opt:.2f} vs best "
+                             f"baseline {best_base:.2f} UEs")
     elif experiment == "coverage-vs-sinr":
         gaps = {}
         for mode in ("sep", "sim"):
@@ -406,14 +417,23 @@ def summarize(path: str) -> str:
     if raw and experiment in ("coverage-vs-ues", "intercell",
                               "coverage-vs-sinr"):
         for j, col in enumerate(columns):
-            flat = data[0, j] if np.all(data[:, j] == data[0, j]) else None
-            if "coverage" in col and flat in (0.0, 1.0):
+            flat = _flat_coverage(data[:, j]) if "coverage" in col else None
+            if flat is not None:
                 lines.append(f"  degenerate: {col} reads {flat:g} in every row")
         if experiment == "coverage-vs-sinr" and np.array_equal(
                 data[:, column("sep_coverage")], data[:, column("sim_coverage")]):
             lines.append("  degenerate: sep_coverage equals sim_coverage in "
                          "every row")
     return "\n".join(lines)
+
+
+def _flat_coverage(values: np.ndarray) -> Optional[float]:
+    """The value a coverage column reads in every row when that is 0 or 1,
+    a degenerate column; otherwise None."""
+    flat = values[0]
+    if flat in (0.0, 1.0) and np.all(values == flat):
+        return float(flat)
+    return None
 
 
 def _effective_crossing(cross: Optional[float], ues: np.ndarray) -> float:

@@ -288,6 +288,43 @@ class TestSummarize:
         report = summarize(self._fixture(tmp_path, rows))
         assert "positive gain at 70%" in report
 
+    @pytest.mark.parametrize("rows, present, absent", [
+        # Every column reads 1: no crossing and no gain is reported.
+        ([[10, 1.0, 1.0, 1.0], [20, 1.0, 1.0, 1.0]],
+         ["coverage_optimized: no 70% crossing reported",
+          "no gain or loss reported at 70%: coverage_optimized, "
+          "coverage_max_power, coverage_random_power flat in every row"],
+         ["above 70% at every swept count", "no gain at 70%",
+          "positive gain at 70%", "supports"]),
+        # One flat baseline: the other columns keep their crossings, and
+        # the comparison is withheld.
+        ([[10, 0.95, 1.0, 0.8], [20, 0.6, 1.0, 0.5]],
+         ["coverage_optimized: supports 17.14 UEs at 70% coverage",
+          "coverage_max_power: no 70% crossing reported",
+          "no gain or loss reported at 70%: coverage_max_power flat"],
+         ["above 70% at every swept count", "no gain at 70%",
+          "positive gain at 70%"]),
+        # Normal curves: crossings, the never-crossed count, and the gain.
+        ([[10, 0.95, 0.8, 0.75], [20, 0.9, 0.6, 0.5]],
+         ["coverage_optimized: above 70% at every swept count",
+          "coverage_max_power: supports 15.00 UEs at 70% coverage",
+          "optimized power shows positive gain at 70%: 20.00 vs 15.00 UEs"],
+         ["no 70% crossing reported", "no gain", "degenerate"]),
+        ([[10, 0.75, 0.8, 0.75], [20, 0.5, 0.6, 0.5]],
+         ["no gain at 70%: optimized 12.00 vs best baseline 15.00 UEs"],
+         ["no 70% crossing reported", "positive gain", "degenerate"]),
+    ], ids=["all flat", "one flat", "gain", "no gain"])
+    def test_flat_columns_report_no_crossing_or_gain(self, tmp_path, rows,
+                                                     present, absent):
+        path = self._fixture(tmp_path, rows)
+        before = Path(path).read_bytes()
+        report = summarize(path)
+        for text in present:
+            assert text in report
+        for text in absent:
+            assert text not in report
+        assert Path(path).read_bytes() == before
+
     def test_sinr_curve_above_target_says_so(self, tmp_path):
         # Coverage at or above 70% at every back-off: no crossing to report,
         # and the report says why rather than that the curve never crosses.

@@ -8,8 +8,10 @@ cache (a warm build against a cold one, a layout built again after
 another, read-only cached arrays, and one trial's writes against the next
 trial's build); the stacked build of many trials against one build per
 trial, and one trial's writes against the next trial of its block; the
-stacked UE placement against one placement per trial; and coverage that
-never rises with the minimum rate, over random small scenarios."""
+stacked UE placement against one placement per trial; the lockstep GA
+against one search per trial, and its group kernel, at each batch height,
+against each trial's own kernel; and coverage that never rises with the
+minimum rate, over random small scenarios."""
 
 import math
 from unittest import mock
@@ -423,6 +425,44 @@ def test_lockstep_group_matches_reference(seed, trials, num_ues, num_cells,
     for (t, inst), result in zip(group, results):
         _same_result(result, reference_optimize(
             inst, params, derive_rng(seed, t, "policy")))
+
+
+@FAST
+@given(seed=seeds, trials=st.sampled_from((2, 3, 7)),
+       num_ues=st.integers(0, 6), num_cells=st.sampled_from((1, 2)),
+       num_iab=st.integers(0, 3), rb_max=st.sampled_from((2, 3, 16)),
+       min_rate=st.sampled_from((64e3, 5e6, 20e6, 80e6)),
+       heights=st.lists(st.sampled_from((1, 2, 45)), min_size=1,
+                        max_size=6))
+@example(seed=1, trials=3, num_ues=4, num_cells=2, num_iab=1, rb_max=2,
+         min_rate=5e6, heights=[45, 1, 2, 45, 2, 1])  # each height twice
+@example(seed=5, trials=7, num_ues=2, num_cells=2, num_iab=3, rb_max=3,
+         min_rate=5e6, heights=[45, 1, 2, 45, 1])  # relays with no children
+@example(seed=5, trials=7, num_ues=0, num_cells=2, num_iab=2, rb_max=16,
+         min_rate=5e6, heights=[45, 1, 2, 45, 1])  # n_ue = 0, relays only
+@example(seed=5, trials=7, num_ues=0, num_cells=1, num_iab=0, rb_max=16,
+         min_rate=5e6, heights=[45, 1, 2, 45, 1])  # J = 0
+def test_lockstep_group_kernel_matches_each_trials_kernel(
+        seed, trials, num_ues, num_cells, num_iab, rb_max, min_rate,
+        heights):
+    # A group scores a (T, K, J) batch on the operands it keeps for that
+    # K: each trial's rows get the bits of its own one-trial kernel, at
+    # every height, whichever heights came before.
+    cfg = ScenarioConfig(num_ues=num_ues, num_cells=num_cells,
+                         num_iab_per_cell=num_iab, rb_max=rb_max,
+                         min_rate_bps=min_rate, trials=1)
+    instances = [inst for _, inst in _lockstep_group(cfg, seed, trials)]
+    fitness = coverage.group_coverage(instances)
+    lower, upper = instances[0].lower, instances[0].upper
+    rng = np.random.default_rng(seed)
+    for k in heights:
+        u = rng.random((trials, k, lower.size))
+        u[:, ::3] = 1.0  # some rows at the upper bound, where links pass
+        mw = to_mw(lower + (upper - lower) * u)
+        got = fitness(mw)
+        assert got.shape == (trials, k)
+        for t, inst in enumerate(instances):
+            assert got[t].tobytes() == inst.batch_coverage(mw[t]).tobytes()
 
 
 class _Recording:
