@@ -86,9 +86,9 @@ so the RBs two UEs share are a layout constant too (`_block_overlap`); a
 relay's depend on the UEs it serves, and come per trial from a ``(T,
 n_iab, rb_max) @ (T, rb_max, J)`` RB product. Only the received powers of
 the entries, and of each gene's own link, are gathered and converted to
-mW. An instance scatters its dense operand on first use, and `run_trials`
-drops it once the trial is scored, so the trials of a block scored one
-by one hold one dense operand at a time.
+mW. An instance scatters its dense operand on first use (the GA policy's
+`ScenarioInstance.coverage_bounds`, or the final `evaluate`), and
+`run_trials` drops it once the trial is scored.
 """
 
 from __future__ import annotations
@@ -150,7 +150,6 @@ class ScenarioInstance:
         self.gamma_min = block.gamma_min[i]
         self.noise_mw = block.noise_mw[i]
         self.vacuous = block.vacuous[i]
-        self._vacuous = self.vacuous if block.any_vacuous[i] else None
         self._ue_cols = c.ue_cols
         self._operand_at, self._operand = c.operand_at, block.operand[i]
         self._dense = None
@@ -206,6 +205,32 @@ class ScenarioInstance:
         """(B, n_ue) access-link SINR in dB for a (B, J) batch in mW."""
         return 10.0 * np.log10(self.batch_link_sinr(mw)[:, self._ue_rows])
 
+    def coverage_bounds(self) -> tuple[int, int]:
+        """(floor, ceiling): how many UEs the powers at ``lower`` cover,
+        and how many any powers within the bounds can cover at most.
+
+        A link's SINR only falls as other genes raise their power (Zander
+        1992; Foschini and Miljanic 1993), so its best case is its own
+        gene at ``upper`` and every other at ``lower``. The operand's
+        diagonal is 0, so that link's interference is its interference at
+        ``lower``: the ceiling scores each victim at ``upper_mw * sig_lin /
+        (lower_mw @ operand + noise_mw)``, from the one kernel row at
+        ``lower``, in the kernel's own arithmetic. A UE counts toward the
+        ceiling when its access row and its ``parent_row`` both pass so.
+        Rounding is monotone, and a row's product does not depend on the
+        rows scored with it, so no powers score above the ceiling; and
+        when the floor reaches it, ``lower`` is the GA's exact answer:
+        the most coverage, at the least total power.
+        """
+        lower = to_mw(self.lower[None])
+        interference = lower @ self._interf
+        interference += self.noise_mw
+        floor, ceiling = (
+            int(np.count_nonzero(self._ue_pass(
+                mw * self.sig_lin / interference >= self.gamma_min)))
+            for mw in (lower, to_mw(self.upper)))
+        return floor, ceiling
+
 
 class _Group:
     """A group of T trials of one layout, as the fitness kernel reads it:
@@ -226,8 +251,6 @@ class _Group:
         self.sig_lin = stacked("sig_lin")
         self.noise_mw = stacked("noise_mw")
         self.gamma_min = stacked("gamma_min")
-        self.vacuous = (stacked("vacuous") if any(
-            i._vacuous is not None for i in instances) else None)
         self.parent_row = stacked("parent_row")
         self._interf = _scatter(first._operand_at, stacked("_operand"),
                                 len(first.gene_ids))
@@ -257,8 +280,6 @@ class _Height:
         self.sig_lin = tiled(group.sig_lin)
         self.noise_mw = tiled(group.noise_mw)
         self.gamma_min = tiled(group.gamma_min)
-        self._vacuous = (None if group.vacuous is None
-                         else tiled(group.vacuous))
         self._interf = group._interf
         n_trials, n_genes = group.sig_lin.shape
         self.n_ue, self._ue_cols = group.n_ue, group._ue_cols
@@ -305,10 +326,7 @@ def _link_pass(trials: Union[ScenarioInstance, _Height],
                mw: np.ndarray) -> np.ndarray:
     """(..., K, V) mask of the victim links that clear their minimum
     SINR."""
-    link_pass = _link_sinr(trials, mw) >= trials.gamma_min
-    if trials._vacuous is not None:
-        link_pass |= trials._vacuous
-    return link_pass
+    return _link_sinr(trials, mw) >= trials.gamma_min
 
 
 def _coverage(trials: Union[ScenarioInstance, _Height],
@@ -317,9 +335,10 @@ def _coverage(trials: Union[ScenarioInstance, _Height],
     if trials.n_ue == 0:
         return np.ones(mw.shape[:-1])
     # Counts of 0/1 summed as floats are exact: the quotients are those of
-    # integer counts.
-    return np.add.reduce(trials._ue_pass(_link_pass(trials, mw)), axis=-1,
-                         dtype=float) / trials.n_ue
+    # integer counts. A product with ones sums them faster than a reduce.
+    served = trials._ue_pass(_link_pass(trials, mw)) @ np.ones(trials.n_ue)
+    served /= trials.n_ue
+    return served
 
 
 def group_coverage(instances: Sequence[ScenarioInstance]
@@ -337,9 +356,12 @@ def group_coverage(instances: Sequence[ScenarioInstance]
 
 
 def to_mw(eirp_dbm: np.ndarray) -> np.ndarray:
-    """Linear power in mW of EIRPs in dBm: ``10 ** (eirp_dbm / 10)``."""
+    """Linear power in mW of EIRPs in dBm: ``10 ** (eirp_dbm / 10)``.
+
+    The base is an array of 10.0, not the scalar: numpy's float power runs
+    faster on two contiguous operands, with the same bits."""
     mw = np.divide(eirp_dbm, 10.0)
-    np.power(10.0, mw, out=mw)
+    np.power(np.full(mw.shape, 10.0), mw, out=mw)
     return mw
 
 
@@ -418,12 +440,11 @@ _GeneConstants = namedtuple("_GeneConstants", (
     "gather_at", "with_relay", "relay_at", "ue_shared"))
 
 # The arrays of a block of T trials of one layout: its `_GeneConstants`,
-# the per-trial instance arrays, each (T, ...) (``any_vacuous`` is (T,)),
-# and the (T, K) operand entries that may be nonzero, at
-# `_GeneConstants.operand_at`.
+# the per-trial instance arrays, each (T, ...), and the (T, K) operand
+# entries that may be nonzero, at `_GeneConstants.operand_at`.
 _Block = namedtuple("_Block", (
     "constants", "assoc", "relay_served", "parent_row", "sig_lin",
-    "gamma_min", "noise_mw", "vacuous", "any_vacuous", "operand"))
+    "gamma_min", "noise_mw", "vacuous", "operand"))
 
 
 def _trial_arrays(config: ScenarioConfig, layout: Layout, assoc: np.ndarray,
@@ -503,8 +524,7 @@ def _trial_arrays(config: ScenarioConfig, layout: Layout, assoc: np.ndarray,
             rate * n, n_rb * width, nf)
         flat_vacuous[row] = not n
     return _Block(c, assoc, relay_served, parent_row, unit_mw[:, :n_genes],
-                  gamma_min, noise, vacuous,
-                  np.logical_or.reduce(vacuous, axis=1), operand)
+                  gamma_min, noise, vacuous, operand)
 
 
 def _stacked(row: np.ndarray, n: int) -> np.ndarray:

@@ -364,6 +364,12 @@ def summarize(path: str) -> str:
         for mode in ("sep", "sim"):
             cov = data[:, column(f"{mode}_coverage")]
             sinr = data[:, column(f"{mode}_median_sinr_db")]
+            if _flat_coverage(cov) is not None:
+                # Flagged below: a flat 0 or 1 has no crossing, and no gap.
+                gaps[mode] = None
+                lines.append(f"  {mode}: no 70% crossing reported "
+                             f"(flat in every row)")
+                continue
             cross = crossing_point(np.arange(len(cov), dtype=float), cov, 0.7)
             if cross is None:
                 gaps[mode] = None

@@ -45,6 +45,14 @@ holds ``_BLOCK_DOUBLES // (T*R)`` of them (at least one), so a group's
 draws for a block, and each array made of them (the mutation deltas, the
 immigrants in dBm and in mW, and the kernel's operands at the immigrants'
 batch height), hold at most `_BLOCK_DOUBLES` doubles each, whatever T.
+
+The floor. The GA policy (`iabsim.policies.ga_policy`) searches only the
+trials whose powers at ``lower`` cover fewer UEs than the ceiling that no
+powers can beat (`iabsim.coverage.ScenarioInstance.coverage_bounds`); for
+the others ``lower`` is the exact optimum of this search's objective, the
+most coverage at the least total power, and the policy returns it
+unsearched. The ``ga-trace`` experiment calls `optimize` itself and runs
+the full search on every trial: its trace is the output.
 """
 
 from __future__ import annotations

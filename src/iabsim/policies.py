@@ -2,9 +2,14 @@
 
 "max" and "random" are the non-optimized baselines; "ga" runs the elitist
 search against each trial's frozen realization, the trials of a group in
-lockstep. Each takes a group of trials of one layout with a Generator per
-trial (a `PowersPolicy`) and returns each trial's EIRPs in dBm, in its
-instance's `gene_ids` order.
+lockstep. A trial whose powers at ``lower`` already cover as many UEs as
+any powers can (the floor reaches the ceiling of
+`ScenarioInstance.coverage_bounds`) gets ``lower`` unsearched: it is the
+search's exact optimum, the most coverage at the least total power. Only
+the policy skips the search; ``ga-trace`` runs it in full. Each policy
+takes a group of trials of one layout with a Generator per trial (a
+`PowersPolicy`) and returns each trial's EIRPs in dBm, in its instance's
+`gene_ids` order.
 """
 
 from __future__ import annotations
@@ -33,11 +38,22 @@ def random_power_policy(instances: Sequence[ScenarioInstance],
 def ga_policy(params: GaParams) -> PowersPolicy:
     def policy(instances: Sequence[ScenarioInstance],
                rngs: Sequence[np.random.Generator]) -> list[np.ndarray]:
+        powers = []
+        for instance in instances:
+            floor, ceiling = instance.coverage_bounds()
+            powers.append(instance.lower.copy() if floor == ceiling else None)
+        searched = [i for i, p in enumerate(powers) if p is None]
         # A group of one runs `optimize`, the one-trial search that
         # perfbench's tracer hooks by this module's name.
-        if len(instances) == 1:
-            return [optimize(instances[0], params, rngs[0]).queen]
-        return [r.queen for r in optimize_trials(instances, params, rngs)]
+        if len(searched) == 1:
+            [i] = searched
+            powers[i] = optimize(instances[i], params, rngs[i]).queen
+        elif searched:
+            for i, result in zip(searched, optimize_trials(
+                    [instances[i] for i in searched], params,
+                    [rngs[i] for i in searched])):
+                powers[i] = result.queen
+        return powers
     return policy
 
 

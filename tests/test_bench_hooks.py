@@ -152,13 +152,27 @@ def _recording_groups(group_coverage, rows):
 
 
 def _recording_searches(optimize_trials, searches):
-    """`optimize_trials`, appending to ``searches`` each group's size and
-    results."""
+    """`optimize_trials`, appending to ``searches`` each group's instances,
+    parameters and results."""
     def recorded(instances, params, rngs):
         results = optimize_trials(instances, params, rngs)
-        searches.append((len(instances), params, results))
+        searches.append((list(instances), params, results))
         return results
     return recorded
+
+
+def _recording_choices(ga_policy, chosen):
+    """`ga_policy`, its policies appending to ``chosen`` each trial's
+    instance and the powers chosen for it."""
+    def made(params):
+        policy = ga_policy(params)
+
+        def recorded(instances, rngs):
+            powers = policy(instances, rngs)
+            chosen.extend(zip(instances, powers))
+            return powers
+        return recorded
+    return made
 
 
 @pytest.mark.parametrize("name", ["ga_ragged_2cell", "ga_reuse"])
@@ -168,7 +182,10 @@ def test_lockstep_searches_pass_the_ga_checks(name, tmp_path):
     # Here every search of a GA workload, one-trial groups included, must
     # pass the same checks: K*(N+1) rows scored per trial, as reported and
     # as counted from its group's fitness calls, and a trace that never
-    # falls; and each trial is searched once.
+    # falls. Each trial is searched at most once: the trials not searched
+    # are exactly those whose powers at `lower` already cover as many UEs
+    # as any powers can (`ScenarioInstance.coverage_bounds`), and each of
+    # those gets `lower`.
     import iabsim.ga as ga
     import iabsim.policies as policies
     w = TINY[name]
@@ -176,17 +193,33 @@ def test_lockstep_searches_pass_the_ga_checks(name, tmp_path):
                           rbs_values=workloads.RBS_VALUES)
     rows: list = []
     searches: list = []
+    chosen: list = []
     optimize_trials = _recording_searches(ga.optimize_trials, searches)
     with mock.patch.object(ga, "group_coverage",
                            _recording_groups(ga.group_coverage, rows)), \
             mock.patch.object(policies, "optimize_trials", optimize_trials), \
-            mock.patch.object(ga, "optimize_trials", optimize_trials):
+            mock.patch.object(ga, "optimize_trials", optimize_trials), \
+            mock.patch.object(policies, "ga_policy",
+                              _recording_choices(policies.ga_policy, chosen)):
         run_experiment(spec, w.build_config(7))
     assert len(rows) == len(searches)
-    assert sum(size for size, _, _ in searches) == w.trials * len(w.sweep)
+    assert len(chosen) == w.trials * len(w.sweep)
+    searched = [id(instance) for instances, _, _ in searches
+                for instance in instances]
+    assert len(set(searched)) == len(searched)
+    floor_hits = 0
+    for instance, powers in chosen:
+        floor, ceiling = instance.coverage_bounds()
+        assert (id(instance) in searched) == (floor != ceiling)
+        if floor == ceiling:
+            floor_hits += 1
+            assert np.array_equal(powers, instance.lower)
+    assert len(searched) + floor_hits == len(chosen)
     if name == "ga_reuse":  # one layout: its trials form one group
-        assert any(size > 1 for size, _, _ in searches)
-    for (size, params, results), (scored,) in zip(searches, rows):
+        assert any(len(instances) > 1 for instances, _, _ in searches)
+        assert floor_hits
+    for (instances, params, results), (scored,) in zip(searches, rows):
+        size = len(instances)
         expected = params.population * (params.n_iterations + 1)
         assert scored == expected
         assert len(results) == size

@@ -149,8 +149,10 @@ class TestPowerCdf:
 
 # SHA-256 of every CSV each experiment writes at tiny_config(). A change
 # that alters an output must re-pin its digest on purpose. ga-trace,
-# coverage-vs-ues and power-cdf run the GA, but at this config only the
-# power-cdf bytes follow its draw order: the other two read 1.0 throughout.
+# coverage-vs-ues and power-cdf run the GA, but at this config no bytes
+# follow its draw order: ga-trace and coverage-vs-ues read 1.0 throughout,
+# and every power-cdf trial's powers at the lower bounds already reach its
+# coverage ceiling, so the GA policy returns the lower bounds unsearched.
 GOLDEN = {
     "ga-trace": {
         "out.csv": "13a57b320d78c75ba003867d0682fe8a1983277614671af804c9f51a9ee6b5ca"},
@@ -162,7 +164,7 @@ GOLDEN = {
     "intercell": {
         "out.csv": "def7e03feffdf8d074012a109c2637d21e7620f96ad0867e3b0dd751b8e11ead"},
     "power-cdf": {
-        "out.csv": "8ea44af4f1c7cfb772087e78d5af3f97e703e65ec55c4062eb97ecc92d621569"},
+        "out.csv": "f3f70fe9ec7011b84d57d3329655c6f57b94515d2f6d1550390d3db8cca092b5"},
 }
 
 
@@ -182,6 +184,12 @@ GOLDEN_GA = {
         "out_rb4.csv": "77d2200cac78708155bc35e3fa45522bd957d25df3d6268ba215b007c43243fd"},
 }
 
+# power-cdf at the GA-sensitive config's own rate, where neither trial's
+# powers at the lower bounds reach its coverage ceiling: the GA searches
+# both, and this digest pins the powers it chooses.
+GOLDEN_GA_POWERS = {
+    "out.csv": "d7ea85399550af7d4d44bb089de7d392deca75e188e1706fa7d30c6424ea41f5"}
+
 
 def csv_digests(tmp_path, name, config):
     paths = run_experiment(
@@ -198,6 +206,10 @@ class TestFingerprints:
     @pytest.mark.parametrize("name", sorted(GOLDEN_GA))
     def test_ga_sensitive_digest(self, tmp_path, name):
         assert csv_digests(tmp_path, name, ga_sensitive_config()) == GOLDEN_GA[name]
+
+    def test_ga_sensitive_power_digest(self, tmp_path):
+        config = ga_sensitive_config().replace(powercdf_rates_bps=(20e6,))
+        assert csv_digests(tmp_path, "power-cdf", config) == GOLDEN_GA_POWERS
 
 
 class TestDeterminism:
@@ -334,13 +346,35 @@ class TestSummarize:
                                 "sep_coverage", "sim_median_sinr_db",
                                 "sim_coverage"],
                                [[0.0, 20.0, 1.0, 18.0, 0.7],
-                                [6.0, 14.0, 1.0, 12.0, 0.7],
-                                [12.0, 8.0, 1.0, 6.0, 0.4]])
+                                [6.0, 14.0, 0.9, 12.0, 0.7],
+                                [12.0, 8.0, 0.8, 6.0, 0.4]])
         report = summarize(path).splitlines()
         assert ("  sep: coverage stays at or above 70% at every swept back-off"
                 in report)
         assert report[2].startswith("  sim: median access SINR at 70% coverage")
         assert not any("never crosses" in line for line in report)
+        assert not any("degenerate" in line for line in report)
+
+    @pytest.mark.parametrize("flat", [1.0, 0.0])
+    def test_flat_sinr_column_reports_no_crossing_or_gap(self, tmp_path,
+                                                         flat):
+        # A mode whose coverage reads 0 or 1 in every row is flagged: it
+        # has no crossing to report, and no SINR gap is reported against
+        # the other mode, which keeps its crossing.
+        path = str(tmp_path / "sinr.csv")
+        experiments._write_csv(path, tiny_config(), "coverage-vs-sinr",
+                               ["backoff_db", "sep_median_sinr_db",
+                                "sep_coverage", "sim_median_sinr_db",
+                                "sim_coverage"],
+                               [[0.0, 20.0, flat, 18.0, 0.9],
+                                [6.0, 14.0, flat, 12.0, 0.7],
+                                [12.0, 8.0, flat, 6.0, 0.4]])
+        report = summarize(path).splitlines()
+        assert report[1] == "  sep: no 70% crossing reported (flat in every row)"
+        assert report[2].startswith("  sim: median access SINR at 70% coverage")
+        assert f"  degenerate: sep_coverage reads {flat:g} in every row" in report
+        assert not any("SINR gap" in line or "stays at or above" in line
+                       or "sep: median access SINR" in line for line in report)
 
     def test_identical_cell_columns_zero_delta(self, tmp_path):
         path = str(tmp_path / "ic.csv")

@@ -10,8 +10,10 @@ trial's build); the stacked build of many trials against one build per
 trial, and one trial's writes against the next trial of its block; the
 stacked UE placement against one placement per trial; the lockstep GA
 against one search per trial, and its group kernel, at each batch height,
-against each trial's own kernel; and coverage that never rises with the
-minimum rate, over random small scenarios."""
+against each trial's own kernel; coverage that never rises with the
+minimum rate; and the coverage floor and ceiling against every powers
+scored and against the kernel with one gene raised, over random small
+scenarios."""
 
 import math
 from unittest import mock
@@ -263,11 +265,24 @@ def test_scheduler_matches_reference(seed, num_ues, num_cells, num_iab,
     assert groups == set(reference_plan_slots(nodes, slot_mode).slots)
 
 
+def _ga_batches(test):
+    """GA-shaped examples for `to_mw`, which raises an array of 10.0 where
+    the formula raises the scalar: every length from 1 to 70, however a
+    SIMD loop splits it into a body and a tail, and a (T, K, J) = (10, 54,
+    19) immigrant batch of a lockstep group."""
+    rng = np.random.default_rng(27)
+    for values in [rng.uniform(-120.0, 60.0, n) for n in range(1, 71)] + [
+            rng.uniform(23.0, 53.0, (10, 54, 19))]:
+        test = example(values=values, rows=1)(test)
+    return test
+
+
 @FAST
 @given(values=st.lists(st.floats(-300.0, 300.0), min_size=1, max_size=12),
        rows=st.integers(1, 3))
 @example(values=[-120.0, -3.5, -0.0, 0.0, 0.1, 23.0, 43.0, 50.0, 53.0, 57.3,
                  299.9], rows=2)
+@_ga_batches
 def test_to_mw_is_the_db_formula(values, rows):
     x = np.tile(values, (rows, 1))
     assert to_mw(x).tobytes() == (10.0 ** (x / 10.0)).tobytes()
@@ -870,3 +885,111 @@ def test_block_overlap_counts_the_rbs_two_blocks_share(grid, data):
     assert table[:grid, :grid].tolist() == [[len(a & b) for b in blocks]
                                             for a in blocks]
     assert np.isnan(table[grid]).all() and np.isnan(table[:, grid]).all()
+
+
+# n_ue = 0 is an example: drawn, it would crowd out the rest.
+BOUND_CASES = dict(
+    seed=seeds, trial=st.integers(0, 3), num_ues=st.integers(1, 7),
+    num_cells=st.sampled_from((1, 2)), num_iab=st.integers(0, 4),
+    slot_mode=st.sampled_from(("separated", "simultaneous")),
+    rb_max=st.sampled_from((2, 3, 16)),
+    min_rate=st.sampled_from((64e3, 5e6, 20e6, 80e6)))
+
+
+def _bound_examples(test):
+    """The edge cases every bound property runs: no UE, no gene, and
+    relays with no children."""
+    for case in (
+            dict(seed=5, trial=0, num_ues=0, num_cells=2, num_iab=2,
+                 slot_mode="separated", rb_max=16, min_rate=5e6),  # n_ue = 0
+            dict(seed=1, trial=0, num_ues=0, num_cells=1, num_iab=0,
+                 slot_mode="separated", rb_max=16, min_rate=5e6),  # J = 0
+            dict(seed=6, trial=1, num_ues=2, num_cells=2, num_iab=4,
+                 slot_mode="separated", rb_max=3, min_rate=5e6),  # childless
+            dict(seed=3, trial=0, num_ues=7, num_cells=1, num_iab=2,
+                 slot_mode="simultaneous", rb_max=3, min_rate=20e6)):
+        test = example(**case)(test)
+    return test
+
+
+def _bound_instance(seed, trial, num_ues, num_cells, num_iab, slot_mode,
+                    rb_max, min_rate):
+    return build_instance(ScenarioConfig(
+        num_ues=num_ues, num_cells=num_cells, num_iab_per_cell=num_iab,
+        slot_mode=slot_mode, rb_max=rb_max, min_rate_bps=min_rate, trials=1),
+        seed, trial)
+
+
+def _served(inst, eirp_dbm):
+    """How many UEs one EIRP vector covers, and its total power in mW."""
+    return (int(np.count_nonzero(inst.evaluate(eirp_dbm) == 0)),
+            float(to_mw(eirp_dbm).sum()))
+
+
+@FAST
+@given(**BOUND_CASES)
+@_bound_examples
+def test_no_powers_score_above_the_ceiling(seed, trial, num_ues, num_cells,
+                                           num_iab, slot_mode, rb_max,
+                                           min_rate):
+    # The floor is what `lower` covers; no random vector, batch row, GA
+    # queen or the max-power vector covers more UEs than the ceiling; and
+    # where the floor reaches the ceiling, no queen of a full search beats
+    # `lower` on (coverage, -total mW), and the GA policy returns `lower`.
+    inst = _bound_instance(seed, trial, num_ues, num_cells, num_iab,
+                           slot_mode, rb_max, min_rate)
+    floor, ceiling = inst.coverage_bounds()
+    assert 0 <= floor <= ceiling <= inst.n_ue
+    assert _served(inst, inst.lower)[0] == floor
+    rng = np.random.default_rng(seed)
+    vectors = [inst.upper, *rng.uniform(inst.lower, inst.upper, (6,
+                                        inst.lower.size))]
+    cfg = ScenarioConfig(ga_iterations=12, ga_population=6,
+                         ga_neighborhood=2, trials=1)
+    queen = ga.optimize(inst, ga.GaParams.from_config(cfg),
+                        derive_rng(seed, trial, "policy")).queen
+    for values in [*vectors, queen]:
+        assert _served(inst, values)[0] <= ceiling
+    batch = inst.batch_coverage(to_mw(np.array(vectors)))
+    assert np.all(batch <= (ceiling / inst.n_ue if inst.n_ue else 1.0))
+    [chosen] = make_policy("ga", cfg)([inst],
+                                      [derive_rng(seed, trial, "policy")])
+    if floor == ceiling:
+        served, total = _served(inst, queen)
+        assert (served, -total) <= (floor, -_served(inst, inst.lower)[1])
+        assert np.array_equal(chosen, inst.lower)
+    else:
+        assert np.array_equal(chosen, queen)
+
+
+@FAST
+@given(**BOUND_CASES)
+@_bound_examples
+def test_ceiling_pass_is_the_kernel_pass_with_one_gene_raised(
+        seed, trial, num_ues, num_cells, num_iab, slot_mode, rb_max,
+        min_rate):
+    # Victim v passes at the ceiling exactly when the kernel passes it,
+    # bit for bit, for the vector with gene v at `upper` and every other
+    # gene at `lower`; the floor's passes are the kernel's at `lower`.
+    inst = _bound_instance(seed, trial, num_ues, num_cells, num_iab,
+                           slot_mode, rb_max, min_rate)
+    masks = []
+    ue_pass = ScenarioInstance._ue_pass
+
+    def recorded(self, link_pass):
+        masks.append(link_pass.copy())
+        return ue_pass(self, link_pass)
+    with mock.patch.object(ScenarioInstance, "_ue_pass", recorded):
+        floor, ceiling = inst.coverage_bounds()
+    floor_pass, ceiling_pass = masks
+    lower, upper = inst.lower, inst.upper
+    assert np.array_equal(floor_pass,
+                          coverage._link_pass(inst, to_mw(lower[None])))
+    raised = []
+    for v in range(lower.size):
+        row = lower.copy()
+        row[v] = upper[v]
+        raised.append(coverage._link_pass(inst, to_mw(row[None]))[0, v])
+    assert ceiling_pass.tolist() == [raised]
+    assert floor == int(np.count_nonzero(inst._ue_pass(floor_pass)))
+    assert ceiling == int(np.count_nonzero(inst._ue_pass(ceiling_pass)))
