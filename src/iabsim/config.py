@@ -135,7 +135,7 @@ class ScenarioConfig:
     shadow_std_db: float = _field(4.0, float, ge=0)
     nf_db: float = _field(5.0, float)
     rx_gain_db: float = _field(25.0, float)
-    eff_ant_height_m: float = _field(1.0, float)
+    eff_ant_height_m: float = _field(1.0, float, gt=0)
     rain_range_mm_h: tuple[float, float] = _field((15.0, 20.0), float, PAIR, ge=0)
     # None: interpolate from the shipped ITU-R coefficient table at fc.
     rain_k: Optional[float] = _field(None, float, gt=0)

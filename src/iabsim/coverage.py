@@ -11,7 +11,7 @@ on common random numbers, a paired comparison.
 
 Every evaluation goes through one batched kernel (`_link_sinr`,
 `_link_pass`, `_coverage`), run on one `ScenarioInstance` or on a group of
-trials of one layout (`_Group`). Powers are float arrays, one entry per
+trials of one build block (`_Group`). Powers are float arrays, one entry per
 gene in `gene_ids` order: EIRPs in dBm at the policy boundary only, and
 linear mW (`to_mw`, once per batch) in the kernel. The optimizer scores
 (T, K, J) batches of a group with `group_coverage` (a group of one with
@@ -55,25 +55,27 @@ operation is elementwise, a gather, or a product of 0/1 RB rows, exact in
 float32, so a trial's arrays are the same bit for bit whichever trials
 share its block; no product of the build that decides a threshold is
 stacked. A block's stacked arrays hold at most `_BLOCK_DOUBLES` entries: a
-trial counts J * max(R, rb_max), its channel and RB-occupancy arrays.
+trial counts J * max(R, rb_max), its channel and RB-occupancy arrays. Its
+T * J * J operand doubles exceed that only when J > max(R, rb_max).
 `build_trials` hands its caller each block whole, as a list of ``(trial,
 instance)``, and the policies choose the powers of a block's trials in
 one call each, so the GA searches them in lockstep.
 
-A group. `_Group` stacks the arrays the kernel reads of T trials of one
-layout on a leading trial axis: the ``(J,)`` ones as ``(T, J)``, the
-interference operands as ``(T, J, V)``. The kernel reads a group through
-the `_Height` of each batch height K it is called at, built on first use
-and kept; a search calls at most four (its initial population, the 1 + S
-heads, a block's g * V immigrants and a shorter last block). A height
-holds C-contiguous ``(T, K, J)`` copies of the ``(J,)`` arrays, so that
-each elementwise step runs as one loop over the batch and not as T * K
-loops of J, and each UE's parent row as one ``(T, K, n_ue)`` flat index
-into the batch's ``(T, K, V)`` link-pass mask. The interference product
+A group. `_Group` takes the arrays the kernel reads of T trials of one
+block with one index over the block's trial axis: the ``(J,)`` ones as
+``(T, J)``, the interference operands as ``(T, J, V)``; any subset of a
+block's trials, in any order, is one index. The kernel reads a group
+through the `_Height` of each batch height K it is called at, built on
+first use and kept; a search calls at most four (its initial population,
+the 1 + S heads, a block's g * V immigrants and a shorter last block). A
+height holds C-contiguous ``(T, K, J)`` copies of the ``(J,)`` arrays, so
+that each elementwise step runs as one loop over the batch and not as
+T * K loops of J, and each UE's parent row as one ``(T, K, n_ue)`` flat
+index into the batch's ``(T, K, V)`` link-pass mask. The interference product
 is one ``(T, K, J) @ (T, J, V)`` matmul, one BLAS call per trial on that
 trial's operand, and a row's product does not depend on the other rows of
-its call; every other step is elementwise or a per-row gather or sum. So
-a trial's rows score the same bits in a group as alone (a property test
+its call; every other step is elementwise or a per-row gather or sum. So a
+trial's rows score the same bits in a group as alone (a property test
 holds this at one BLAS thread and at the default count, and with SIMD
 dispatch off). A group holds its own copy of what it reads, about T * J *
 (J + 4) doubles, and each height T * K * (3 * J + n_ue) words more.
@@ -86,9 +88,8 @@ so the RBs two UEs share are a layout constant too (`_block_overlap`); a
 relay's depend on the UEs it serves, and come per trial from a ``(T,
 n_iab, rb_max) @ (T, rb_max, J)`` RB product. Only the received powers of
 the entries, and of each gene's own link, are gathered and converted to
-mW. An instance scatters its dense operand on first use (the GA policy's
-`ScenarioInstance.coverage_bounds`, or the final `evaluate`), and
-`run_trials` drops it once the trial is scored.
+mW. A block scatters its trials' entries once, into one C-contiguous
+``(T, J, V)`` array; a trial's operand is its view of that array.
 """
 
 from __future__ import annotations
@@ -131,7 +132,8 @@ class ScenarioInstance:
 
     Trial ``i`` of a block of trials of one layout (`build_trials`): it
     holds the layout's constants, views of the block's per-trial arrays,
-    and its own interference operand.
+    its interference operand among them, and the block and ``i``, from
+    which a group of the block's trials takes its arrays (`_Group`).
     """
 
     def __init__(self, config: ScenarioConfig, topology: Topology,
@@ -149,30 +151,14 @@ class ScenarioInstance:
         self.sig_lin = block.sig_lin[i]
         self.gamma_min = block.gamma_min[i]
         self.noise_mw = block.noise_mw[i]
-        self.vacuous = block.vacuous[i]
         self._ue_cols = c.ue_cols
-        self._operand_at, self._operand = c.operand_at, block.operand[i]
-        self._dense = None
-
-    @property
-    def _interf(self) -> np.ndarray:
-        """The C-contiguous (J, V) interference operand: gene j's unit EIRP
-        at victim v, weighted by the share of v's RBs that j also holds; 0
-        where j does not interfere at v. Built on first use and kept until
-        `_drop_operand`."""
-        if self._dense is None:
-            self._dense = _scatter(self._operand_at, self._operand,
-                                   len(self.gene_ids))
-        return self._dense
+        self._interf = block.interf[i]
+        self._block, self._index = block, i
 
     @property
     def interf_lin(self) -> np.ndarray:
         """The (V, J) view of the operand; perfbench reads it."""
         return self._interf.T
-
-    def _drop_operand(self) -> None:
-        """Free the operand; the next kernel call builds it again."""
-        self._dense = None
 
     def _ue_pass(self, link_pass: np.ndarray) -> np.ndarray:
         """(..., n_ue) mask of the UEs served, of a (..., V) link-pass
@@ -233,27 +219,23 @@ class ScenarioInstance:
 
 
 class _Group:
-    """A group of T trials of one layout, as the fitness kernel reads it:
-    the arrays of a `ScenarioInstance`'s, each stacked on a leading trial
-    axis, the ``(J,)`` ones as ``(T, J)``. Called on a ``(T, K, J)`` batch,
-    it scores the batch on the `_Height` of that K, built on first use
-    and kept: a search calls a group at a few heights only."""
+    """A group of T trials of one block, as the fitness kernel reads it:
+    the block's arrays at the trials' indices, the ``(J,)`` ones as
+    ``(T, J)``. Called on a ``(T, K, J)`` batch, it scores the batch on
+    the `_Height` of that K, built on first use and kept: a search calls
+    a group at a few heights only."""
 
     def __init__(self, instances: Sequence[ScenarioInstance]):
         first = instances[0]
-        if any(i.gene_ids != first.gene_ids or i.ue_ids != first.ue_ids
-               for i in instances):
-            raise ValueError("a group's trials must share one layout")
-
-        def stacked(name: str) -> np.ndarray:
-            return np.stack([getattr(i, name) for i in instances])
-
-        self.sig_lin = stacked("sig_lin")
-        self.noise_mw = stacked("noise_mw")
-        self.gamma_min = stacked("gamma_min")
-        self.parent_row = stacked("parent_row")
-        self._interf = _scatter(first._operand_at, stacked("_operand"),
-                                len(first.gene_ids))
+        block = first._block
+        if any(i._block is not block for i in instances):
+            raise ValueError("a group's trials must come from one block")
+        trials = [i._index for i in instances]
+        self.sig_lin = block.sig_lin[trials]
+        self.noise_mw = block.noise_mw[trials]
+        self.gamma_min = block.gamma_min[trials]
+        self.parent_row = block.parent_row[trials]
+        self._interf = block.interf[trials]
         self.n_ue, self._ue_cols = first.n_ue, first._ue_cols
         self._heights: dict[int, _Height] = {}
 
@@ -297,12 +279,11 @@ class _Height:
 
 def _scatter(operand_at: np.ndarray, entries: np.ndarray,
              n_genes: int) -> np.ndarray:
-    """The C-contiguous (..., J, V) operands of (..., E) entries, each set
-    at the flat indices ``operand_at`` of its (J, V) operand, and 0
+    """The C-contiguous (T, J, V) operands of (T, E) entries, each set at
+    the flat indices ``operand_at`` of its (J, V) operand, and 0
     elsewhere."""
-    lead = entries.shape[:-1]
-    interf = np.zeros((*lead, n_genes, n_genes))
-    interf.reshape(*lead, n_genes * n_genes)[..., operand_at] = entries
+    interf = np.zeros((len(entries), n_genes, n_genes))
+    interf.reshape(len(entries), -1)[:, operand_at] = entries
     return interf
 
 
@@ -343,12 +324,12 @@ def _coverage(trials: Union[ScenarioInstance, _Height],
 
 def group_coverage(instances: Sequence[ScenarioInstance]
                    ) -> Callable[[np.ndarray], np.ndarray]:
-    """The batched coverage of a group of T trials of one layout: a
-    function from a (T, K, J) batch in mW, trial t's rows in its trial's
-    gene order, to the (T, K) coverage of each row on its own trial, the
-    same bits as its trial's `batch_coverage` gives it. A group of one
-    calls that method, so that perfbench's tracer, which hooks it, counts
-    a one-trial search's rows."""
+    """The batched coverage of a group of T trials of one build block (a
+    ValueError otherwise): a function from a (T, K, J) batch in mW, trial
+    t's rows in its trial's gene order, to the (T, K) coverage of each row
+    on its own trial, the same bits as its trial's `batch_coverage` gives
+    it. A group of one calls that method, so that perfbench's tracer,
+    which hooks it, counts a one-trial search's rows."""
     if len(instances) == 1:
         one = instances[0]
         return lambda mw: one.batch_coverage(mw[0])[None]
@@ -439,12 +420,13 @@ _GeneConstants = namedtuple("_GeneConstants", (
     "gamma_min", "noise_mw", "operand_at", "entry_v", "gather_v",
     "gather_at", "with_relay", "relay_at", "ue_shared"))
 
-# The arrays of a block of T trials of one layout: its `_GeneConstants`,
-# the per-trial instance arrays, each (T, ...), and the (T, K) operand
-# entries that may be nonzero, at `_GeneConstants.operand_at`.
+# The arrays of a block of T trials of one layout: its `_GeneConstants`
+# and the per-trial instance arrays, each (T, ...), ``interf`` the (T, J,
+# V) interference operands: gene j's unit EIRP at victim v, weighted by
+# the share of v's RBs that j also holds; 0 where j does not interfere.
 _Block = namedtuple("_Block", (
     "constants", "assoc", "relay_served", "parent_row", "sig_lin",
-    "gamma_min", "noise_mw", "vacuous", "operand"))
+    "gamma_min", "noise_mw", "interf"))
 
 
 def _trial_arrays(config: ScenarioConfig, layout: Layout, assoc: np.ndarray,
@@ -508,30 +490,20 @@ def _trial_arrays(config: ScenarioConfig, layout: Layout, assoc: np.ndarray,
     operand = np.divide(counts, np.maximum(rbs, 1.0).take(c.entry_v, axis=1),
                         dtype=float)
     operand *= unit_mw[:, n_genes:]
+    interf = _scatter(c.operand_at, operand, n_genes)
 
     # The thresholds come from the scalar budget of the reference path,
     # so they match it bit for bit. The UE rows are the layout's; only
-    # the relay rows, a few per cell, vary. A relay with no children
-    # carries no demand: its backhaul is vacuous.
-    gamma_min = _stacked(c.gamma_min, n_trials)
-    noise = _stacked(c.noise_mw, n_trials)
-    vacuous = np.zeros(assoc.shape, dtype=bool)
+    # the relay rows, a few per cell, vary.
+    gamma_min = np.repeat(c.gamma_min[None], n_trials, axis=0)
+    noise = np.repeat(c.noise_mw[None], n_trials, axis=0)
     flat_gamma, flat_noise = gamma_min.reshape(-1), noise.reshape(-1)
-    flat_vacuous = vacuous.reshape(-1)
     for row, n, n_rb in zip(relay_rows.tolist(), children.ravel().tolist(),
                             rbs.take(iab_rows, axis=1).ravel().tolist()):
         flat_gamma[row], flat_noise[row] = _link_constants(
             rate * n, n_rb * width, nf)
-        flat_vacuous[row] = not n
     return _Block(c, assoc, relay_served, parent_row, unit_mw[:, :n_genes],
-                  gamma_min, noise, vacuous, operand)
-
-
-def _stacked(row: np.ndarray, n: int) -> np.ndarray:
-    """``n`` copies of ``row`` along a new leading axis."""
-    out = np.empty((n, *row.shape), dtype=row.dtype)
-    out[...] = row
-    return out
+                  gamma_min, noise, interf)
 
 
 @lru_cache(maxsize=16)
@@ -632,7 +604,7 @@ def _gene_constants(layout: Layout, ue_range: tuple[float, float],
         relay_at=relay_at, ue_shared=shared.take(operand_at))
 
 
-# A policy returns, for a group of trials of one layout and a Generator
+# A policy returns, for a group of trials of one block and a Generator
 # per trial, each trial's EIRPs in dBm in its instance's `gene_ids` order;
 # a trial's EIRPs must not depend on which other trials share its group.
 PowersPolicy = Callable[[Sequence[ScenarioInstance],
@@ -686,8 +658,6 @@ def run_trials(block: Sequence[tuple[int, ScenarioInstance]],
                 gene_ids=instance.gene_ids, powers=eirp,
                 topology=instance.topology, assoc=instance.assoc))
         per_trial.append(outcomes)
-        # Scored: a block's trials hold one operand at a time.
-        instance._drop_operand()
     return per_trial
 
 

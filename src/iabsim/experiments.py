@@ -157,6 +157,9 @@ def run_coverage_vs_sinr(config: ScenarioConfig,
             results[trial] = (
                 inst_sep.batch_coverage(mw), inst_sim.batch_coverage(mw),
                 inst_sep.access_sinr_db(mw), inst_sim.access_sinr_db(mw))
+    if not any(r[2].size for r in results):
+        raise ConfigError(f"num_ues = {config.num_ues}: no trial has a UE, "
+                          "so there is no access SINR to take a median of")
     cov_sep = np.mean([r[0] for r in results], axis=0)
     cov_sim = np.mean([r[1] for r in results], axis=0)
     sinr_sep = np.median(np.concatenate([r[2] for r in results], axis=1), axis=1)

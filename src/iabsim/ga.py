@@ -168,7 +168,7 @@ def optimize(instance: ScenarioInstance, params: GaParams,
 
 def optimize_trials(instances: Sequence[ScenarioInstance], params: GaParams,
                     rngs: Sequence[np.random.Generator]) -> list[GaResult]:
-    """Run the elitist search on a group of T trials of one layout in
+    """Run the elitist search on a group of T trials of one block in
     lockstep, trial t drawing from ``rngs[t]``, and return each trial's
     result, the same as its search alone gives (module docstring).
 

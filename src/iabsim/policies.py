@@ -7,7 +7,7 @@ any powers can (the floor reaches the ceiling of
 `ScenarioInstance.coverage_bounds`) gets ``lower`` unsearched: it is the
 search's exact optimum, the most coverage at the least total power. Only
 the policy skips the search; ``ga-trace`` runs it in full. Each policy
-takes a group of trials of one layout with a Generator per trial (a
+takes a group of trials of one block with a Generator per trial (a
 `PowersPolicy`) and returns each trial's EIRPs in dBm, in its instance's
 `gene_ids` order.
 """

@@ -9,7 +9,7 @@ import pytest
 
 import iabsim.topology as topology
 from iabsim.config import ScenarioConfig
-from iabsim.coverage import (build_instance, build_trials,
+from iabsim.coverage import (build_instance, build_trials, group_coverage,
                              monte_carlo_coverage, run_trials)
 from iabsim.policies import make_policy, max_power_policy
 from iabsim.rng import trial_states
@@ -223,6 +223,18 @@ class TestFastPathAgreement:
         singles = [inst.batch_coverage(row[None, :])[0] for row in mat]
         assert np.allclose(batch, singles, atol=0)
 
+    def test_group_of_two_blocks_is_refused(self):
+        # A group indexes its trials' arrays in their block: trials built
+        # in two blocks, even of one layout, do not form one group.
+        cfg = ScenarioConfig(num_ues=4, num_cells=1, rb_max=16, trials=1)
+        a, b = (build_instance(cfg, seed=2, trial_index=t) for t in (0, 1))
+        assert a.gene_ids == b.gene_ids
+        [block] = build_trials(cfg, 2, range(2))
+        group_coverage([inst for _, inst in block])
+        for pair in ([a, b], [block[0][1], b]):
+            with pytest.raises(ValueError, match="one block"):
+                group_coverage(pair)
+
 
 class TestMonteCarlo:
     def test_single_trial_equals_evaluate(self):
@@ -254,8 +266,8 @@ class TestMonteCarlo:
             assert np.array_equal(a.powers, b.powers)
 
     def test_block_scored_one_operand_at_a_time(self):
-        # `run_trials` drops each trial's dense operand once the trial is
-        # scored; the next kernel call builds the same operand again.
+        # Scoring a block leaves its trials' operands as built: each trial
+        # scores again the statuses `run_trials` kept.
         cfg = ScenarioConfig(num_ues=6, num_cells=2, rb_max=16,
                              min_rate_bps=1e6, trials=1)
         [block] = build_trials(cfg, 3, range(4))
@@ -263,7 +275,6 @@ class TestMonteCarlo:
         policies = [make_policy(p, cfg) for p in ("max", "random")]
         outcomes = run_trials(block, policies, states)
         for (_, inst), trial in zip(block, outcomes):
-            assert inst._dense is None
             for outcome in trial:
                 assert np.array_equal(inst.evaluate(outcome.powers),
                                       outcome.status)

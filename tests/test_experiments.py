@@ -540,6 +540,33 @@ class TestCli:
         assert "sweep_ues" in err and "at 4" in err
         assert os.listdir(tmp_path) == ["fixed.cfg"]
 
+    def test_zero_effective_height_exits_1_naming_it(self, tmp_path, capsys):
+        # At 0 the breakpoint distance is 0 and the pathloss takes log10(0)
+        # on every IAB self pair: the height fails at load, by its key.
+        cfg_path = tmp_path / "height.cfg"
+        cfg_path.write_text("eff_ant_height_m = 0\ntrials = 1\n")
+        out = tmp_path / "out.csv"
+        code = main(["run", "intercell", "--config", str(cfg_path),
+                     "--out", str(out)])
+        assert code == 1
+        assert "eff_ant_height_m must be" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["height.cfg"]
+
+    @pytest.mark.parametrize("poisson", [False, True])
+    def test_sinr_without_a_ue_exits_1_naming_num_ues(self, tmp_path, capsys,
+                                                      poisson):
+        # With no UE in any trial there is no access SINR: the median
+        # columns would read nan. The run fails before the CSV is written.
+        cfg_path = tmp_path / "no_ues.cfg"
+        cfg_path.write_text("\n".join(config_lines(tiny_config(
+            num_ues=0, ue_count_poisson=poisson, power_policy="max"))) + "\n")
+        out = tmp_path / "out.csv"
+        code = main(["run", "coverage-vs-sinr", "--config", str(cfg_path),
+                     "--out", str(out)])
+        assert code == 1
+        assert "num_ues = 0" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["no_ues.cfg"]
+
     def test_ue_sweep_of_the_fixed_count_runs(self, tmp_path):
         positions = ((20.0, 0.0), (60.0, 0.0), (120.0, 0.0), (180.0, 0.0))
         config = tiny_config(num_ues=4, ue_positions=positions,

@@ -204,7 +204,7 @@ def test_thresholds_match_per_victim_constants(seed, trial, num_ues, num_cells,
     alloc = allocate_rbs(inst.assoc[None], inst.topology, cfg)[0]
     # Victim v is gene v's link: a UE carries the minimum rate, a relay the
     # sum of its children's, over the RBs the gene holds.
-    gammas, noises, vacuous = [], [], []
+    gammas, noises, childless = [], [], []
     for v, gene in enumerate(inst.gene_ids):
         children = 1 if inst.topology.role[gene] == UE else int(
             np.count_nonzero(inst.assoc == gene))
@@ -213,11 +213,13 @@ def test_thresholds_match_per_victim_constants(seed, trial, num_ues, num_cells,
         gamma, noise = _link_constants(demand, bandwidth, cfg.nf_db)
         gammas.append(gamma)
         noises.append(noise)
-        vacuous.append(demand == 0.0)
+        childless.append(children == 0)
     # Bit for bit, infinities included.
     assert inst.gamma_min.tobytes() == np.array(gammas, dtype=float).tobytes()
     assert inst.noise_mw.tobytes() == np.array(noises, dtype=float).tobytes()
-    assert inst.vacuous.tolist() == vacuous
+    # A relay with no children carries no demand, so its backhaul is
+    # vacuous: its minimum SINR is 0, and no other row's is.
+    assert (inst.gamma_min == 0.0).tolist() == childless
 
 
 # (rb_max, rbs_per_ue) with rbs_per_ue up to the whole grid.
@@ -448,34 +450,44 @@ def test_lockstep_group_matches_reference(seed, trials, num_ues, num_cells,
        num_iab=st.integers(0, 3), rb_max=st.sampled_from((2, 3, 16)),
        min_rate=st.sampled_from((64e3, 5e6, 20e6, 80e6)),
        heights=st.lists(st.sampled_from((1, 2, 45)), min_size=1,
-                        max_size=6))
+                        max_size=6),
+       order=st.permutations(range(7)), size=st.integers(2, 7))
 @example(seed=1, trials=3, num_ues=4, num_cells=2, num_iab=1, rb_max=2,
-         min_rate=5e6, heights=[45, 1, 2, 45, 2, 1])  # each height twice
+         min_rate=5e6, heights=[45, 1, 2, 45, 2, 1], order=range(7),
+         size=7)  # each height twice
 @example(seed=5, trials=7, num_ues=2, num_cells=2, num_iab=3, rb_max=3,
-         min_rate=5e6, heights=[45, 1, 2, 45, 1])  # relays with no children
+         min_rate=5e6, heights=[45, 1, 2, 45, 1], order=range(7),
+         size=7)  # relays with no children
+@example(seed=5, trials=7, num_ues=2, num_cells=2, num_iab=3, rb_max=3,
+         min_rate=5e6, heights=[45, 1, 2, 45, 1], order=[6, 2, 4, 0, 1, 3, 5],
+         size=3)  # a subset of the block, out of order
 @example(seed=5, trials=7, num_ues=0, num_cells=2, num_iab=2, rb_max=16,
-         min_rate=5e6, heights=[45, 1, 2, 45, 1])  # n_ue = 0, relays only
+         min_rate=5e6, heights=[45, 1, 2, 45, 1], order=range(7),
+         size=7)  # n_ue = 0, relays only
 @example(seed=5, trials=7, num_ues=0, num_cells=1, num_iab=0, rb_max=16,
-         min_rate=5e6, heights=[45, 1, 2, 45, 1])  # J = 0
+         min_rate=5e6, heights=[45, 1, 2, 45, 1], order=range(7),
+         size=7)  # J = 0
 def test_lockstep_group_kernel_matches_each_trials_kernel(
         seed, trials, num_ues, num_cells, num_iab, rb_max, min_rate,
-        heights):
-    # A group scores a (T, K, J) batch on the operands it keeps for that
-    # K: each trial's rows get the bits of its own one-trial kernel, at
-    # every height, whichever heights came before.
+        heights, order, size):
+    # A group of some of a block's trials, in any order, scores a
+    # (T, K, J) batch on the operands it keeps for that K: each trial's
+    # rows get the bits of its own one-trial kernel, at every height,
+    # whichever heights came before.
     cfg = ScenarioConfig(num_ues=num_ues, num_cells=num_cells,
                          num_iab_per_cell=num_iab, rb_max=rb_max,
                          min_rate_bps=min_rate, trials=1)
-    instances = [inst for _, inst in _lockstep_group(cfg, seed, trials)]
+    block = [inst for _, inst in _lockstep_group(cfg, seed, trials)]
+    instances = [block[i] for i in order if i < trials][:size]
     fitness = coverage.group_coverage(instances)
     lower, upper = instances[0].lower, instances[0].upper
     rng = np.random.default_rng(seed)
     for k in heights:
-        u = rng.random((trials, k, lower.size))
+        u = rng.random((len(instances), k, lower.size))
         u[:, ::3] = 1.0  # some rows at the upper bound, where links pass
         mw = to_mw(lower + (upper - lower) * u)
         got = fitness(mw)
-        assert got.shape == (trials, k)
+        assert got.shape == (len(instances), k)
         for t, inst in enumerate(instances):
             assert got[t].tobytes() == inst.batch_coverage(mw[t]).tobytes()
 
@@ -582,11 +594,15 @@ def _build_alone(cfg: ScenarioConfig, seed: int, trial: int,
 def _snapshot(inst: ScenarioInstance) -> dict:
     """Every array, tuple and scalar an instance and its topology hold,
     arrays as (dtype, shape, bytes): equal means bit for bit, NaNs
-    included."""
+    included. The instance's block and its index there depend on the
+    trials built with it and are left out; its views of the block's
+    arrays, its interference operand among them, are compared."""
     out = {}
     for owner in (inst, inst.topology):
         for name, value in vars(owner).items():
             key = f"{type(owner).__name__}.{name}"
+            if key in ("ScenarioInstance._block", "ScenarioInstance._index"):
+                continue
             if isinstance(value, np.ndarray):
                 out[key] = (value.dtype.str, value.shape, value.tobytes())
             elif isinstance(value, (tuple, int, float)):
